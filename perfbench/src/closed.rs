@@ -1,5 +1,5 @@
-//! The closed-loop workloads: one job at a time, each due the moment the
-//! previous one returns, so a job's latency is its own run time.
+//! The closed-loop workloads: one job at a time, each started the moment
+//! the previous one returns.
 
 use std::time::{Duration, Instant};
 
@@ -9,8 +9,19 @@ use izhi_programs::template;
 use izhi_sim::{SchedMode, TimingModel};
 
 use crate::job::{cold_replay, probe_instantiate, run_job, Class, JobOutcome, JobResult};
-use crate::mix::{self, MixJob};
-use crate::{put_latency, service, stats, trace, Layers, Report, SETUP_REPEATS};
+use crate::service::{self, ServiceJob};
+use crate::{stats, trace, Layers, Report, SETUP_REPEATS};
+
+/// Every generated job seed is at least this. It lies above every
+/// registered scenario's default seed, so a re-seeded job never runs at
+/// the seed its template was built at.
+const SEED_BASE: u32 = 1000;
+
+/// Seed of the `k`-th job of one job class in a run with workload seed
+/// `seed`: distinct for the first thousand jobs of a class.
+fn job_seed(seed: u64, k: u64) -> u32 {
+    SEED_BASE + ((seed % 100_000) * 1000 + k % 1000) as u32
+}
 
 /// A closed-loop workload: its job classes and how its jobs are seeded.
 pub struct Closed {
@@ -37,7 +48,7 @@ impl Closed {
             "paper_exact" => {
                 // Table V's 80-20 network and Table VI's Sudoku at their
                 // registry defaults, both built and run at one seed.
-                let s = mix::job_seed(seed, 0);
+                let s = job_seed(seed, 0);
                 let at = ScenarioParams::default().with_seed(s);
                 let classes = vec![
                     Class::new("net8020", at, SchedMode::Exact),
@@ -85,7 +96,7 @@ impl Closed {
         let k = self.started[class];
         self.started[class] += 1;
         self.fixed_seed
-            .unwrap_or_else(|| mix::job_seed(self.run_seed, k))
+            .unwrap_or_else(|| job_seed(self.run_seed, k))
     }
 
     /// Run whole rounds, one job of each class, until `dur` has passed.
@@ -151,18 +162,17 @@ pub fn measure(mut w: Closed, seconds: u64, report: &mut Report) {
         .iter()
         .filter_map(|d| d.outcome.result.as_ref().ok())
         .collect();
-    let latencies: Vec<f64> = done.iter().map(|d| d.outcome.latency_s).collect();
     report.metric("setup_s", stats::median(&setups), "s", setups.len());
     report.metric("runs_per_s", ok.len() as f64 / elapsed, "runs/s", ok.len());
     report.metric("sim_ms_per_tick", sim_ms_per_tick(&ok), "sim_ms", ok.len());
-    put_latency(report, &latencies);
 }
 
 /// The traced run: half the time untraced (the base of `trace.overhead`),
 /// half traced, then, outside the timed window, a cold replay of one
 /// traced job per class and the same jobs put through the service. The
-/// replay must reproduce the template run, and the host-parallel class is
-/// replayed on the sequential scheduler too, which must agree with it.
+/// replay and the service must reproduce the template run, and the
+/// host-parallel class is replayed on the sequential scheduler too, which
+/// must agree with it.
 pub fn traced(mut w: Closed, seconds: u64, report: &mut Report) -> Layers {
     let half = Duration::from_secs_f64(seconds as f64 / 2.0);
     trace::set_enabled(true);
@@ -181,19 +191,21 @@ pub fn traced(mut w: Closed, seconds: u64, report: &mut Report) -> Layers {
     };
     let mut service_jobs = Vec::new();
     for (index, class) in w.classes.iter().enumerate() {
-        probe_instantiate(class, mix::job_seed(w.run_seed, 999));
+        probe_instantiate(class, job_seed(w.run_seed, 999));
         let Some(job) = done.iter().find(|d| d.class == index) else {
             continue;
         };
-        service_jobs.push(MixJob {
-            scenario: class.scenario.name,
-            seed: job.seed,
-            label: SchedSpec::label_of(class.sched),
-            quick: false,
-        });
         let Ok(expected) = &job.outcome.result else {
             continue;
         };
+        service_jobs.push((
+            ServiceJob {
+                scenario: class.scenario.name,
+                seed: job.seed,
+                label: SchedSpec::label_of(class.sched),
+            },
+            expected.clone(),
+        ));
         report.attempted += 1;
         let replay = match cold_replay(class, job.seed, class.sched) {
             Ok(r) => r,
@@ -228,7 +240,7 @@ pub fn traced(mut w: Closed, seconds: u64, report: &mut Report) -> Layers {
         }
         layers.replays.push(replay);
     }
-    match service::probe(service_jobs, report) {
+    match service::probe(&service_jobs, report) {
         Ok(serve) => layers.serve = serve,
         Err(e) => report.invalid(e),
     }
@@ -247,4 +259,59 @@ pub fn traced(mut w: Closed, seconds: u64, report: &mut Report) -> Layers {
     }
     layers.spans = trace::take();
     layers
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    use izhi_programs::scenario;
+
+    /// The class and seed of every job in the first `rounds` rounds.
+    fn plan(name: &str, seed: u64, rounds: usize) -> Vec<(usize, u32)> {
+        let mut w = Closed::named(name, seed);
+        let mut jobs = Vec::new();
+        for _ in 0..rounds {
+            for class in 0..w.classes.len() {
+                jobs.push((class, w.next_seed(class)));
+            }
+        }
+        jobs
+    }
+
+    #[test]
+    fn the_job_plan_is_deterministic_for_a_seed() {
+        for name in crate::WORKLOADS {
+            assert_eq!(plan(name, 7, 50), plan(name, 7, 50));
+            assert_ne!(plan(name, 7, 50), plan(name, 8, 50));
+        }
+    }
+
+    #[test]
+    fn relaxed_sweep_never_reuses_a_template_build_seed() {
+        // Its templates are built at the registry defaults, so at each
+        // scenario's default seed.
+        for sc in scenario::registry() {
+            let default = sc
+                .schema
+                .iter()
+                .find(|p| p.name == "seed")
+                .expect("seed in schema");
+            if let Ok(d) = default.default.parse::<u32>() {
+                assert!(d < SEED_BASE, "{}: default seed {d}", sc.name);
+            }
+        }
+        for seed in [0, 1, 42, 99_999, 100_000, u64::MAX] {
+            let w = Closed::named("relaxed_sweep", seed);
+            assert!(w.classes.iter().all(|c| c.params.seed.is_none()));
+            let jobs = plan("relaxed_sweep", seed, 1000);
+            for class in 0..w.classes.len() {
+                let seeds: BTreeSet<u32> =
+                    jobs.iter().filter(|j| j.0 == class).map(|j| j.1).collect();
+                assert_eq!(seeds.len(), 1000, "a seed repeats within a run");
+                assert!(seeds.iter().all(|&s| s >= SEED_BASE));
+            }
+        }
+    }
 }

@@ -149,8 +149,6 @@ impl JobResult {
 
 /// How one job ended.
 pub struct JobOutcome {
-    /// Host seconds from the job's start to its verified result.
-    pub latency_s: f64,
     /// Supervised attempts.
     pub attempts: u32,
     /// The result, or the supervisor's classified failure.
@@ -161,7 +159,6 @@ pub struct JobOutcome {
 /// the lookup, the instantiation, the supervised run and, inside it, the
 /// template run and the scenario's verify hook.
 pub fn run_job(class: &Class, seed: u32, job: u64) -> JobOutcome {
-    let start = Instant::now();
     let run = catch_unwind(AssertUnwindSafe(|| {
         let _job = trace::span("job", Some(job));
         let (tpl, _) = {
@@ -190,7 +187,6 @@ pub fn run_job(class: &Class, seed: u32, job: u64) -> JobOutcome {
             run_supervised(&mut inst, &sup)
         }
     }));
-    let latency_s = start.elapsed().as_secs_f64();
     let (attempts, result) = match run {
         Ok(Ok(s)) => (s.attempts, Ok(JobResult::of(&s.result))),
         Ok(Err(e)) => (e.attempts, Err(e)),
@@ -204,11 +200,7 @@ pub fn run_job(class: &Class, seed: u32, job: u64) -> JobOutcome {
             }),
         ),
     };
-    JobOutcome {
-        latency_s,
-        attempts,
-        result,
-    }
+    JobOutcome { attempts, result }
 }
 
 /// A job's workload with spans around the supervisor's calls into the

@@ -1,18 +1,14 @@
-//! The repository benchmark. Three workloads run in-process through the
-//! public APIs of `izhi_programs`, `izhi_sim` and `izhi_bench`; every job
-//! takes the path the battery runner and the service workers take:
-//! `Scenario` → `template::lookup` → `RunTemplate::instantiate` →
-//! `supervise::run_supervised`.
+//! The repository benchmark. Two closed-loop workloads run in-process
+//! through the public APIs of `izhi_programs`, `izhi_sim` and
+//! `izhi_bench`; every job takes the path the battery runner and the
+//! service workers take: `Scenario` → `template::lookup` →
+//! `RunTemplate::instantiate` → `supervise::run_supervised`.
 //!
 //! * `paper_exact`: registry-default `net8020` (Table V) and `sudoku`
 //!   (Table VI) on the exact scheduler, alternating, one seed per run.
 //! * `relaxed_sweep`: registry-default `net8020` on the relaxed scheduler
 //!   and `net8020_sharded` on the host-parallel one, alternating, a fresh
 //!   seed per job.
-//! * `service_mix`: an in-process scenario service fed the quick battery
-//!   as job documents, open loop at `--rate` jobs per second. It is not
-//!   declared in `BENCHMARK.json`: on a shared 2-CPU host its median
-//!   latency moved by 20-45 % between seeds.
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
@@ -20,17 +16,17 @@
 //! ```
 //!
 //! `--trace 0` measures the end-to-end metrics. `--trace 1` runs the
-//! workload again with spans around each layer call, reports the
-//! per-layer metrics and writes the spans to `perfbench/out/`. Every
-//! figure is printed with its unit and sample count; the last line of
-//! standard output is one JSON object with `correct`, `attempted`,
-//! `failed` and `metrics`. A failed job or check exits with status 1. Bad
-//! arguments, or any `IZHI_*` variable in the environment (each changes
-//! the program under test), exit with status 2 before anything runs.
+//! workload again with spans around each layer call, puts one job per
+//! class through an in-process scenario service, reports the per-layer
+//! metrics and writes the spans to `perfbench/out/`. Every figure is
+//! printed with its unit and sample count; the last line of standard
+//! output is one JSON object with `correct`, `attempted`, `failed` and
+//! `metrics`. A failed job or check exits with status 1. Bad arguments, or
+//! any `IZHI_*` variable in the environment (each changes the program
+//! under test), exit with status 2 before anything runs.
 
 mod closed;
 mod job;
-mod mix;
 mod service;
 mod stats;
 mod trace;
@@ -45,20 +41,13 @@ use crate::job::{JobResult, Model, Replay, KINDS};
 use crate::service::ServeLayers;
 
 /// The workloads `--workload` accepts.
-const WORKLOADS: [&str; 3] = ["paper_exact", "relaxed_sweep", "service_mix"];
+const WORKLOADS: [&str; 2] = ["paper_exact", "relaxed_sweep"];
 
 /// The result line of an untraced run.
-const END_TO_END: [&str; 6] = [
-    "setup_s",
-    "runs_per_s",
-    "sim_ms_per_tick",
-    "job_p50_s",
-    "job_p90_s",
-    "peak_rss_mb",
-];
+const END_TO_END: [&str; 4] = ["setup_s", "runs_per_s", "sim_ms_per_tick", "peak_rss_mb"];
 
 /// The result line of a traced run.
-const PER_LAYER: [&str; 36] = [
+const PER_LAYER: [&str; 34] = [
     "scenario.build_ms",
     "scenario.verify_ms",
     "engine.prepare_ms",
@@ -91,8 +80,6 @@ const PER_LAYER: [&str; 36] = [
     "serve.poll_ms",
     "serve.polls_per_job",
     "serve.rejected",
-    "load.lateness_p90_ms",
-    "load.lateness_max_ms",
     "failed_frac",
     "trace.overhead",
 ];
@@ -100,28 +87,25 @@ const PER_LAYER: [&str; 36] = [
 /// Cold set-ups per untraced run; `setup_s` is their median.
 const SETUP_REPEATS: usize = 5;
 
-const USAGE: &str = "usage: perfbench --workload paper_exact|relaxed_sweep|service_mix \
-                     --seed N --seconds S [--trace 0|1] [--rate JOBS_PER_S]\n\
-                     (--rate is the offered load of service_mix)";
+const USAGE: &str =
+    "usage: perfbench --workload paper_exact|relaxed_sweep --seed N --seconds S [--trace 0|1]";
 
 struct Args {
     workload: String,
     seed: u64,
     seconds: u64,
     trace: bool,
-    rate: f64,
 }
 
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let (mut workload, mut seed, mut seconds, mut trace, mut rate) =
-        (None, None, None, false, None);
+    let (mut workload, mut seed, mut seconds, mut trace) = (None, None, None, false);
     while let Some(flag) = args.next() {
         let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         let bad = |want: &str| format!("{flag} {value}: expected {want}");
         match flag.as_str() {
             "--workload" => {
                 if !WORKLOADS.contains(&value.as_str()) {
-                    return Err(bad("one of paper_exact, relaxed_sweep, service_mix"));
+                    return Err(bad("one of paper_exact, relaxed_sweep"));
                 }
                 workload = Some(value);
             }
@@ -137,26 +121,14 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
                     _ => return Err(bad("0 or 1")),
                 }
             }
-            "--rate" => {
-                let r = value
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| *r > 0.0 && *r <= 1000.0);
-                rate = Some(r.ok_or_else(|| bad("jobs per second in (0, 1000]"))?);
-            }
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
-    let workload = workload.ok_or("--workload is required")?;
-    if workload == "service_mix" && rate.is_none() {
-        return Err("service_mix needs --rate".to_string());
-    }
     Ok(Args {
-        workload,
+        workload: workload.ok_or("--workload is required")?,
         seed: seed.ok_or("--seed is required")?,
         seconds: seconds.ok_or("--seconds is required")?,
         trace,
-        rate: rate.unwrap_or(0.0),
     })
 }
 
@@ -203,15 +175,10 @@ impl Report {
         });
     }
 
-    /// `jobs` failed jobs or checks, for one reason.
-    pub fn fail_jobs(&mut self, jobs: u64, problem: String) {
-        self.failed += jobs;
-        self.problems.push(problem);
-    }
-
     /// One failed job or check.
     pub fn fail(&mut self, problem: String) {
-        self.fail_jobs(1, problem);
+        self.failed += 1;
+        self.problems.push(problem);
     }
 
     /// A run that cannot stand although no job failed.
@@ -279,36 +246,6 @@ impl Report {
     }
 }
 
-/// The `pct`-th percentile of `samples`; when fewer than ten samples lie
-/// beyond it, the highest percentile below it that has ten beyond it, or
-/// the largest sample when there are fewer than ten in all. Returns the
-/// value and the percentile it was taken at.
-fn tail(samples: &[f64], pct: u32) -> (f64, u32) {
-    stats::highest_supported(samples.len(), pct)
-        .and_then(|p| stats::percentile(samples, p).map(|v| (v, p)))
-        .unwrap_or_else(|| (samples.iter().copied().fold(0.0, f64::max), 100))
-}
-
-/// `job_p50_s` and `job_p90_s` from per-job latencies in seconds, each
-/// taken by [`tail`], which says when it had to fall back.
-fn put_latency(report: &mut Report, latencies: &[f64]) {
-    for (name, pct) in [("job_p50_s", 50), ("job_p90_s", 90)] {
-        let (value, at) = tail(latencies, pct);
-        report.metric(name, value, "s", latencies.len());
-        if at != pct {
-            report.info(
-                format!(
-                    "{name} taken at p{at} (p{pct} needs {} jobs)",
-                    1000 / (100 - pct)
-                ),
-                value,
-                "s",
-                latencies.len(),
-            );
-        }
-    }
-}
-
 fn put_mean(report: &mut Report, name: &str, samples: &[f64], unit: &'static str) {
     report.metric(name, stats::mean(samples), unit, samples.len());
 }
@@ -333,8 +270,7 @@ pub struct Layers {
     pub cache: (u64, u64),
     /// Host time per job, traced over untraced.
     pub overhead: f64,
-    /// Client-side figures of the service: its traced window, or for a
-    /// closed-loop workload one job per class put through a fresh service.
+    /// Client-side figures of one job per class put through the service.
     pub serve: ServeLayers,
 }
 
@@ -466,12 +402,8 @@ impl Layers {
             "serve.rejected",
             s.rejected as f64,
             "count",
-            s.lateness_ms.len(),
+            s.submit_ms.len(),
         );
-        let (late_p90, _) = tail(&s.lateness_ms, 90);
-        let late_max = s.lateness_ms.iter().copied().fold(0.0, f64::max);
-        report.metric("load.lateness_p90_ms", late_p90, "ms", s.lateness_ms.len());
-        report.metric("load.lateness_max_ms", late_max, "ms", s.lateness_ms.len());
         report.metric("trace.overhead", self.overhead, "ratio", 2);
         for r in replays {
             report.info(
@@ -540,42 +472,25 @@ fn main() -> ExitCode {
         failed: 0,
         problems: Vec::new(),
     };
-    let layers = match (args.workload.as_str(), args.trace) {
-        ("service_mix", false) => {
-            service::measure(seed, seconds, args.rate, &mut report).map(|()| None)
-        }
-        ("service_mix", true) => service::traced(seed, seconds, args.rate, &mut report).map(Some),
-        (name, false) => {
-            closed::measure(closed::Closed::named(name, seed), seconds, &mut report);
-            Ok(None)
-        }
-        (name, true) => Ok(Some(closed::traced(
-            closed::Closed::named(name, seed),
-            seconds,
-            &mut report,
-        ))),
+    let workload = closed::Closed::named(&args.workload, seed);
+    let layers = if args.trace {
+        Some(closed::traced(workload, seconds, &mut report))
+    } else {
+        closed::measure(workload, seconds, &mut report);
+        None
     };
     match peak_rss_mb() {
         Ok(mb) if args.trace => report.info("peak_rss_mb".to_string(), mb, "MB", 1),
         Ok(mb) => report.metric("peak_rss_mb", mb, "MB", 1),
         Err(e) => report.invalid(e),
     }
-    let failed_frac = |r: &Report| stats::ratio(r.failed as f64, r.attempted as f64);
+    let failed_frac = stats::ratio(report.failed as f64, report.attempted as f64);
+    let attempted = report.attempted as usize;
     match layers {
-        Err(e) => report.invalid(e),
-        Ok(None) => {
-            let frac = failed_frac(&report);
-            report.info(
-                "failed_frac".to_string(),
-                frac,
-                "ratio",
-                report.attempted as usize,
-            );
-        }
-        Ok(Some(layers)) => {
+        None => report.info("failed_frac".to_string(), failed_frac, "ratio", attempted),
+        Some(layers) => {
             layers.put(&mut report);
-            let frac = failed_frac(&report);
-            report.metric("failed_frac", frac, "ratio", report.attempted as usize);
+            report.metric("failed_frac", failed_frac, "ratio", attempted);
             let path = PathBuf::from(format!(
                 "perfbench/out/trace-{}-{seed}.jsonl",
                 args.workload
@@ -601,10 +516,7 @@ mod tests {
     #[test]
     fn benchmark_json_declares_exactly_these_names() {
         let spec = include_str!("../../BENCHMARK.json");
-        // `service_mix` runs on request but is not declared: its median
-        // latency moves too much between seeds for a regression bound.
-        let declared = ["paper_exact", "relaxed_sweep"];
-        let names = declared.iter().chain(&END_TO_END).chain(&PER_LAYER);
+        let names = WORKLOADS.iter().chain(&END_TO_END).chain(&PER_LAYER);
         assert_eq!(spec.matches("\"name\":").count(), names.clone().count());
         for name in names {
             assert!(
@@ -618,20 +530,11 @@ mod tests {
     fn arguments_are_checked() {
         let parse = |s: &str| parse_args(s.split_whitespace().map(String::from));
         assert!(parse("--workload paper_exact --seed 1 --seconds 5").is_ok());
-        assert!(parse("--workload service_mix --seed 1 --seconds 5 --rate 4 --trace 1").is_ok());
-        assert!(parse("--workload nope --seed 1 --seconds 5").is_err());
+        assert!(parse("--workload relaxed_sweep --seed 1 --seconds 5 --trace 1").is_ok());
         assert!(parse("--workload service_mix --seed 1 --seconds 5").is_err());
         assert!(parse("--workload paper_exact --seed 1 --seconds 0").is_err());
         assert!(parse("--workload paper_exact --seed 1 --seconds 5 --trace 2").is_err());
-        assert!(parse("--workload paper_exact --seed 1 --seconds 5 --bogus 1").is_err());
+        assert!(parse("--workload paper_exact --seed 1 --seconds 5 --rate 4").is_err());
         assert!(parse("--workload paper_exact --seconds 5").is_err());
-    }
-
-    #[test]
-    fn tail_falls_back_to_the_highest_supported_percentile() {
-        let ramp: Vec<f64> = (0..30).map(f64::from).collect();
-        assert_eq!(tail(&ramp, 50).1, 50);
-        assert_eq!(tail(&ramp, 90).1, 66);
-        assert_eq!(tail(&ramp[..5], 90), (4.0, 100));
     }
 }

@@ -1,43 +1,43 @@
-//! The open-loop service workload: an in-process scenario service with
-//! `ServeConfig` defaults (2 workers, queue cap 16) on an ephemeral port,
-//! fed the quick battery as job documents at a fixed offered rate. One
-//! sender thread posts each job when it is due, whatever happened to the
-//! jobs before it; one poller thread follows every accepted job to its
-//! end. Each holds at most one connection open.
+//! The service probe: jobs of a closed-loop workload put through an
+//! in-process scenario service (`ServeConfig` defaults on an ephemeral
+//! port) one at a time, submit then poll, so that the traced run times
+//! what the service adds to a job. Each job must come back with the run
+//! the benchmark got in-process at the same scenario, seed and mode.
 
-use std::collections::BTreeMap;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use izhi_bench::battery::{check_rows, BatteryRow};
-use izhi_bench::serve::{
-    http_request, json_field_str, json_field_u64, ServeConfig, Server, ServerHandle,
-};
-use izhi_bench::supervise::RunErrorKind;
-use izhi_programs::{scenario, template};
-use izhi_sim::{SchedMode, SystemConfig};
+use izhi_bench::serve::{http_request, json_field_str, json_field_u64, ServeConfig, Server};
 
-use crate::job::{cold_replay, probe_instantiate, run_job, Class, KINDS};
-use crate::mix::{self, MixJob};
-use crate::trace::{self, Span};
-use crate::{put_latency, stats, Layers, Report, SETUP_REPEATS};
+use crate::job::JobResult;
+use crate::{trace, Report};
 
-/// Poll interval of a job that has been open for [`FAST_FOR`].
-const POLL_EVERY: Duration = Duration::from_millis(10);
-/// Poll interval of a young job: short jobs finish within tens of
-/// milliseconds, and a coarse poll would round their latency up.
-const FAST_POLL: Duration = Duration::from_millis(2);
-/// How long a job is polled at [`FAST_POLL`].
-const FAST_FOR: Duration = Duration::from_millis(100);
-/// The queue drained at the offered rate when the last job finishes
-/// within this long of its due time; a longer tail means a backlog grew.
-const DRAIN_LIMIT: Duration = Duration::from_secs(5);
-/// The poller gives up on jobs still open this long after the last one
-/// was due.
+/// Interval between status polls of the open job.
+const POLL_EVERY: Duration = Duration::from_millis(5);
+/// A job still open this long after it was accepted has failed.
 const GIVE_UP: Duration = Duration::from_secs(60);
 
-/// Client-side figures of one offered window.
+/// One job document: a registered scenario at its registry defaults.
+pub struct ServiceJob {
+    /// Registered scenario.
+    pub scenario: &'static str,
+    /// Job seed.
+    pub seed: u32,
+    /// Battery label of the scheduling mode.
+    pub label: &'static str,
+}
+
+impl ServiceJob {
+    /// The `POST /jobs` body.
+    fn body(&self) -> String {
+        format!(
+            "{{\"scenario\": \"{}\", \"seed\": {}, \"sched\": \"{}\", \"quick\": false}}",
+            self.scenario, self.seed, self.label
+        )
+    }
+}
+
+/// Client-side figures of the probe's jobs.
 #[derive(Debug, Clone, Default)]
 pub struct ServeLayers {
     /// `POST /jobs` round trips.
@@ -53,16 +53,13 @@ pub struct ServeLayers {
     pub poll_s: f64,
     /// Number of `GET /jobs/<id>` requests.
     pub polls: u64,
-    /// Jobs that were polled.
+    /// Jobs that were accepted and polled.
     pub polled_jobs: usize,
     /// Submissions refused with 429.
     pub rejected: usize,
-    /// Send time minus due time of every job.
-    pub lateness_ms: Vec<f64>,
 }
 
 /// A finished job's status document.
-#[derive(Debug, Clone)]
 struct Status {
     cycles: u64,
     instret: u64,
@@ -70,286 +67,104 @@ struct Status {
     wall_s: f64,
 }
 
-/// What the client saw of one job.
-#[derive(Debug, Clone, Default)]
-struct Seen {
-    lateness_s: f64,
-    submit_s: f64,
-    /// When the 202 arrived.
-    accepted: Option<Instant>,
-    rejected: bool,
-    /// First poll that saw the job running or finished.
-    started: Option<Instant>,
-    /// First poll that saw it finished.
-    finished: Option<Instant>,
-    polls: u64,
-    poll_s: f64,
-    attempts: u32,
-    kind: Option<RunErrorKind>,
-    /// `None` while the job never finished.
-    outcome: Option<Result<Status, String>>,
-}
-
-/// One offered window: the jobs, when each was due, and what was seen.
-struct Window {
-    jobs: Vec<MixJob>,
-    due: Vec<Instant>,
-    seen: Vec<Seen>,
-}
-
-impl Window {
-    /// Host seconds from each verified job's due time to the poll that
-    /// first saw it done.
-    fn latencies(&self) -> Vec<f64> {
-        self.seen
-            .iter()
-            .zip(&self.due)
-            .filter_map(|(s, &due)| match (&s.outcome, s.finished) {
-                (Some(Ok(_)), Some(end)) => Some(end.duration_since(due).as_secs_f64()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn verified(&self) -> Vec<(&MixJob, &Status)> {
-        self.jobs
-            .iter()
-            .zip(&self.seen)
-            .filter_map(|(j, s)| match &s.outcome {
-                Some(Ok(st)) => Some((j, st)),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-/// Jobs in one run: whole passes over the battery, so every run offers
-/// the same mix of scenarios and labels.
-fn jobs_for(seconds: u64, rate: f64) -> usize {
-    let pass = mix::battery().len();
-    ((seconds as f64 * rate) as usize / pass).max(1) * pass
-}
-
-/// Start the service with its default configuration on an ephemeral port.
-fn start() -> Result<ServerHandle, String> {
-    Server::start(ServeConfig {
+/// Put each job through a fresh service, each with the in-process result
+/// it must reproduce, and return the client-side figures. The service
+/// takes its templates from the process-wide cache.
+pub fn probe(jobs: &[(ServiceJob, JobResult)], report: &mut Report) -> Result<ServeLayers, String> {
+    let server = Server::start(ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         ..ServeConfig::default()
     })
-    .map_err(|e| format!("the service did not start: {e}"))
-}
-
-/// Cold set-up: empty the template cache, start the service and build
-/// every registered scenario's quick template. Returns the handle and the
-/// host seconds it took.
-fn setup() -> Result<(ServerHandle, f64), String> {
-    template::clear_cache();
-    let t = Instant::now();
-    let handle = start()?;
-    for sc in scenario::registry() {
-        let _s = trace::span("template.lookup", None);
-        template::lookup(sc, sc.quick);
-    }
-    Ok((handle, t.elapsed().as_secs_f64()))
-}
-
-/// Offer `jobs` at `rate` per second, open loop: job `i` is due `i / rate`
-/// seconds after the start.
-fn offer(addr: &str, jobs: Vec<MixJob>, rate: f64) -> Window {
-    let start = Instant::now() + Duration::from_millis(20);
-    let due: Vec<Instant> = (0..jobs.len())
-        .map(|i| start + Duration::from_secs_f64(i as f64 / rate))
-        .collect();
-    let spans: Vec<u64> = jobs.iter().map(|_| trace::new_id()).collect();
-    let give_up = due.last().copied().unwrap_or(start) + GIVE_UP;
-    let (tx, rx) = mpsc::channel();
-    let (sent, polled) = thread::scope(|s| {
-        let (jobs, due, spans) = (&jobs, &due, &spans);
-        let sender = s.spawn(move || send_all(addr, jobs, due, spans, tx, give_up));
-        let poller = s.spawn(move || poll_all(addr, jobs.len(), spans, rx, give_up));
-        (
-            sender.join().expect("the sender thread panicked"),
-            poller.join().expect("the poller thread panicked"),
-        )
-    });
-    let seen: Vec<Seen> = sent
-        .into_iter()
-        .zip(polled)
-        .map(|(sent, polled)| {
-            if sent.accepted.is_none() {
-                return sent;
-            }
-            Seen {
-                lateness_s: sent.lateness_s,
-                submit_s: sent.submit_s,
-                accepted: sent.accepted,
-                ..polled
-            }
-        })
-        .collect();
-    for (i, s) in seen.iter().enumerate() {
-        if let Some(end) = s.finished {
-            trace::record(Span {
-                id: spans[i],
-                parent: None,
-                name: "serve.job",
-                job: Some(i as u64),
-                start: due[i],
-                end,
-            });
+    .map_err(|e| format!("the service did not start: {e}"))?;
+    let addr = server.addr().to_string();
+    let mut layers = ServeLayers::default();
+    for (job, expected) in jobs {
+        report.attempted += 1;
+        if let Err(e) = submit_and_wait(&addr, job, expected, &mut layers) {
+            report.fail(format!("service job {}: {e}", job.body()));
         }
     }
-    Window { jobs, due, seen }
+    server.shutdown_and_join();
+    Ok(layers)
 }
 
-/// The sender: post every job when it is due, until `give_up`.
-fn send_all(
+/// Submit one job, poll it until it ends, and check its run.
+fn submit_and_wait(
     addr: &str,
-    jobs: &[MixJob],
-    due: &[Instant],
-    spans: &[u64],
-    accepted: Sender<(usize, u64)>,
-    give_up: Instant,
-) -> Vec<Seen> {
-    let mut out = vec![Seen::default(); jobs.len()];
-    for (i, job) in jobs.iter().enumerate() {
-        if Instant::now() > give_up {
-            out[i].outcome = Some(Err("not sent: the service stopped answering".to_string()));
+    job: &ServiceJob,
+    expected: &JobResult,
+    l: &mut ServeLayers,
+) -> Result<(), String> {
+    let _job = trace::span("serve.job", None);
+    let sent = Instant::now();
+    let reply = {
+        let _s = trace::span("serve.submit", None);
+        http_request(addr, "POST", "/jobs", Some(&job.body()))
+    };
+    let accepted = Instant::now();
+    l.submit_ms
+        .push(accepted.duration_since(sent).as_secs_f64() * 1e3);
+    let id = match reply {
+        Ok((202, body)) => {
+            json_field_u64(&body, "id").ok_or_else(|| format!("202 without a job id: {body}"))?
+        }
+        Ok((429, _)) => {
+            l.rejected += 1;
+            return Err("refused with 429".to_string());
+        }
+        Ok((code, body)) => return Err(format!("submit answered {code}: {body}")),
+        Err(e) => return Err(format!("submit failed: {e}")),
+    };
+    l.polled_jobs += 1;
+    let mut first_active = None;
+    loop {
+        if accepted.elapsed() > GIVE_UP {
+            return Err(format!("still open after {} s", GIVE_UP.as_secs()));
+        }
+        thread::sleep(POLL_EVERY);
+        let asked = Instant::now();
+        let reply = {
+            let _s = trace::span("serve.poll", None);
+            http_request(addr, "GET", &format!("/jobs/{id}"), None)
+        };
+        let back = Instant::now();
+        l.polls += 1;
+        l.poll_s += back.duration_since(asked).as_secs_f64();
+        let body = match reply {
+            Ok((200, body)) => body,
+            Ok((code, body)) => return Err(format!("status poll answered {code}: {body}")),
+            Err(e) => return Err(format!("status poll failed: {e}")),
+        };
+        let status = json_field_str(&body, "status");
+        if status.as_deref() == Some("queued") {
             continue;
         }
-        if let Some(wait) = due[i].checked_duration_since(Instant::now()) {
-            thread::sleep(wait);
-        }
-        let sent = Instant::now();
-        let reply = http_request(addr, "POST", "/jobs", Some(&job.body()));
-        let back = Instant::now();
-        trace::record(Span {
-            id: trace::new_id(),
-            parent: Some(spans[i]),
-            name: "serve.submit",
-            job: Some(i as u64),
-            start: sent,
-            end: back,
-        });
-        let s = &mut out[i];
-        s.lateness_s = sent.duration_since(due[i]).as_secs_f64();
-        s.submit_s = back.duration_since(sent).as_secs_f64();
-        s.outcome = match reply {
-            Ok((202, body)) => match json_field_u64(&body, "id") {
-                Some(id) => {
-                    s.accepted = Some(back);
-                    // The poller only stops listening once every job is
-                    // done, so a failed send cannot lose a job.
-                    let _ = accepted.send((i, id));
-                    None
+        let started = *first_active.get_or_insert(back);
+        match status.as_deref() {
+            Some("running") => continue,
+            Some("done") => {
+                let st = parse_done(&body)?;
+                if (st.cycles, st.instret, st.raster_hash)
+                    != (expected.cycles, expected.instret, expected.raster_hash)
+                {
+                    return Err("the service's run differs from the in-process run".to_string());
                 }
-                None => Some(Err(format!("202 without a job id: {body}"))),
-            },
-            Ok((429, _)) => {
-                s.rejected = true;
-                Some(Err("refused with 429".to_string()))
+                let wait_s = started.duration_since(accepted).as_secs_f64();
+                let latency_s = back.duration_since(sent).as_secs_f64();
+                l.queue_wait_ms.push(wait_s * 1e3);
+                l.exec_ms.push(st.wall_s * 1e3);
+                l.outside_exec_ms
+                    .push((latency_s - wait_s - st.wall_s) * 1e3);
+                return Ok(());
             }
-            Ok((code, body)) => Some(Err(format!("submit answered {code}: {body}"))),
-            Err(e) => Some(Err(format!("submit failed: {e}"))),
-        };
-    }
-    out
-}
-
-/// The poller: poll each open job on its own schedule — every
-/// [`FAST_POLL`] while it is younger than [`FAST_FOR`], every
-/// [`POLL_EVERY`] after — until the sender is done and every accepted job
-/// has finished, or [`GIVE_UP`] passed.
-fn poll_all(
-    addr: &str,
-    n: usize,
-    spans: &[u64],
-    accepted: Receiver<(usize, u64)>,
-    give_up: Instant,
-) -> Vec<Seen> {
-    let mut out = vec![Seen::default(); n];
-    // Open jobs: index, id, when accepted, when the next poll is due.
-    let mut open: Vec<(usize, u64, Instant, Instant)> = Vec::new();
-    let mut sending = true;
-    while (sending || !open.is_empty()) && Instant::now() < give_up {
-        let next = open.iter().map(|j| j.3).min();
-        let wait = next.map_or(POLL_EVERY, |t| t.saturating_duration_since(Instant::now()));
-        if sending {
-            match accepted.recv_timeout(wait) {
-                Ok((i, id)) => {
-                    let now = Instant::now();
-                    open.push((i, id, now, now + FAST_POLL));
-                    continue;
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => sending = false,
+            Some("failed") => {
+                let kind = json_field_str(&body, "error_kind").unwrap_or_default();
+                let error = json_field_str(&body, "error").unwrap_or_default();
+                return Err(format!("{kind}: {error}"));
             }
-        } else {
-            thread::sleep(wait);
+            _ => return Err(format!("unreadable job status: {body}")),
         }
-        let now = Instant::now();
-        open.retain_mut(|(i, id, since, next)| {
-            if *next > now {
-                return true;
-            }
-            let pending = poll_once(addr, *id, spans[*i], *i, &mut out[*i]);
-            let every = if now.duration_since(*since) < FAST_FOR {
-                FAST_POLL
-            } else {
-                POLL_EVERY
-            };
-            *next = Instant::now() + every;
-            pending
-        });
     }
-    out
-}
-
-/// One `GET /jobs/<id>`; returns whether the job is still open.
-fn poll_once(addr: &str, id: u64, parent: u64, job: usize, seen: &mut Seen) -> bool {
-    let asked = Instant::now();
-    let reply = http_request(addr, "GET", &format!("/jobs/{id}"), None);
-    let back = Instant::now();
-    trace::record(Span {
-        id: trace::new_id(),
-        parent: Some(parent),
-        name: "serve.poll",
-        job: Some(job as u64),
-        start: asked,
-        end: back,
-    });
-    seen.polls += 1;
-    seen.poll_s += back.duration_since(asked).as_secs_f64();
-    let body = match reply {
-        Ok((200, body)) => body,
-        Ok((code, body)) => {
-            seen.outcome = Some(Err(format!("status poll answered {code}: {body}")));
-            return false;
-        }
-        Err(e) => {
-            seen.outcome = Some(Err(format!("status poll failed: {e}")));
-            return false;
-        }
-    };
-    let status = json_field_str(&body, "status");
-    if status.as_deref() == Some("queued") {
-        return true;
-    }
-    seen.started.get_or_insert(back);
-    match status.as_deref() {
-        Some("running") => return true,
-        Some("done") => seen.outcome = Some(parse_done(&body)),
-        Some("failed") => {
-            let kind = json_field_str(&body, "error_kind").unwrap_or_default();
-            seen.kind = KINDS.into_iter().find(|k| k.label() == kind);
-            let error = json_field_str(&body, "error").unwrap_or_default();
-            seen.outcome = Some(Err(format!("{kind}: {error}")));
-        }
-        _ => seen.outcome = Some(Err(format!("unreadable job status: {body}"))),
-    }
-    seen.finished = Some(back);
-    seen.attempts = json_field_u64(&body, "attempts").unwrap_or(1) as u32;
-    false
 }
 
 /// Read a `done` status document.
@@ -379,233 +194,4 @@ fn number(body: &str, key: &str) -> Option<f64> {
     let rest = &body[body.find(&tag)? + tag.len()..];
     let end = rest.find([',', '}']).unwrap_or(rest.len());
     rest[..end].trim().parse().ok()
-}
-
-/// Count the window's jobs; fail those refused, failed or never finished,
-/// and every job of a (scenario, seed) whose five labels disagree (the
-/// battery's cross-mode rule); mark the run invalid if the queue did not
-/// drain at the offered rate.
-fn check(w: &Window, report: &mut Report) {
-    let mut cells: BTreeMap<(&str, u32), Vec<BatteryRow>> = BTreeMap::new();
-    for (job, s) in w.jobs.iter().zip(&w.seen) {
-        report.attempted += 1;
-        match &s.outcome {
-            None => report.fail(format!("{} never finished", job.body())),
-            Some(Err(e)) => report.fail(format!("{}: {e}", job.body())),
-            Some(Ok(st)) => cells
-                .entry((job.scenario, job.seed))
-                .or_default()
-                .push(BatteryRow {
-                    spec: 0,
-                    scenario: job.scenario.to_string(),
-                    seed: job.seed,
-                    sched: job.label,
-                    timing: "",
-                    quantum: 0,
-                    host_threads: 0,
-                    wall_s: st.wall_s,
-                    sim_cycles: st.cycles,
-                    sim_instret: st.instret,
-                    spikes: 0,
-                    raster_hash: st.raster_hash,
-                    // Job status documents carry no weight hash.
-                    weight_hash: None,
-                    verified: true,
-                    error: None,
-                    error_kind: None,
-                    attempts: s.attempts,
-                }),
-        }
-    }
-    for rows in cells.values() {
-        if let Err(e) = check_rows(rows) {
-            report.fail_jobs(rows.len() as u64, e);
-        }
-    }
-    let last_done = w.seen.iter().filter_map(|s| s.finished).max();
-    if let (Some(&last_due), Some(last_done)) = (w.due.last(), last_done) {
-        let tail = last_done.saturating_duration_since(last_due);
-        report.info("serve.drain_s".to_string(), tail.as_secs_f64(), "s", 1);
-        if tail > DRAIN_LIMIT {
-            report.invalid(format!(
-                "the queue did not drain at the offered rate: the last job finished {:.2} s \
-                 after it was due",
-                tail.as_secs_f64()
-            ));
-        }
-    }
-}
-
-/// Σ modelled time ÷ Σ simulated ticks, in milliseconds. Job status
-/// documents report whole-run cycles, so a job's modelled time is its
-/// cycles at the configured clock.
-fn sim_ms_per_tick(verified: &[(&MixJob, &Status)]) -> f64 {
-    let clock_hz = SystemConfig::default().clock_hz;
-    let cycles: f64 = verified.iter().map(|(_, s)| s.cycles as f64).sum();
-    let ticks: f64 = verified
-        .iter()
-        .map(|(j, _)| {
-            scenario::find(j.scenario)
-                .and_then(|s| s.quick.ticks)
-                .unwrap_or(0) as f64
-        })
-        .sum();
-    stats::ratio(cycles / clock_hz * 1e3, ticks)
-}
-
-/// The untraced run: cold set-ups, then whole passes of the battery
-/// offered open loop at `rate` for about `seconds`.
-pub fn measure(seed: u64, seconds: u64, rate: f64, report: &mut Report) -> Result<(), String> {
-    let mut setups = Vec::new();
-    let mut server: Option<ServerHandle> = None;
-    for _ in 0..SETUP_REPEATS {
-        if let Some(old) = server.take() {
-            old.shutdown_and_join();
-        }
-        let (handle, secs) = setup()?;
-        setups.push(secs);
-        server = Some(handle);
-    }
-    let server = server.expect("at least one set-up ran");
-    let w = offer(
-        &server.addr().to_string(),
-        mix::service_mix(seed, 0, jobs_for(seconds, rate)),
-        rate,
-    );
-    server.shutdown_and_join();
-    check(&w, report);
-    let verified = w.verified();
-    let busy_s = w
-        .seen
-        .iter()
-        .filter_map(|s| s.finished)
-        .max()
-        .map_or(0.0, |end| end.duration_since(w.due[0]).as_secs_f64());
-    report.metric("setup_s", stats::median(&setups), "s", setups.len());
-    report.metric(
-        "runs_per_s",
-        stats::ratio(verified.len() as f64, busy_s),
-        "runs/s",
-        verified.len(),
-    );
-    report.metric(
-        "sim_ms_per_tick",
-        sim_ms_per_tick(&verified),
-        "sim_ms",
-        verified.len(),
-    );
-    put_latency(report, &w.latencies());
-    Ok(())
-}
-
-/// Put `jobs` through a fresh service one second apart, slow enough that
-/// they never queue, and return the client-side layer figures: what the
-/// service adds to the jobs of a closed-loop workload. The service takes
-/// its templates from the process-wide cache.
-pub fn probe(jobs: Vec<MixJob>, report: &mut Report) -> Result<ServeLayers, String> {
-    let server = start()?;
-    let w = offer(&server.addr().to_string(), jobs, 1.0);
-    server.shutdown_and_join();
-    check(&w, report);
-    Ok(serve_layers(&w))
-}
-
-/// Client-side layer figures of one window.
-fn serve_layers(w: &Window) -> ServeLayers {
-    let mut l = ServeLayers::default();
-    for (s, &due) in w.seen.iter().zip(&w.due) {
-        l.lateness_ms.push(s.lateness_s * 1e3);
-        l.submit_ms.push(s.submit_s * 1e3);
-        l.rejected += usize::from(s.rejected);
-        if s.polls > 0 {
-            l.polls += s.polls;
-            l.poll_s += s.poll_s;
-            l.polled_jobs += 1;
-        }
-        if let (Some(Ok(st)), Some(accepted), Some(started), Some(end)) =
-            (&s.outcome, s.accepted, s.started, s.finished)
-        {
-            let wait_s = started.duration_since(accepted).as_secs_f64();
-            l.queue_wait_ms.push(wait_s * 1e3);
-            l.exec_ms.push(st.wall_s * 1e3);
-            let latency_s = end.duration_since(due).as_secs_f64();
-            l.outside_exec_ms
-                .push((latency_s - wait_s - st.wall_s) * 1e3);
-        }
-    }
-    l
-}
-
-/// The traced run: half the jobs untraced (the base of `trace.overhead`),
-/// half traced. The workers' layers are private to the service, so one
-/// in-process job per scenario then runs on the exact and on the relaxed
-/// scheduler, and the relaxed one is replayed cold; the replay must
-/// reproduce it.
-pub fn traced(seed: u64, seconds: u64, rate: f64, report: &mut Report) -> Result<Layers, String> {
-    trace::set_enabled(true);
-    let started = setup();
-    trace::set_enabled(false);
-    let (server, _) = started?;
-    let addr = server.addr().to_string();
-    let half = jobs_for(seconds, rate) / 2;
-    let base = offer(&addr, mix::service_mix(seed, 0, half), rate);
-    let before = template::cache_stats();
-    trace::set_enabled(true);
-    let w = offer(&addr, mix::service_mix(seed, 1, half), rate);
-    let after = template::cache_stats();
-    trace::set_enabled(false);
-    server.shutdown_and_join();
-    check(&base, report);
-    check(&w, report);
-    let median = |v: &[f64]| stats::percentile(v, 50).unwrap_or_else(|| stats::mean(v));
-    let mut layers = Layers {
-        cache: (after.hits - before.hits, after.misses - before.misses),
-        overhead: stats::ratio(median(&w.latencies()), median(&base.latencies())),
-        serve: serve_layers(&w),
-        ..Layers::default()
-    };
-    for s in w.seen.iter().filter(|s| s.finished.is_some()) {
-        layers.supervised.push((s.attempts, s.kind));
-    }
-    trace::set_enabled(true);
-    for (k, sc) in scenario::registry().iter().enumerate() {
-        let job_seed = mix::job_seed(seed, k as u64);
-        for (j, sched) in [SchedMode::Exact, SchedMode::relaxed()]
-            .into_iter()
-            .enumerate()
-        {
-            let class = Class::new(sc.name, sc.quick, sched);
-            probe_instantiate(&class, mix::job_seed(seed, 999));
-            let out = run_job(&class, job_seed, (1_000_000 + 2 * k + j) as u64);
-            report.attempted += 1;
-            let result = match out.result {
-                Ok(r) => r,
-                Err(e) => {
-                    layers.supervised.push((e.attempts, Some(e.kind)));
-                    report.fail(format!("{} seed {job_seed}: {e}", class.name));
-                    continue;
-                }
-            };
-            layers.supervised.push((out.attempts, None));
-            if sched != SchedMode::Exact {
-                report.attempted += 1;
-                match cold_replay(&class, job_seed, sched) {
-                    Err(e) => report.fail(e),
-                    Ok(replay) => {
-                        if !replay.result.same_run(&result) {
-                            report.fail(format!(
-                                "{} seed {job_seed}: the cold replay differs from the template run",
-                                class.name
-                            ));
-                        }
-                        layers.replays.push(replay);
-                    }
-                }
-            }
-            layers.results.push((sched == SchedMode::Exact, result));
-        }
-    }
-    trace::set_enabled(false);
-    layers.spans = trace::take();
-    Ok(layers)
 }

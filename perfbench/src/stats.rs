@@ -1,54 +1,6 @@
-//! Order statistics for the report.
+//! Summary statistics for the report.
 
-/// Samples that must lie beyond a percentile before it is reported: a
-/// tail figure resting on fewer would say more about luck than about the
-/// system.
-pub const MIN_BEYOND: usize = 10;
-
-/// Number of the `n` samples that lie beyond the `pct`-th percentile.
-fn beyond(n: usize, pct: u32) -> usize {
-    n * (100 - pct as usize) / 100
-}
-
-/// The `pct`-th percentile (0 < `pct` < 100) of `samples`, or `None` when
-/// fewer than [`MIN_BEYOND`] samples lie beyond it: p90 needs at least 100
-/// samples, the median at least 20.
-///
-/// The estimate weights every order statistic by the Beta((n+1)q,
-/// (n+1)(1-q)) density at its rank (the Harrell-Davis estimator, with the
-/// density taken at rank midpoints). It moves far less from run to run
-/// than a single order statistic, most of all when the jobs form classes
-/// of different sizes and the percentile falls between two of them.
-pub fn percentile(samples: &[f64], pct: u32) -> Option<f64> {
-    assert!(0 < pct && pct < 100, "percentile {pct} outside 1..=99");
-    let n = samples.len();
-    if beyond(n, pct) < MIN_BEYOND {
-        return None;
-    }
-    let mut v = samples.to_vec();
-    v.sort_by(f64::total_cmp);
-    let q = pct as f64 / 100.0;
-    let (a, b) = ((n + 1) as f64 * q, (n + 1) as f64 * (1.0 - q));
-    let log_w: Vec<f64> = (0..n)
-        .map(|i| {
-            let x = (i as f64 + 0.5) / n as f64;
-            (a - 1.0) * x.ln() + (b - 1.0) * (1.0 - x).ln()
-        })
-        .collect();
-    let top = log_w.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let w: Vec<f64> = log_w.iter().map(|l| (l - top).exp()).collect();
-    let total: f64 = w.iter().sum();
-    Some(v.iter().zip(&w).map(|(x, w)| x * w).sum::<f64>() / total)
-}
-
-/// The highest percentile no greater than `cap` that [`percentile`]
-/// reports for `n` samples, or `None` when even the lowest is refused.
-pub fn highest_supported(n: usize, cap: u32) -> Option<u32> {
-    (1..=cap).rev().find(|&p| beyond(n, p) >= MIN_BEYOND)
-}
-
-/// Median of a non-empty sample (no tail rule: used for the few repeats
-/// of a set-up, where the median is the point).
+/// Median of a non-empty sample.
 pub fn median(samples: &[f64]) -> f64 {
     assert!(!samples.is_empty(), "median of no samples");
     let mut v = samples.to_vec();
@@ -83,49 +35,6 @@ pub fn ratio(num: f64, den: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ramp(n: usize) -> Vec<f64> {
-        (0..n).map(|i| i as f64).collect()
-    }
-
-    fn close(a: Option<f64>, b: f64) -> bool {
-        a.is_some_and(|a| (a - b).abs() < 1e-9)
-    }
-
-    #[test]
-    fn p90_is_refused_with_fewer_than_ten_samples_beyond_it() {
-        assert_eq!(percentile(&ramp(99), 90), None);
-        assert!(percentile(&ramp(100), 90).is_some_and(|p| (p - 89.5).abs() < 0.5));
-        assert_eq!(percentile(&ramp(19), 50), None);
-        assert!(close(percentile(&ramp(20), 50), 9.5));
-        assert_eq!(percentile(&[], 50), None);
-    }
-
-    #[test]
-    fn percentiles_are_steady_between_two_job_classes() {
-        // Twenty fast and twenty slow jobs: the median lies between the
-        // classes and must not jump when one extreme job moves.
-        let mut jobs: Vec<f64> = (0..20).map(|i| 0.3 + 0.001 * i as f64).collect();
-        jobs.extend((0..20).map(|i| 1.0 + 0.001 * i as f64));
-        let base = percentile(&jobs, 50).expect("forty samples");
-        jobs[19] = 0.6;
-        let moved = percentile(&jobs, 50).expect("forty samples");
-        assert!((moved - base).abs() < 0.05, "{base} -> {moved}");
-    }
-
-    #[test]
-    fn highest_supported_percentile_keeps_ten_beyond() {
-        assert_eq!(highest_supported(120, 90), Some(90));
-        assert_eq!(highest_supported(30, 90), Some(66));
-        assert_eq!(highest_supported(10, 90), None);
-        for n in 11..200 {
-            let p = highest_supported(n, 90).expect("n > 10 supports some percentile");
-            assert!(percentile(&ramp(n), p).is_some());
-            if p < 90 {
-                assert!(percentile(&ramp(n), p + 1).is_none(), "n={n} p={p}");
-            }
-        }
-    }
 
     #[test]
     fn median_of_even_and_odd_samples() {

@@ -23,7 +23,7 @@ pub struct Span {
     pub parent: Option<u64>,
     /// Layer call the span sits around.
     pub name: &'static str,
-    /// Job the span belongs to (`None` for set-up and replays).
+    /// Job the span belongs to (`None` for set-up, replays and probes).
     pub job: Option<u64>,
     /// When the call started.
     pub start: Instant,
@@ -57,14 +57,13 @@ pub fn enabled() -> bool {
     ON.load(Ordering::Relaxed)
 }
 
-/// A fresh span id, for spans whose children are recorded before them
-/// (the service's job span covers work on several threads).
-pub fn new_id() -> u64 {
+/// A fresh span id.
+fn new_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Store a finished span; dropped while tracing is off.
-pub fn record(span: Span) {
+fn record(span: Span) {
     if enabled() {
         // A poisoned store only means another thread died mid-push; the
         // spans already stored stay valid.
