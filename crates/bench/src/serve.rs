@@ -703,9 +703,9 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
     let Some(JsonVal::Str(scenario)) = get("scenario") else {
         return Err("`scenario` (string) is required".into());
     };
-    if scenario::find(scenario).is_none() {
+    let Some(sc) = scenario::find(scenario) else {
         return Err(format!("unknown scenario `{scenario}`"));
-    }
+    };
     let sched_label = match get("sched") {
         None => "relaxed",
         Some(JsonVal::Str(s)) => s.as_str(),
@@ -729,6 +729,10 @@ pub fn parse_job(body: &str) -> Result<JobSpec, String> {
         n_cores: get_num("n_cores")?.map(|n| n as u32),
         ..Default::default()
     };
+    // The shape check the CLI runs: a job the engine cannot build is a
+    // 400 here, never a `panic` row from a worker.
+    sc.validate(&params, quick)
+        .map_err(|e| format!("invalid parameters: {e}"))?;
     let fault = match get("fault") {
         None => None,
         Some(JsonVal::Str(kind)) => {

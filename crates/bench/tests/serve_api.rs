@@ -78,6 +78,10 @@ fn bad_requests_are_rejected_not_crashed() {
             "{\"scenario\": \"net8020\", \"sched\": \"warp-speed\"}",
             "unknown sched",
         ),
+        (
+            "{\"scenario\": \"net8020_large\", \"n_cores\": 1, \"quick\": false}",
+            "a shape the engine cannot build",
+        ),
     ] {
         let (status, resp) = http_request(&addr, "POST", "/jobs", Some(body)).expect(what);
         assert_eq!(status, 400, "{what}: {resp}");

@@ -21,8 +21,8 @@ use izhi_core::params::FixedIzhParams;
 use izhi_fixed::Q7_8;
 use izhi_isa::asm::Assembler;
 use izhi_sim::{
-    register_kernel_span, CodeTable, KernelVariant, MainMemory, Metrics, OpClass, PerfCounters,
-    SimError, System, SystemConfig,
+    register_kernel_span, CodeTable, MainMemory, Metrics, OpClass, PerfCounters, SimError, System,
+    SystemConfig,
 };
 use izhi_snn::analysis::SpikeRaster;
 use izhi_snn::network::Network;
@@ -1582,19 +1582,9 @@ pub fn prepare_run(cfg: &EngineConfig, image: &GuestImage) -> PreparedRun {
     // Soft-float phase B calls helper routines, which the audit rejects —
     // skip it outright rather than audit a shape known not to qualify.
     if cfg.variant != Variant::SoftFloat {
-        let phase_a = if cfg.sparse {
-            KernelVariant::SparseA
-        } else {
-            KernelVariant::DenseA
-        };
-        let phase_b = if cfg.variant == Variant::Npu {
-            KernelVariant::NpuB
-        } else {
-            KernelVariant::BaseFixedB
-        };
-        for (sym, variant) in [("phaseA_inner", phase_a), ("phaseB_neuron", phase_b)] {
+        for sym in ["phaseA_inner", "phaseB_neuron"] {
             if let Some(entry) = prog.symbol(sym) {
-                let _ = register_kernel_span(&mut code, &mem, entry, variant);
+                let _ = register_kernel_span(&mut code, &mem, entry);
             }
         }
     }

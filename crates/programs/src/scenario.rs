@@ -180,7 +180,9 @@ impl ScenarioParams {
 pub struct ParamSpec {
     /// Parameter name as the CLI exposes it.
     pub name: &'static str,
-    /// Rendered default value.
+    /// Default value — the only place a scenario's defaults are written
+    /// (builds and [`Scenario::validate`] parse it). A rule rather than a
+    /// value (`cores`, `seed % 5`) is derived by the scenario's builder.
     pub default: &'static str,
     /// One-line description.
     pub help: &'static str,
@@ -205,26 +207,53 @@ pub struct Scenario {
 impl Scenario {
     /// Build an instance; `None` parameters take the scenario defaults.
     pub fn build(&self, params: &ScenarioParams) -> Box<dyn Workload> {
-        (self.build_fn)(params)
+        (self.build_fn)(&self.resolve(params, false))
     }
 
     /// Build at the CI-sized quick parameters, with `over` layered on top
     /// (any `Some` field in `over` wins).
     pub fn build_quick(&self, over: &ScenarioParams) -> Box<dyn Workload> {
-        (self.build_fn)(&over.merged(self.quick))
+        (self.build_fn)(&self.resolve(over, true))
     }
 
-    /// The raw builder, for the template module (same crate).
-    pub(crate) fn build_raw(&self, params: &ScenarioParams) -> Box<dyn Workload> {
-        (self.build_fn)(params)
+    /// The default parameters, parsed from the schema. Defaults the
+    /// schema states as a rule stay `None` (see [`ParamSpec::default`]).
+    fn defaults(&self) -> ScenarioParams {
+        fn parse<T: std::str::FromStr>(schema: &[ParamSpec], name: &str) -> Option<T> {
+            let spec = schema.iter().find(|p| p.name == name)?;
+            spec.default.parse().ok()
+        }
+        let s = self.schema;
+        ScenarioParams {
+            n: parse(s, "n"),
+            ticks: parse(s, "ticks"),
+            n_cores: parse(s, "cores"),
+            seed: parse(s, "seed"),
+            ease: parse(s, "ease"),
+            shards: parse(s, "shards"),
+            stim_rate: parse(s, "stim_rate"),
+        }
     }
 
-    /// Check a parameter set for *inconsistent combinations* before any
-    /// build work happens, so the CLI (and tests) get a one-line error
-    /// instead of a guest trap or assembler panic deep inside the engine.
-    /// Only explicitly-given (`Some`) fields are judged — `None` falls
-    /// through to scenario defaults, which are valid by construction.
-    pub fn validate(&self, p: &ScenarioParams) -> Result<(), String> {
+    /// The parameters a build from `given` actually uses: `given` layered
+    /// over the quick parameters when `quick` is set, then over the
+    /// scenario defaults.
+    fn resolve(&self, given: &ScenarioParams, quick: bool) -> ScenarioParams {
+        let base = if quick {
+            self.quick.merged(self.defaults())
+        } else {
+            self.defaults()
+        };
+        given.merged(base)
+    }
+
+    /// Check the shape a run will actually build — `p` layered over the
+    /// quick parameters when `quick` is set, then over the schema defaults
+    /// — before any build work happens, so the CLI, the service and tests
+    /// get a one-line error instead of a guest trap or a panic deep inside
+    /// the engine.
+    pub fn validate(&self, p: &ScenarioParams, quick: bool) -> Result<(), String> {
+        let p = &self.resolve(p, quick);
         let scale_out = matches!(
             self.name,
             "net8020_sharded" | "net8020_stdp" | "net8020_stream"
@@ -312,14 +341,12 @@ impl Scenario {
         // Standard-map scenarios: the dense/fixed regions also bound the
         // total population and the per-core chunk.
         if !scale_out && !sudoku {
-            let total = p.n.map(|n| {
-                if per_core_n {
-                    n * p.n_cores.unwrap_or(2) as usize
+            if let (Some(n), Some(c)) = (p.n, p.n_cores) {
+                let (total, per) = if per_core_n {
+                    (n * c as usize, n)
                 } else {
-                    n
-                }
-            });
-            if let Some(total) = total {
+                    (n, n.div_ceil(c as usize))
+                };
                 if total > 4096 {
                     return Err(format!(
                         "{}: {total} total neurons exceed the standard memory map's 4096 \
@@ -327,13 +354,6 @@ impl Scenario {
                         self.name
                     ));
                 }
-            }
-            if let (Some(n), Some(c)) = (p.n, p.n_cores) {
-                let per = if per_core_n {
-                    n
-                } else {
-                    n.div_ceil(c as usize)
-                };
                 if per > 1024 {
                     return Err(format!(
                         "{}: per-core chunk {per} exceeds the standard map's 1024-slot \
@@ -808,37 +828,43 @@ static REGISTRY: [Scenario; 11] = [
     },
 ];
 
+/// A parameter the schema gives a default value for: always `Some` in the
+/// resolved parameters every builder receives (`Scenario::resolve`).
+fn req<T>(v: Option<T>) -> T {
+    v.expect("builders receive parameters resolved over the schema defaults")
+}
+
 fn build_net8020(p: &ScenarioParams) -> Box<dyn Workload> {
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(1000));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sized(
         n_exc,
         n_inh,
-        p.ticks.unwrap_or(1000),
-        p.n_cores.unwrap_or(2),
-        p.seed.unwrap_or(5),
+        req(p.ticks),
+        req(p.n_cores),
+        req(p.seed),
         Variant::Npu,
     ))
 }
 
 fn build_net8020_sweep(p: &ScenarioParams) -> Box<dyn Workload> {
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(200));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020SweepWorkload::sized(
         n_exc,
         n_inh,
-        p.ticks.unwrap_or(300),
-        p.n_cores.unwrap_or(2),
-        p.seed.unwrap_or(5),
+        req(p.ticks),
+        req(p.n_cores),
+        req(p.seed),
     ))
 }
 
 fn build_net8020_basefixed(p: &ScenarioParams) -> Box<dyn Workload> {
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(1000));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sized(
         n_exc,
         n_inh,
-        p.ticks.unwrap_or(300),
-        p.n_cores.unwrap_or(2),
-        p.seed.unwrap_or(5),
+        req(p.ticks),
+        req(p.n_cores),
+        req(p.seed),
         Variant::BaseFixed,
     ))
 }
@@ -847,33 +873,33 @@ fn build_net8020_softfloat(p: &ScenarioParams) -> Box<dyn Workload> {
     // The f32 noise mirror lives in a fixed SDRAM window, so the default
     // scale is kept modest (see the schema); `run_workload` asserts the
     // window bound for custom parameters.
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(200));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sized(
         n_exc,
         n_inh,
-        p.ticks.unwrap_or(300),
-        p.n_cores.unwrap_or(2),
-        p.seed.unwrap_or(5),
+        req(p.ticks),
+        req(p.n_cores),
+        req(p.seed),
         Variant::SoftFloat,
     ))
 }
 
 fn build_net8020_large(p: &ScenarioParams) -> Box<dyn Workload> {
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(1280));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sized_sparse(
         n_exc,
         n_inh,
-        p.ticks.unwrap_or(300),
-        p.n_cores.unwrap_or(2),
-        p.seed.unwrap_or(7),
+        req(p.ticks),
+        req(p.n_cores),
+        req(p.seed),
         0.15,
     ))
 }
 
 fn build_net8020_points(p: &ScenarioParams) -> Box<dyn Workload> {
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(200));
-    let n_cores = p.n_cores.unwrap_or(2);
-    let seed = p.seed.unwrap_or(11);
+    let (n_exc, n_inh) = split_8020(req(p.n));
+    let n_cores = req(p.n_cores);
+    let seed = req(p.seed);
     // A small grid through (thalamic-noise gain, excitatory-weight gain):
     // every core simulates one parameter point of the same seeded network.
     let points: Vec<SweepPoint> = (0..n_cores)
@@ -886,7 +912,7 @@ fn build_net8020_points(p: &ScenarioParams) -> Box<dyn Workload> {
     Box::new(Net8020SweepWorkload::with_points(
         n_exc,
         n_inh,
-        p.ticks.unwrap_or(300),
+        req(p.ticks),
         &points,
     ))
 }
@@ -919,62 +945,62 @@ fn sudoku_instance(
 
 fn build_sudoku(p: &ScenarioParams) -> Box<dyn Workload> {
     Box::new(sudoku_instance(
-        p.n.unwrap_or(0),
-        p.ease.unwrap_or(true),
-        p.ticks.unwrap_or(2500),
-        p.n_cores.unwrap_or(2),
-        p.seed.unwrap_or(100),
+        req(p.n),
+        req(p.ease),
+        req(p.ticks),
+        req(p.n_cores),
+        req(p.seed),
     ))
 }
 
 fn build_sudoku_batch(p: &ScenarioParams) -> Box<dyn Workload> {
-    let seed = p.seed.unwrap_or(0);
+    let seed = req(p.seed);
     Box::new(sudoku_instance(
         p.n.unwrap_or(seed as usize % 5),
-        p.ease.unwrap_or(true),
-        p.ticks.unwrap_or(2500),
-        p.n_cores.unwrap_or(2),
+        req(p.ease),
+        req(p.ticks),
+        req(p.n_cores),
         100 + seed,
     ))
 }
 
 fn build_net8020_sharded(p: &ScenarioParams) -> Box<dyn Workload> {
-    let cores = p.shards.or(p.n_cores).unwrap_or(16);
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(10240));
+    let cores = req(p.shards.or(p.n_cores));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sharded(
         n_exc,
         n_inh,
         0.02,
-        p.ticks.unwrap_or(200),
+        req(p.ticks),
         cores,
-        p.seed.unwrap_or(17),
+        req(p.seed),
     ))
 }
 
 fn build_net8020_stdp(p: &ScenarioParams) -> Box<dyn Workload> {
-    let cores = p.shards.or(p.n_cores).unwrap_or(4);
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(1024));
+    let cores = req(p.shards.or(p.n_cores));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::stdp(
         n_exc,
         n_inh,
         0.1,
-        p.ticks.unwrap_or(400),
+        req(p.ticks),
         cores,
-        p.seed.unwrap_or(21),
+        req(p.seed),
     ))
 }
 
 fn build_net8020_stream(p: &ScenarioParams) -> Box<dyn Workload> {
-    let cores = p.shards.or(p.n_cores).unwrap_or(4);
-    let (n_exc, n_inh) = split_8020(p.n.unwrap_or(400));
+    let cores = req(p.shards.or(p.n_cores));
+    let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::stream(
         n_exc,
         n_inh,
         0.1,
-        p.ticks.unwrap_or(400),
+        req(p.ticks),
         cores,
-        p.seed.unwrap_or(31),
-        p.stim_rate.unwrap_or(8),
+        req(p.seed),
+        req(p.stim_rate),
     ))
 }
 
@@ -1284,76 +1310,114 @@ mod tests {
         let sharded = find("net8020_sharded").unwrap();
         // shards > cores: each shard needs its own guest core.
         let err = sharded
-            .validate(&ScenarioParams::default().with_shards(16).with_cores(8))
+            .validate(
+                &ScenarioParams::default().with_shards(16).with_cores(8),
+                false,
+            )
             .unwrap_err();
         assert!(err.contains("shards"), "unclear error: {err}");
         // shards beyond the spike-table core slots.
         assert!(sharded
-            .validate(&ScenarioParams::default().with_shards(65))
+            .validate(&ScenarioParams::default().with_shards(65), false)
             .is_err());
         // Too few neurons to fill the shards.
         assert!(sharded
-            .validate(&ScenarioParams::default().with_n(4).with_shards(8))
+            .validate(&ScenarioParams::default().with_n(4).with_shards(8), false)
             .is_err());
         // stim_rate on a non-stream scenario.
         assert!(sharded
-            .validate(&ScenarioParams::default().with_stim_rate(4))
+            .validate(&ScenarioParams::default().with_stim_rate(4), false)
             .is_err());
         // shards on a non-scale-out scenario.
         let dense = find("net8020").unwrap();
         assert!(dense
-            .validate(&ScenarioParams::default().with_shards(4))
+            .validate(&ScenarioParams::default().with_shards(4), false)
             .is_err());
         // ease on a non-sudoku scenario: either polarity is rejected (it
         // would otherwise be dropped silently), and the error names the
         // scenarios it does apply to.
         let err = dense
-            .validate(&ScenarioParams::default().with_ease(false))
+            .validate(&ScenarioParams::default().with_ease(false), false)
             .unwrap_err();
         assert!(err.contains("sudoku"), "unclear error: {err}");
         assert!(dense
-            .validate(&ScenarioParams::default().with_ease(true))
+            .validate(&ScenarioParams::default().with_ease(true), false)
             .is_err());
         assert!(sharded
-            .validate(&ScenarioParams::default().with_ease(true))
+            .validate(&ScenarioParams::default().with_ease(true), false)
             .is_err());
         for name in ["sudoku", "sudoku_batch"] {
             let s = find(name).unwrap();
-            s.validate(&ScenarioParams::default().with_ease(false))
+            s.validate(&ScenarioParams::default().with_ease(false), false)
                 .unwrap();
-            s.validate(&ScenarioParams::default().with_ease(true))
+            s.validate(&ScenarioParams::default().with_ease(true), false)
                 .unwrap();
         }
         // Standard-map scenarios cannot cross the 8-core / 4096-neuron /
         // 1024-chunk bounds.
         let err = dense
-            .validate(&ScenarioParams::default().with_cores(16))
+            .validate(&ScenarioParams::default().with_cores(16), false)
             .unwrap_err();
         assert!(err.contains("standard memory map"), "unclear error: {err}");
         assert!(dense
-            .validate(&ScenarioParams::default().with_n(10240))
+            .validate(&ScenarioParams::default().with_n(10240), false)
             .is_err());
         assert!(dense
-            .validate(&ScenarioParams::default().with_n(4000).with_cores(2))
+            .validate(&ScenarioParams::default().with_n(4000).with_cores(2), false)
             .is_err());
         // Generic bounds.
         assert!(dense
-            .validate(&ScenarioParams::default().with_ticks(0))
+            .validate(&ScenarioParams::default().with_ticks(0), false)
             .is_err());
         assert!(dense
-            .validate(&ScenarioParams::default().with_ticks(70000))
+            .validate(&ScenarioParams::default().with_ticks(70000), false)
             .is_err());
         assert!(dense
-            .validate(&ScenarioParams::default().with_cores(0))
+            .validate(&ScenarioParams::default().with_cores(0), false)
             .is_err());
+        // The shape the run builds is judged, defaults and quick params
+        // included: each of these leaves the standard map's 1024-slot
+        // chunk only through a field the caller did not give.
+        let large = find("net8020_large").unwrap();
+        for (sc, p, quick) in [
+            (large, ScenarioParams::default().with_cores(1), false),
+            (large, ScenarioParams::default().with_n(3000), false),
+            (dense, ScenarioParams::default().with_n(3000), true),
+        ] {
+            let err = sc.validate(&p, quick).unwrap_err();
+            assert!(err.contains("per-core chunk"), "{}: {err}", sc.name);
+        }
+    }
+
+    #[test]
+    fn defaults_are_the_schema_values() {
+        let dense = find("net8020").unwrap();
+        assert_eq!(
+            dense.defaults(),
+            ScenarioParams::default()
+                .with_n(1000)
+                .with_ticks(1000)
+                .with_cores(2)
+                .with_seed(5)
+        );
+        // Rules stay rules: one shard per core, puzzle index seed % 5.
+        assert_eq!(find("net8020_sharded").unwrap().defaults().shards, None);
+        assert_eq!(find("sudoku_batch").unwrap().defaults().n, None);
+        // The builders take their defaults from there.
+        let large = find("net8020_large").unwrap();
+        let wl = large.build(&ScenarioParams::default().with_ticks(10));
+        assert_eq!(
+            (wl.cfg().n, wl.cfg().n_cores, wl.cfg().ticks),
+            (1280, 2, 10)
+        );
     }
 
     #[test]
     fn validate_accepts_every_quick_and_default_shape() {
         for s in registry() {
-            s.validate(&s.quick)
+            s.validate(&ScenarioParams::default(), true)
                 .unwrap_or_else(|e| panic!("{}: quick shape rejected: {e}", s.name));
-            s.validate(&ScenarioParams::default())
+            s.validate(&ScenarioParams::default(), false)
                 .unwrap_or_else(|e| panic!("{}: defaults rejected: {e}", s.name));
         }
         let sharded = find("net8020_sharded").unwrap();
@@ -1363,6 +1427,7 @@ mod tests {
                     .with_n(10240)
                     .with_cores(64)
                     .with_shards(64),
+                false,
             )
             .unwrap();
     }

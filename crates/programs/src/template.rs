@@ -85,7 +85,7 @@ impl core::fmt::Debug for RunTemplate {
 impl RunTemplate {
     /// Build a template from scratch (one cold construction).
     fn build(scenario: &'static Scenario, params: ScenarioParams) -> RunTemplate {
-        let workload = scenario.build_raw(&params);
+        let workload = scenario.build(&params);
         let prep = prepare_run(workload.cfg(), workload.image());
         RunTemplate {
             scenario,
@@ -133,7 +133,7 @@ impl RunTemplate {
                 seed: Some(seed),
                 ..self.params
             };
-            let workload = self.scenario.build_raw(&reseeded);
+            let workload = self.scenario.build(&reseeded);
             let (a, b) = (workload.cfg(), self.workload.cfg());
             assert!(
                 a.n == b.n

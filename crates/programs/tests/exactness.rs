@@ -242,7 +242,7 @@ fn assert_results_identical(on: &WorkloadResult, off: &WorkloadResult, tag: &str
 
 /// Scenario-level kernel exactness: the relaxed schedules batch-execute
 /// the engine's registered loop spans (phase-A scatter natively, phase B
-/// through the generic trace executor); toggling the kernels must be
+/// through the generic tier); toggling the kernels must be
 /// invisible in every architectural observable — raster, clocks, retired
 /// counts, the full ROI counter block — across both arithmetic variants
 /// and every relaxed sched × timing × host-thread combination.

@@ -150,8 +150,20 @@ pub(crate) trait ExecCtx {
     fn kernel_match(&self, pc: u32) -> Option<KernelHeader>;
     /// Copy span `idx`'s decoded trace into `buf`; returns the length.
     fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize;
+    /// Lifecycle state of span `idx` (re-read at each batch back-edge).
+    fn kernel_state(&self, idx: u8) -> SpanState;
     /// Write back a span's lifecycle state after re-verification.
     fn kernel_set_state(&mut self, idx: u8, state: SpanState);
+    /// Whether the core must stop with [`RunStop::SharedOp`] *before* the
+    /// op at `pc` (with register file `regs`) executes. Only the
+    /// host-parallel scheduler's worker phase answers yes — for an op that
+    /// targets a shared-interactive MMIO register, which the sequential
+    /// commit phase must replay against the real devices. Every other
+    /// context keeps this default, and the check compiles out of its loop.
+    #[inline(always)]
+    fn defers_shared_op(&mut self, _regs: &[u32; 32], _pc: u32) -> bool {
+        false
+    }
 }
 
 /// Why a core stopped abnormally.
@@ -230,10 +242,11 @@ pub(crate) enum RunStop {
     /// only): it must be descheduled until the barrier releases.
     Parked,
     /// The next instruction targets a shared-interactive MMIO register
-    /// (mutex / barrier / RNG). Only produced by the host-parallel
-    /// scheduler's pre-checked quantum loop — never by [`Core::run_while`]
-    /// itself — and it stops the core *before* the access executes, so
-    /// the sequential commit phase can replay it against the real devices.
+    /// (mutex / barrier / RNG). Only produced under a context whose
+    /// [`ExecCtx::defers_shared_op`] hook asks for it (the host-parallel
+    /// scheduler's worker phase), and it stops the core *before* the
+    /// access executes, so the sequential commit phase can replay it
+    /// against the real devices.
     SharedOp,
 }
 
@@ -250,11 +263,11 @@ enum PrevKind {
 }
 
 /// In-arm exit signal from a `BLOCK`-mode [`Core::exec_op`] dispatch —
-/// the superblock loop reads it after each op so the memory arms can
-/// screen their own effective addresses (one dispatch per op instead of
-/// a separate pre-classification pass).
+/// the superblock and kernel-batch loops read it after each op so the
+/// memory arms can screen their own effective addresses (one dispatch per
+/// op instead of a separate pre-classification pass).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BlockExit {
+pub(crate) enum BlockExit {
     /// The op retired normally; keep running the block.
     None,
     /// MMIO-classified access: the op did **not** run and no state —
@@ -774,11 +787,26 @@ impl Core {
                     RunStop::Budget
                 });
             }
+            // Host-parallel workers stop before an op that touches a
+            // shared-interactive device (compiled out everywhere else).
+            // The check precedes both batch tiers: a batch's first op is
+            // the checked one, and both tiers defer before any interior
+            // MMIO access, so a deferred interactive op is always re-seen
+            // here first. The slot fetch is repeated by whichever path
+            // runs the op, but a warm fetch is one bounds check and a
+            // 16-byte copy — the price of never rolling an op back.
+            if ctx.defers_shared_op(&self.regs, self.pc) {
+                break Ok(RunStop::SharedOp);
+            }
             // Kernel spans outrank superblocks at their entry pc: a batch
             // swallows whole loop iterations where a block stops at the
             // back-edge. Declines fall through to the block/single paths.
-            if kern && self.try_kernel::<T, _>(ctx, stop) {
-                continue;
+            if kern {
+                match self.try_kernel::<T, _, PROF>(ctx, stop) {
+                    Ok(true) => continue,
+                    Ok(false) => {}
+                    Err(cause) => break Err(cause),
+                }
             }
             if sb {
                 match self.try_superblock::<T, _, PROF>(ctx, &mut sbuf, stop) {
@@ -838,10 +866,12 @@ impl Core {
     }
 
     /// Dispatch and retire one predecoded micro-op at `pc`, returning the
-    /// next pc. The single-step path ([`Core::exec_one`]) wraps this with
-    /// the fault-plan trigger, the alignment check and the table fetch;
-    /// the superblock path ([`Core::exec_block`]) hoists those out of the
-    /// per-op loop and runs ops straight from the fused buffer.
+    /// next pc — the one definition of every op's semantics. The
+    /// single-step path ([`Core::exec_one`]) wraps this with the
+    /// fault-plan trigger, the alignment check and the table fetch; the
+    /// superblock path ([`Core::exec_block`]) and the generic kernel tier
+    /// (`Core::kernel_batch`) hoist those out of the per-op loop and run
+    /// ops straight from a copied buffer.
     ///
     /// `BLOCK` (a const, so both variants compile to straight-line code)
     /// selects the superblock calling convention:
@@ -856,9 +886,9 @@ impl Core {
     ///   so the caller can single-step it with a flushed clock — MMIO is
     ///   otherwise unreachable and the device-effect tail is skipped;
     /// * a store landing in the block's not-yet-executed tail (derived
-    ///   from `blk_base`/`blk_len`; block pcs are straight-line, so the
-    ///   op index is `(pc - blk_base) / 4`) retires normally but signals
-    ///   [`BlockExit::StoreTail`];
+    ///   from `blk_base`/`blk_len`: block and span buffers are contiguous
+    ///   from `blk_base`, so the op index is `(pc - blk_base) / 4`)
+    ///   retires normally but signals [`BlockExit::StoreTail`];
     /// * the non-exact clock/instret update is left to the caller, which
     ///   accumulates one sum per block. The exact policy always retires
     ///   per-op because stall costs are data-dependent.
@@ -867,7 +897,7 @@ impl Core {
     /// `PreInst` never round-trips through a stack temporary.
     #[inline(always)]
     #[allow(clippy::too_many_lines)]
-    fn exec_op<T: Timing, C: ExecCtx, const BLOCK: bool, const PROF: bool>(
+    pub(crate) fn exec_op<T: Timing, C: ExecCtx, const BLOCK: bool, const PROF: bool>(
         &mut self,
         ctx: &mut C,
         pre: &PreInst,
@@ -1332,8 +1362,9 @@ impl Core {
 
     /// Flag a retiring store that lands in its own block's not-yet-executed
     /// tail (words past this op): the fused buffer is stale from the next
-    /// op on, so the block must end after this one. Block pcs are
-    /// straight-line, so the op's index is `(pc - blk_base) / 4`.
+    /// op on, so the block must end after this one. Block and span buffers
+    /// are contiguous from `blk_base`, so the op's index is
+    /// `(pc - blk_base) / 4`.
     #[inline(always)]
     fn flag_store_tail(addr: u32, pc: u32, blk_base: u32, blk_len: u32, exit: &mut BlockExit) {
         let next_idx = (pc.wrapping_sub(blk_base) >> 2) + 1;

@@ -1,39 +1,43 @@
-//! Host-native batch kernels for the guest's hot loops.
+//! Batch execution of the guest's registered hot loops.
 //!
-//! Superblocks (PR 9) removed the per-instruction fetch/dispatch cost of a
+//! Superblocks remove the per-instruction fetch/dispatch cost of a
 //! straight-line run; this module removes the per-*iteration* cost of the
 //! engine's phase-A scatter and phase-B neuron-update loops. The engine
 //! registers each loop it emits as a [`KernelSpan`] — the loop's entry pc,
 //! its decoded body, and a fingerprint of the raw code words — and the
 //! relaxed interpreters ([`UnitTiming`](crate::cpu) / estimated timing)
-//! execute a registered span as one **batch**: a tight host loop over the
-//! decoded trace that keeps the register file, the NM_REGS block and all
-//! event counters in locals, reads and writes guest RAM through the same
-//! bounds-checked views the interpreter uses, and only flushes register
-//! and counter state back to the core once per batch.
+//! execute a registered span as one **batch** of whole loop iterations per
+//! dispatch, in one of two tiers:
+//!
+//! * **native** — a body that matched a [`NativeShape`] at registration
+//!   runs as straight host code with a closed-form end state, whenever its
+//!   up-front screens pass;
+//! * **generic** — every other batch is the interpreter itself: the copied
+//!   trace runs through `Core::exec_op` in superblock mode, following the
+//!   next pc each op returns. No op's semantics are written twice.
 //!
 //! ## Bit-identity by construction
 //!
-//! The batch executor is not a re-implementation of the loop's *meaning*
-//! — it is a mini-interpreter over the **same decoded micro-ops** the
-//! single-step path would execute, applying the same arithmetic, the same
-//! memory classification and the same counter increments in the same
-//! order. Ops retire one at a time with their memory traffic committed
-//! directly, exactly like [`Core::exec_block`](crate::cpu) runs a fused
-//! superblock; what makes that sound is the same rule superblocks use:
-//! any op the batch cannot run — an MMIO access (devices read the live
-//! clock and the host-parallel scheduler pre-screens interactive
-//! registers), a misaligned or unmapped address (the interpreter raises
-//! the trap), or a store into the span's own code words from the *next*
-//! op on (the decoded trace is stale) — **defers**: the batch ends with
-//! `pc` parked on the first op that did not retire and with every retired
-//! op's state already exactly what single-stepping would have left, so
-//! the interpreter simply picks up mid-iteration. Defers are therefore a
-//! pure performance event, never a semantic one. The same hoisted entry
-//! conditions as `Core::try_superblock` keep scheduler stop points and
-//! fault-plan trigger points identical: a batch iteration only starts
-//! when its whole conservative cost fits under the quantum bound and its
-//! whole length fits under the armed fault trigger.
+//! The generic tier retires every op through the same `exec_op` the
+//! single-step and superblock paths use, so registers, memory, counters
+//! and traps are theirs by definition. Batching only changes *when* the
+//! per-op checks run, and the rules superblocks use keep that invisible:
+//!
+//! * an iteration only starts when its whole conservative cost fits under
+//!   the quantum bound and its whole length fits under the armed fault
+//!   trigger, so scheduler stop points and fault-plan trigger points are
+//!   the single-step ones;
+//! * an MMIO access defers with `pc` parked on it, before any state moves
+//!   (devices read the live clock, and the host-parallel scheduler must
+//!   see interactive registers before they execute);
+//! * a store into the span's own code ends the batch before the copied
+//!   trace can go stale — right after the op when the word lies ahead in
+//!   the trace, at the next back-edge when that word already ran this
+//!   iteration (the store marked the span [`SpanState::Dirty`]);
+//! * a trap propagates exactly as from a superblock.
+//!
+//! The native tier checks every quantity the per-op path screens in closed
+//! form and hands anything it cannot prove to the generic tier.
 //!
 //! Exact timing keeps interpreting (the cycle model consults caches, the
 //! shared bus and hazard state per instruction — exactly what batching
@@ -57,13 +61,10 @@
 //! and the interpreter (which re-decodes through the ordinary
 //! store-invalidation path) takes over.
 
-use izhi_core::dcu::Dcu;
-use izhi_core::npu::NpUnit;
-use izhi_fixed::Q15_16;
 use izhi_isa::inst::{LoadOp, StoreOp};
 
 use crate::counters::{self, OpClass};
-use crate::cpu::{Core, ExecCtx, Timing};
+use crate::cpu::{BlockExit, Core, ExecCtx, Timing, TrapCause};
 use crate::mem::layout;
 use crate::predecode::{CodeMem, CodeTable, MicroOp, PreInst, SlotState, NO_DEST};
 
@@ -89,26 +90,10 @@ pub enum SpanState {
     Rejected,
 }
 
-/// Which emitted loop a span was registered for. Purely descriptive — the
-/// structural audit, not the variant, decides acceptance — but it keeps
-/// diagnostics and tests readable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelVariant {
-    /// Dense phase-A synaptic scatter (fixed row stride).
-    DenseA,
-    /// Sparse (CSR) phase-A synaptic scatter.
-    SparseA,
-    /// Phase-B neuron update through the NPU/DCU custom ops.
-    NpuB,
-    /// Phase-B neuron update in base-ISA fixed-point.
-    BaseFixedB,
-}
-
 /// A span body that additionally matched a **closed-form host loop** at
-/// registration. Unlike [`KernelVariant`] (descriptive only), this is
-/// load-bearing: the batch entry runs the matched shape as straight host
+/// registration: the batch entry runs the matched shape as straight host
 /// code — no per-op dispatch at all — whenever its up-front screens pass,
-/// and falls back to the generic batch loop otherwise. The matcher is
+/// and falls back to the generic tier otherwise. The matcher is
 /// purely structural over the decoded micro-ops (register roles are
 /// extracted, not assumed), so it tracks the emitted code, never the
 /// other way round.
@@ -183,8 +168,6 @@ pub struct KernelSpan {
     pub fp: u64,
     /// Lifecycle state.
     pub state: SpanState,
-    /// Descriptive origin of the span.
-    pub variant: KernelVariant,
     /// Closed-form host loop the body matched, if any.
     pub native: Option<NativeShape>,
     trace: Box<[PreInst]>,
@@ -295,6 +278,12 @@ impl SpanTable {
         t.len()
     }
 
+    /// Span `idx`'s lifecycle state.
+    #[inline]
+    pub fn state(&self, idx: u8) -> SpanState {
+        self.spans[idx as usize].state
+    }
+
     /// Set span `idx`'s lifecycle state (dispatch re-verification).
     pub fn set_state(&mut self, idx: u8, state: SpanState) {
         self.spans[idx as usize].state = state;
@@ -365,7 +354,7 @@ fn is_branch(op: MicroOp) -> bool {
 /// from the micro-ops; immediates (strides 2/4, shift 8, decrement -1)
 /// must match exactly. All five roles must be distinct and non-zero so
 /// the closed-form end state is well defined. Any mismatch just means
-/// "no native tier" — the generic batch loop still runs the span.
+/// "no native tier" — the generic tier still runs the span.
 fn match_native(trace: &[PreInst], entry: u32) -> Option<NativeShape> {
     let [lh, lw, sll, add, sw, apw, api, acnt, bne] = trace else {
         return None;
@@ -435,7 +424,6 @@ pub fn register_kernel_span<M: CodeMem>(
     code: &mut CodeTable,
     mem: &M,
     entry: u32,
-    variant: KernelVariant,
 ) -> Result<(), KernelReject> {
     if !entry.is_multiple_of(4) || entry >= code.sdram_limit() {
         return Err(KernelReject::OutOfWindow);
@@ -506,7 +494,6 @@ pub fn register_kernel_span<M: CodeMem>(
         exit,
         fp,
         state: SpanState::Ready,
-        variant,
         native,
         trace: trace.into_boxed_slice(),
     });
@@ -515,28 +502,34 @@ pub fn register_kernel_span<M: CodeMem>(
 
 impl Core {
     /// Attempt to run the kernel span at `self.pc` as one batch. Returns
-    /// whether at least one iteration committed (the caller re-enters its
-    /// scheduling loop). Only instantiated by the relaxed interpreters.
+    /// `Ok(true)` if at least one op retired (the caller re-enters its
+    /// scheduling loop), `Ok(false)` to fall through to the superblock and
+    /// single-step paths, and the trap of an op that faulted inside the
+    /// batch. Only instantiated by the relaxed interpreters.
     #[inline]
-    pub(crate) fn try_kernel<T: Timing, C: ExecCtx>(&mut self, ctx: &mut C, stop: u64) -> bool {
+    pub(crate) fn try_kernel<T: Timing, C: ExecCtx, const PROF: bool>(
+        &mut self,
+        ctx: &mut C,
+        stop: u64,
+    ) -> Result<bool, TrapCause> {
         debug_assert!(!T::EXACT);
         let Some(hdr) = ctx.kernel_match(self.pc) else {
-            return false;
+            return Ok(false);
         };
-        self.kernel_enter::<T, C>(ctx, hdr, stop)
+        self.kernel_enter::<T, C, PROF>(ctx, hdr, stop)
     }
 
     /// Out-of-line entry: state check / re-verification, trace copy and
-    /// the batch loop (kept off the per-op dispatch path, which only pays
+    /// the two tiers (kept off the per-op dispatch path, which only pays
     /// the entry-pc probe above).
-    fn kernel_enter<T: Timing, C: ExecCtx>(
+    fn kernel_enter<T: Timing, C: ExecCtx, const PROF: bool>(
         &mut self,
         ctx: &mut C,
         hdr: KernelHeader,
         stop: u64,
-    ) -> bool {
+    ) -> Result<bool, TrapCause> {
         match hdr.state {
-            SpanState::Rejected => return false,
+            SpanState::Rejected => return Ok(false),
             SpanState::Ready => {}
             SpanState::Dirty => {
                 // A store landed inside the span (or it crossed a run
@@ -547,14 +540,14 @@ impl Core {
                 while pc < hdr.exit {
                     let Some(word) = ctx.code_word(pc) else {
                         ctx.kernel_set_state(hdr.idx, SpanState::Rejected);
-                        return false;
+                        return Ok(false);
                     };
                     fp = fnv_word(fp, word);
                     pc += 4;
                 }
                 if fp != hdr.fp {
                     ctx.kernel_set_state(hdr.idx, SpanState::Rejected);
-                    return false;
+                    return Ok(false);
                 }
                 ctx.kernel_set_state(hdr.idx, SpanState::Ready);
             }
@@ -563,21 +556,21 @@ impl Core {
         let len = ctx.kernel_copy(hdr.idx, &mut buf);
         debug_assert_eq!(len as u32, hdr.len);
         // Native tier first: a matched shape whose screens pass runs as
-        // straight host code; otherwise the generic batch loop takes the
-        // span op by op. (A Dirty span that just re-verified hashes to
-        // the registration words, so the registration-time match is still
+        // straight host code; otherwise the generic tier takes the span op
+        // by op. (A Dirty span that just re-verified hashes to the
+        // registration words, so the registration-time match is still
         // exact.)
         if let Some(shape) = hdr.native {
             if let Some(ran) = self.kernel_native::<T, C>(ctx, &hdr, &buf[..len], shape, stop) {
-                return ran;
+                return Ok(ran);
             }
         }
-        self.kernel_batch::<T, C>(ctx, &hdr, &buf[..len], stop)
+        self.kernel_batch::<T, C, PROF>(ctx, &hdr, &buf[..len], stop)
     }
 
     /// Closed-form execution of a matched [`NativeShape`] span.
     ///
-    /// Computes the exact number of iterations `k` the generic batch loop
+    /// Computes the exact number of iterations `k` the generic tier
     /// would retire — bounded by the guest's own down-counter, the quantum
     /// budget and the armed fault trigger, using the *same* conservative
     /// per-iteration entry conditions — then screens the whole `k`-wide
@@ -587,8 +580,8 @@ impl Core {
     /// per-op path checks incrementally is checked here in closed form, so
     /// the architectural end state — registers, memory, counters, clock,
     /// `pc` — is bit-identical to `k` interpreted iterations. Returns
-    /// `None` when any screen fails (the generic batch loop, which defers
-    /// per-op, takes over) or `Some(ran)` when the native tier owned the
+    /// `None` when any screen fails (the generic tier, which screens per
+    /// op, takes over) or `Some(ran)` when the native tier owned the
     /// dispatch.
     fn kernel_native<T: Timing, C: ExecCtx>(
         &mut self,
@@ -608,7 +601,7 @@ impl Core {
         );
         let full_cost: u64 = trace.iter().map(|p| T::op_cost(p.op)).sum();
         let full_len = trace.len() as u64;
-        // Iteration i (0-based) is admitted by the generic loop iff
+        // Iteration i (0-based) is admitted by the generic tier iff
         // time + i*full_cost + full_cost <= stop and
         // instret + i*full_len + full_len <= fault_at.
         let k_budget = stop.saturating_sub(self.time) / full_cost;
@@ -619,11 +612,11 @@ impl Core {
         let c = self.regs[cnt];
         // The back-edge makes the loop do-while: a zero counter wraps and
         // runs 2^32 iterations (the sweep screens below reject anything
-        // that large, handing it to the generic loop).
+        // that large, handing it to the generic tier).
         let iters: u64 = if c == 0 { 1 << 32 } else { u64::from(c) };
         let k = iters.min(k_budget).min(k_fault);
         if k == 0 {
-            // The generic loop would break at its entry conditions too.
+            // The generic tier would break at its entry conditions too.
             return Some(false);
         }
         let w0 = self.regs[pw];
@@ -718,470 +711,87 @@ impl Core {
         Some(true)
     }
 
-    /// The batch loop: retire the span's ops one at a time against local
-    /// register and counter state, committing memory traffic directly
-    /// through the same bounds-checked views the interpreter uses —
-    /// exactly the superblock execution discipline, minus the per-op
-    /// fetch, fault and budget checks (hoisted per iteration) and the
-    /// per-dispatch lookup (paid once per batch). Anything the batch
-    /// cannot run defers with `pc` parked on the first unretired op; see
-    /// the module docs for the identity argument.
-    #[allow(clippy::too_many_lines)]
-    fn kernel_batch<T: Timing, C: ExecCtx>(
+    /// The generic tier: run the copied trace through the interpreter's
+    /// own [`Core::exec_op`] in superblock mode, following the next pc each
+    /// op returns, one loop iteration at a time. An iteration starts only
+    /// under `try_superblock`'s hoisted bounds (its whole cost below
+    /// `stop`, its whole length below the fault trigger). The batch ends
+    ///
+    /// * at `exit`, or any pc outside the span;
+    /// * on [`BlockExit::Defer`], with `pc` parked on the op that did not
+    ///   retire;
+    /// * after a [`BlockExit::StoreTail`] op (the trace is stale from the
+    ///   next op on);
+    /// * at the back-edge once the span is no longer `Ready` — a store
+    ///   landed in a word that already ran this iteration;
+    /// * with the trap of a faulting op, exactly as in `exec_block`.
+    fn kernel_batch<T: Timing, C: ExecCtx, const PROF: bool>(
         &mut self,
         ctx: &mut C,
         hdr: &KernelHeader,
         trace: &[PreInst],
         stop: u64,
-    ) -> bool {
-        let len = trace.len();
-        // Conservative full-path bounds, mirroring `try_superblock`'s
-        // entry checks: an iteration only starts when the *maximum*
-        // possible cost fits under the quantum bound and the maximum
-        // possible retirement count stays below the armed fault trigger,
-        // so single-stepping would have run every retired op too —
-        // identical stop and trigger points.
+    ) -> Result<bool, TrapCause> {
         let full_cost: u64 = trace.iter().map(|p| T::op_cost(p.op)).sum();
-        let full_len = len as u64;
+        let full_len = trace.len() as u64;
         let fault_at = self.fault.map_or(u64::MAX, |(at, _)| at);
-        let span_bytes = hdr.exit - hdr.entry;
-        let scratch_size = ctx.scratch_size();
-        let sdram_size = ctx.sdram_size();
-        let prof_on = self.profile;
-
-        let mut regs = self.regs;
-        let mut nmregs = self.nmregs;
+        // Clock and instret advance once per batch, as in `exec_block`:
+        // no batchable op reads either. The opt-in class histogram is
+        // tallied locally too and added once per batch: a shared-table
+        // bump per op would contend across host-parallel workers.
         let mut dt = 0u64;
-        let mut instret = 0u64;
-        let mut loads = 0u64;
-        let mut stores = 0u64;
-        let mut nmpn = 0u64;
-        let mut nmdec = 0u64;
-        let mut nmldl = 0u64;
-        let mut nmldh = 0u64;
-        let mut prof = [0u64; 8];
-        // Where the batch leaves the core; the exits below overwrite it.
-        let mut next_pc = hdr.entry;
-
-        // Retire the op at `idx` (accounting only; the arm already moved
-        // the architectural state).
-        macro_rules! retire {
-            ($op:expr) => {{
-                instret += 1;
-                dt += T::op_cost($op);
-                if prof_on {
-                    prof[OpClass::of($op) as usize] += 1;
-                }
-            }};
-        }
-        // A "defer" below ends the batch with `pc` on the op at `idx`,
-        // which did not retire and moved no state: the interpreter
-        // re-executes it — running the device access, raising the trap,
-        // re-decoding the stored-over code — and simply continues the
-        // iteration.
-
-        'batch: loop {
-            if self.time + dt + full_cost > stop {
-                break;
+        let mut retired = 0u64;
+        let mut prof = [0u64; OpClass::ALL.len()];
+        let mut pc = hdr.entry;
+        let out = 'batch: loop {
+            if self.time + dt + full_cost > stop
+                || self.counters.instret + retired + full_len > fault_at
+            {
+                break Ok(());
             }
-            if self.counters.instret + instret + full_len > fault_at {
-                break;
-            }
-            let mut idx = 0usize;
             loop {
-                let Some(pre) = trace.get(idx) else {
-                    // Fell past the back-edge (or a forward branch hit
-                    // `exit`): the guest leaves the loop.
-                    next_pc = hdr.exit;
-                    break 'batch;
+                // `exit`, or any pc outside the span, ends the batch (the
+                // audit keeps every in-span target word-aligned).
+                let Some(pre) = trace.get((pc.wrapping_sub(hdr.entry) >> 2) as usize) else {
+                    break 'batch Ok(());
                 };
-                let op = pre.op;
-                let (rd, rs1, rs2) = (pre.rd as usize, pre.rs1 as usize, pre.rs2 as usize);
-                let imm = pre.imm;
-                match op {
-                    // `auipc` was fully resolved at predecode.
-                    MicroOp::Lui | MicroOp::Auipc => {
-                        regs[rd] = imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Beq
-                    | MicroOp::Bne
-                    | MicroOp::Blt
-                    | MicroOp::Bge
-                    | MicroOp::Bltu
-                    | MicroOp::Bgeu => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        let taken = match op {
-                            MicroOp::Beq => a == b,
-                            MicroOp::Bne => a != b,
-                            MicroOp::Blt => (a as i32) < (b as i32),
-                            MicroOp::Bge => (a as i32) >= (b as i32),
-                            MicroOp::Bltu => a < b,
-                            _ => a >= b,
-                        };
-                        if taken {
-                            let target = imm as u32;
-                            if target == hdr.entry {
-                                // The back-edge: iteration complete.
-                                retire!(op);
-                                continue 'batch;
-                            }
-                            let off = (target.wrapping_sub(hdr.entry) >> 2) as usize;
-                            if off > len {
-                                // Re-verified traces never produce this;
-                                // defensively defer rather than trust it.
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            retire!(op);
-                            idx = off;
-                            continue;
-                        }
-                        retire!(op);
-                        idx += 1;
-                        continue;
-                    }
-                    MicroOp::Lb | MicroOp::Lh | MicroOp::Lw | MicroOp::Lbu | MicroOp::Lhu => {
-                        let (lop, size) = match op {
-                            MicroOp::Lb => (LoadOp::Lb, 1),
-                            MicroOp::Lh => (LoadOp::Lh, 2),
-                            MicroOp::Lw => (LoadOp::Lw, 4),
-                            MicroOp::Lbu => (LoadOp::Lbu, 1),
-                            _ => (LoadOp::Lhu, 2),
-                        };
-                        let addr = regs[rs1].wrapping_add(imm as u32);
-                        let scratch_off = addr.wrapping_sub(layout::SCRATCH_BASE);
-                        let raw = if !addr.is_multiple_of(size) {
-                            // Misaligned: the interpreter raises the trap.
-                            None
-                        } else if scratch_off < scratch_size {
-                            ctx.read_scratch(scratch_off as usize, lop)
-                        } else if addr < sdram_size {
-                            ctx.read_sdram(addr as usize, lop)
-                        } else {
-                            // MMIO loads interact with live devices;
-                            // out-of-range loads trap. Both belong to the
-                            // interpreter.
-                            None
-                        };
-                        let raw = match raw {
-                            Some(r) => r,
-                            None => {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                        };
-                        regs[rd] = match op {
-                            MicroOp::Lb => raw as u8 as i8 as i32 as u32,
-                            MicroOp::Lh => raw as u16 as i16 as i32 as u32,
-                            _ => raw,
-                        };
-                        regs[0] = 0;
-                        loads += 1;
-                    }
-                    MicroOp::Sb | MicroOp::Sh | MicroOp::Sw => {
-                        let (sop, size) = match op {
-                            MicroOp::Sb => (StoreOp::Sb, 1),
-                            MicroOp::Sh => (StoreOp::Sh, 2),
-                            _ => (StoreOp::Sw, 4),
-                        };
-                        let addr = regs[rs1].wrapping_add(imm as u32);
-                        let scratch_off = addr.wrapping_sub(layout::SCRATCH_BASE);
-                        let own;
-                        if !addr.is_multiple_of(size) {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        } else if scratch_off < scratch_size {
-                            if scratch_off + size > scratch_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            let ok = ctx.write_scratch(scratch_off as usize, regs[rs2], sop);
-                            debug_assert!(ok, "screened batch store failed");
-                            own = false;
-                        } else if addr < sdram_size {
-                            if addr + size > sdram_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            let ok = ctx.write_sdram(addr as usize, regs[rs2], sop);
-                            debug_assert!(ok, "screened batch store failed");
-                            own = (addr & !3).wrapping_sub(hdr.entry) < span_bytes;
-                        } else {
-                            // MMIO (the spike log included — the
-                            // interpreter's store path applies any pending
-                            // injected corruption) and unmapped addresses
-                            // defer, exactly like a superblock.
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        ctx.invalidate_store(addr);
-                        stores += 1;
-                        retire!(op);
-                        if own {
-                            // The store landed in the span's own code: the
-                            // copied trace is stale from the next op on.
-                            // Hand the rest of the iteration to the
-                            // interpreter (which re-decodes through the
-                            // ordinary invalidation path); the span is now
-                            // Dirty and re-verifies at the next entry.
-                            next_pc = hdr.entry + (((idx + 1) as u32) << 2);
-                            break 'batch;
-                        }
-                        idx += 1;
-                        continue;
-                    }
-                    MicroOp::Addi => {
-                        regs[rd] = regs[rs1].wrapping_add(imm as u32);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Slti => {
-                        regs[rd] = u32::from((regs[rs1] as i32) < imm);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sltiu => {
-                        regs[rd] = u32::from(regs[rs1] < imm as u32);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Xori => {
-                        regs[rd] = regs[rs1] ^ imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Ori => {
-                        regs[rd] = regs[rs1] | imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Andi => {
-                        regs[rd] = regs[rs1] & imm as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Slli => {
-                        regs[rd] = regs[rs1] << (imm & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Srli => {
-                        regs[rd] = regs[rs1] >> (imm & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Srai => {
-                        regs[rd] = ((regs[rs1] as i32) >> (imm & 0x1F)) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Add => {
-                        regs[rd] = regs[rs1].wrapping_add(regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sub => {
-                        regs[rd] = regs[rs1].wrapping_sub(regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sll => {
-                        regs[rd] = regs[rs1] << (regs[rs2] & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Slt => {
-                        regs[rd] = u32::from((regs[rs1] as i32) < (regs[rs2] as i32));
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sltu => {
-                        regs[rd] = u32::from(regs[rs1] < regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Xor => {
-                        regs[rd] = regs[rs1] ^ regs[rs2];
-                        regs[0] = 0;
-                    }
-                    MicroOp::Srl => {
-                        regs[rd] = regs[rs1] >> (regs[rs2] & 0x1F);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Sra => {
-                        regs[rd] = ((regs[rs1] as i32) >> (regs[rs2] & 0x1F)) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Or => {
-                        regs[rd] = regs[rs1] | regs[rs2];
-                        regs[0] = 0;
-                    }
-                    MicroOp::And => {
-                        regs[rd] = regs[rs1] & regs[rs2];
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mul => {
-                        regs[rd] = regs[rs1].wrapping_mul(regs[rs2]);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mulh => {
-                        regs[rd] = ((regs[rs1] as i32 as i64).wrapping_mul(regs[rs2] as i32 as i64)
-                            >> 32) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mulhsu => {
-                        regs[rd] =
-                            ((regs[rs1] as i32 as i64).wrapping_mul(regs[rs2] as i64) >> 32) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Mulhu => {
-                        regs[rd] = ((regs[rs1] as u64 * regs[rs2] as u64) >> 32) as u32;
-                        regs[0] = 0;
-                    }
-                    MicroOp::Div => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        regs[rd] = if b == 0 {
-                            u32::MAX
-                        } else if a == 0x8000_0000 && b == u32::MAX {
-                            a
-                        } else {
-                            ((a as i32) / (b as i32)) as u32
-                        };
-                        regs[0] = 0;
-                    }
-                    MicroOp::Divu => {
-                        regs[rd] = regs[rs1].checked_div(regs[rs2]).unwrap_or(u32::MAX);
-                        regs[0] = 0;
-                    }
-                    MicroOp::Rem => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        regs[rd] = if b == 0 {
-                            a
-                        } else if a == 0x8000_0000 && b == u32::MAX {
-                            0
-                        } else {
-                            ((a as i32) % (b as i32)) as u32
-                        };
-                        regs[0] = 0;
-                    }
-                    MicroOp::Remu => {
-                        let (a, b) = (regs[rs1], regs[rs2]);
-                        regs[rd] = if b == 0 { a } else { a % b };
-                        regs[0] = 0;
-                    }
-                    MicroOp::Nmldl => {
-                        let ok = nmregs.exec_nmldl(regs[rs1], regs[rs2]);
-                        regs[rd] = ok;
-                        regs[0] = 0;
-                        nmldl += 1;
-                    }
-                    MicroOp::Nmldh => {
-                        let ok = nmregs.exec_nmldh(regs[rs1]);
-                        regs[rd] = ok;
-                        regs[0] = 0;
-                        nmldh += 1;
-                    }
-                    MicroOp::Nmpn => {
-                        let vu = regs[rs1];
-                        let isyn = Q15_16::from_raw(regs[rs2] as i32);
-                        let addr = regs[rd];
-                        // Screen the word store before the unit runs: the
-                        // interpreter computes the update, traps or hits
-                        // the device on the store, and only then writes
-                        // the spike flag — deferring before any state
-                        // moves reproduces all of it.
-                        let scratch_off = addr.wrapping_sub(layout::SCRATCH_BASE);
-                        let own;
-                        if !addr.is_multiple_of(4) {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        } else if scratch_off < scratch_size {
-                            if scratch_off + 4 > scratch_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            own = false;
-                        } else if addr < sdram_size {
-                            if addr + 4 > sdram_size {
-                                next_pc = hdr.entry + ((idx as u32) << 2);
-                                break 'batch;
-                            }
-                            own = addr.wrapping_sub(hdr.entry) < span_bytes;
-                        } else {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        let out = NpUnit::update(&nmregs, vu, isyn);
-                        // The store retires before the spike writeback,
-                        // exactly as the interpreter orders it.
-                        let ok = if scratch_off < scratch_size {
-                            ctx.write_scratch(scratch_off as usize, out.vu, StoreOp::Sw)
-                        } else {
-                            ctx.write_sdram(addr as usize, out.vu, StoreOp::Sw)
-                        };
-                        debug_assert!(ok, "screened batch store failed");
-                        ctx.invalidate_store(addr);
-                        stores += 1;
-                        regs[rd] = u32::from(out.spike);
-                        regs[0] = 0;
-                        nmpn += 1;
-                        retire!(op);
-                        if own {
-                            next_pc = hdr.entry + (((idx + 1) as u32) << 2);
-                            break 'batch;
-                        }
-                        idx += 1;
-                        continue;
-                    }
-                    MicroOp::Nmdec => {
-                        regs[rd] = Dcu::exec_nmdec(&nmregs, regs[rs1], regs[rs2]);
-                        regs[0] = 0;
-                        nmdec += 1;
-                    }
-                    MicroOp::Jal => {
-                        // Audited: only `jal x0` with a forward in-span
-                        // target survives registration, so the link write
-                        // is void and the jump is an always-taken branch.
-                        if rd != 0 {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        let off = ((imm as u32).wrapping_sub(hdr.entry) >> 2) as usize;
-                        if off > len {
-                            next_pc = hdr.entry + ((idx as u32) << 2);
-                            break 'batch;
-                        }
-                        retire!(op);
-                        idx = off;
-                        continue;
-                    }
-                    // Rejected at registration; a re-verified trace cannot
-                    // contain them.
-                    MicroOp::Jalr
-                    | MicroOp::Fence
-                    | MicroOp::Ecall
-                    | MicroOp::Ebreak
-                    | MicroOp::Csr => {
-                        next_pc = hdr.entry + ((idx as u32) << 2);
-                        break 'batch;
-                    }
+                let mut exit = BlockExit::None;
+                let next = match self
+                    .exec_op::<T, _, true, false>(ctx, pre, pc, hdr.entry, hdr.len, &mut exit)
+                {
+                    Ok(next) => next,
+                    Err(cause) => break 'batch Err(cause),
+                };
+                if exit == BlockExit::Defer {
+                    break 'batch Ok(());
                 }
-                retire!(op);
-                idx += 1;
+                dt += T::op_cost(pre.op);
+                retired += 1;
+                if PROF {
+                    prof[OpClass::of(pre.op) as usize] += 1;
+                }
+                pc = next;
+                if exit == BlockExit::StoreTail {
+                    break 'batch Ok(());
+                }
+                if pc == hdr.entry {
+                    break;
+                }
             }
-        }
-
-        if instret == 0 {
-            return false;
-        }
-        self.regs = regs;
-        self.nmregs = nmregs;
+            if ctx.kernel_state(hdr.idx) != SpanState::Ready {
+                break Ok(());
+            }
+        };
+        self.pc = pc;
         self.time += dt;
-        self.counters.instret += instret;
-        self.counters.loads += loads;
-        self.counters.stores += stores;
-        self.counters.nmpn += nmpn;
-        self.counters.nmdec += nmdec;
-        self.counters.nmldl += nmldl;
-        self.counters.nmldh += nmldh;
-        self.kernel_instret += instret;
-        if prof_on {
-            for (class, d) in OpClass::ALL.into_iter().zip(prof.iter()) {
-                counters::profile_add(class, *d);
+        self.counters.instret += retired;
+        self.kernel_instret += retired;
+        if PROF {
+            for (class, n) in OpClass::ALL.into_iter().zip(prof) {
+                counters::profile_add(class, n);
             }
         }
-        // Relaxed policies keep the hazard tracker neutral (same as the
-        // single-step epilogue).
-        self.prev_stall_dest = NO_DEST;
-        self.pc = next_pc;
-        true
+        out.map(|()| retired > 0)
     }
 }
 
@@ -1205,7 +815,7 @@ mod tests {
             mem.write_u32(4 * i as u32, encode(*inst));
         }
         code.preload(0, 4 * insts.len() as u32, &mem);
-        let r = register_kernel_span(&mut code, &mem, entry, KernelVariant::DenseA);
+        let r = register_kernel_span(&mut code, &mem, entry);
         (code, r)
     }
 
@@ -1313,7 +923,7 @@ mod tests {
         for (i, inst) in counted_loop().iter().enumerate() {
             mem.write_u32(4 * i as u32, encode(*inst));
         }
-        let r2 = register_kernel_span(&mut code, &mem, 0, KernelVariant::DenseA);
+        let r2 = register_kernel_span(&mut code, &mem, 0);
         assert_eq!(r2, Err(KernelReject::DuplicateEntry));
     }
 

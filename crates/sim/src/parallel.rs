@@ -60,7 +60,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError};
 
 use izhi_isa::inst::{LoadOp, StoreOp};
-use izhi_isa::reg::Reg;
 
 use crate::cpu::{Core, ExecCtx, RunStop, Timing, TrapCause};
 use crate::mem::{layout, MainMemory};
@@ -214,17 +213,17 @@ impl DeviceBuffer {
 /// MMIO register? Only loads, stores and `nmpn` (whose store address is
 /// `rd`) can access MMIO at all, and all three compute their address from
 /// registers already visible here — so this check is *complete*: the
-/// shard context can never see an interactive access.
+/// parallel phase can never see an interactive access.
 #[inline]
-fn targets_interactive_mmio(core: &Core, pre: &PreInst) -> bool {
+fn targets_interactive_mmio(regs: &[u32; 32], pre: &PreInst) -> bool {
     let (addr, write) = match pre.op {
         MicroOp::Lb | MicroOp::Lh | MicroOp::Lw | MicroOp::Lbu | MicroOp::Lhu => {
-            (core.reg(Reg(pre.rs1)).wrapping_add(pre.imm as u32), false)
+            (regs[pre.rs1 as usize].wrapping_add(pre.imm as u32), false)
         }
         MicroOp::Sb | MicroOp::Sh | MicroOp::Sw => {
-            (core.reg(Reg(pre.rs1)).wrapping_add(pre.imm as u32), true)
+            (regs[pre.rs1 as usize].wrapping_add(pre.imm as u32), true)
         }
-        MicroOp::Nmpn => (core.reg(Reg(pre.rd)), true),
+        MicroOp::Nmpn => (regs[pre.rd as usize], true),
         _ => return false,
     };
     let offset = addr.wrapping_sub(layout::MMIO_BASE);
@@ -236,6 +235,10 @@ fn targets_interactive_mmio(core: &Core, pre: &PreInst) -> bool {
 /// timing behaviour are shared via the single [`ShardCtx`] below, so a
 /// fix to the memory path cannot land in one phase and miss the other.
 trait DevSink {
+    /// Whether interactive MMIO must stop the core before it executes
+    /// ([`ExecCtx::defers_shared_op`]): only the buffered parallel phase
+    /// cannot run it.
+    const DEFERS_SHARED: bool;
     fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32;
     fn mmio_write(&mut self, core_id: u32, offset: u32, value: u32) -> MmioEffect;
     fn console_extend(&mut self, bytes: &[u8]);
@@ -251,6 +254,8 @@ struct BufferedDev<'a> {
 }
 
 impl DevSink for BufferedDev<'_> {
+    const DEFERS_SHARED: bool = true;
+
     #[inline]
     fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32 {
         match offset {
@@ -307,6 +312,8 @@ impl DevSink for BufferedDev<'_> {
 struct RealDev<'a>(&'a mut SharedDevices);
 
 impl DevSink for RealDev<'_> {
+    const DEFERS_SHARED: bool = false;
+
     #[inline]
     fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32 {
         self.0.read(core_id, offset, now)
@@ -445,93 +452,21 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
     }
 
     #[inline]
+    fn kernel_state(&self, idx: u8) -> crate::kernel::SpanState {
+        self.code.kernels.state(idx)
+    }
+
+    #[inline]
     fn kernel_set_state(&mut self, idx: u8, state: crate::kernel::SpanState) {
         self.code.kernels.set_state(idx, state);
     }
-}
 
-/// Run one core's quantum on a worker thread: the relaxed-clock loop of
-/// `Core::run_while` under the non-exact timing policy `T` plus the
-/// interactive-MMIO pre-check. The
-/// slot fetch is repeated by `exec_one`, but a warm fetch is one bounds
-/// check and a 16-byte copy — the price of never having to roll an
-/// instruction back.
-fn run_quantum_parallel<T: Timing>(
-    core: &mut Core,
-    ctx: &mut ShardCtx<'_, BufferedDev<'_>>,
-    bound: u64,
-    max_cycles: u64,
-) -> Result<RunStop, TrapCause> {
-    // One dispatch per quantum selects the profiled or plain
-    // monomorphisation of the loop (see `Core::exec_op` on why the check
-    // cannot live on the per-op path).
-    if core.profile {
-        run_quantum_parallel_p::<T, true>(core, ctx, bound, max_cycles)
-    } else {
-        run_quantum_parallel_p::<T, false>(core, ctx, bound, max_cycles)
+    #[inline]
+    fn defers_shared_op(&mut self, regs: &[u32; 32], pc: u32) -> bool {
+        D::DEFERS_SHARED
+            && pc.is_multiple_of(4)
+            && targets_interactive_mmio(regs, &self.code.fetch(pc, &self.ram))
     }
-}
-
-/// [`run_quantum_parallel`], monomorphised over the profiling flag.
-fn run_quantum_parallel_p<T: Timing, const PROF: bool>(
-    core: &mut Core,
-    ctx: &mut ShardCtx<'_, BufferedDev<'_>>,
-    bound: u64,
-    max_cycles: u64,
-) -> Result<RunStop, TrapCause> {
-    debug_assert!(
-        !core.parked(),
-        "parked cores never enter the parallel phase"
-    );
-    let stop = bound.min(max_cycles);
-    let sb = ctx.superblocks_enabled();
-    let kern = !T::EXACT && ctx.kernels_enabled();
-    let mut sbuf = [PreInst::EMPTY; MAX_SB];
-    let run = loop {
-        if core.halted() {
-            break Ok(RunStop::Halted);
-        }
-        let t = core.time;
-        if t > stop {
-            break Ok(if t > bound {
-                RunStop::Bound
-            } else {
-                RunStop::Budget
-            });
-        }
-        let pc = core.pc();
-        if pc.is_multiple_of(4) {
-            let pre = ctx.fetch(pc);
-            if targets_interactive_mmio(core, &pre) {
-                break Ok(RunStop::SharedOp);
-            }
-        }
-        // Kernel attempt *after* the pre-check, mirroring the superblock
-        // ordering below. Batches only ever commit RAM traffic plus the
-        // buffered (non-interactive) spike log: any op that would touch an
-        // interactive device declines at validation time, before it
-        // executes, so a deferred interactive op is always re-seen by the
-        // pre-check above first.
-        if kern && core.try_kernel::<T, _>(ctx, stop) {
-            continue;
-        }
-        // Superblock attempt *after* the pre-check: the block's first op
-        // is the pre-checked one, and `exec_block` breaks before any
-        // interior MMIO access, so a deferred interactive op is always
-        // re-seen here first.
-        if sb {
-            match core.try_superblock::<T, _, PROF>(ctx, &mut sbuf, stop) {
-                Ok(true) => continue,
-                Ok(false) => {}
-                Err(cause) => break Err(cause),
-            }
-        }
-        if let Err(cause) = core.exec_one::<T, _, PROF>(ctx) {
-            break Err(cause);
-        }
-    };
-    core.sync_counters();
-    run
 }
 
 /// What a worker left behind for the commit phase.
@@ -705,7 +640,7 @@ fn worker_loop<T: Timing>(
                 // aborts the whole run — its possibly-inconsistent core
                 // state is never used again.
                 let run = catch_unwind(AssertUnwindSafe(|| {
-                    run_quantum_parallel::<T>(core, &mut ctx, *bound, env.max_cycles)
+                    core.run_while::<T, _>(&mut ctx, *bound, env.max_cycles)
                 }));
                 *pending = match run {
                     Ok(outcome) => Pending::Done(outcome),
@@ -822,7 +757,7 @@ fn coordinate<T: Timing>(
                         }
                         .into())
                     }
-                    RunStop::SharedOp => unreachable!("run_while never defers"),
+                    RunStop::SharedOp => unreachable!("the commit phase never defers"),
                 }
                 continue;
             }
@@ -866,7 +801,7 @@ fn coordinate<T: Timing>(
                             }
                             .into())
                         }
-                        RunStop::SharedOp => unreachable!("run_while never defers"),
+                        RunStop::SharedOp => unreachable!("the commit phase never defers"),
                     }
                 }
             }
@@ -974,6 +909,7 @@ mod tests {
     use super::*;
     use crate::system::{SchedMode, SystemConfig, TimingModel};
     use izhi_isa::asm::Assembler;
+    use izhi_isa::reg::Reg;
 
     fn run_mode(src: &str, n_cores: u32, sched: SchedMode, max_cycles: u64) -> System {
         let prog = Assembler::new().assemble(src).expect("asm");

@@ -421,6 +421,11 @@ impl ExecCtx for Shared {
     }
 
     #[inline(always)]
+    fn kernel_state(&self, idx: u8) -> crate::kernel::SpanState {
+        self.code.kernels.state(idx)
+    }
+
+    #[inline(always)]
     fn kernel_set_state(&mut self, idx: u8, state: crate::kernel::SpanState) {
         self.code.kernels.set_state(idx, state);
     }
@@ -969,7 +974,7 @@ impl System {
                         *parked = Some(shared.dev.barrier_generation());
                     }
                     RunStop::Budget => return Err(SimError::Timeout { max_cycles }),
-                    RunStop::SharedOp => unreachable!("run_while never defers"),
+                    RunStop::SharedOp => unreachable!("the whole-system context never defers"),
                 }
             }
             if all_halted {

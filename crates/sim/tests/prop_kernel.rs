@@ -1,24 +1,28 @@
 //! Kernel-batch exactness property tests: executing a registered loop
 //! span as a host batch (the native closed-form tier *and* the generic
-//! trace executor) must be bit-identical to interpreting it — registers,
-//! memory, the cycle clock and the full performance-counter block —
-//! under every relaxed sched × timing combination, across array
+//! tier) must be bit-identical to interpreting it — registers, memory,
+//! the spike log, the cycle clock and the full performance-counter block
+//! — under every relaxed sched × timing combination, across array
 //! placements that exercise every screen (scratch/SDRAM, overlapping
-//! sweeps, misaligned bases, region-crossing sweeps), under fault-plan
-//! triggers landing mid-loop, and across self-modifying stores into the
-//! span's own code words (which must invalidate the span).
+//! sweeps, misaligned bases, region-crossing sweeps, MMIO targets),
+//! under fault-plan triggers landing mid-loop, and across self-modifying
+//! stores into the span's own code words, ahead of the store or already
+//! run (which must invalidate the span).
 //!
 //! The programs are hand-assembled replicas of the engine's dense
-//! phase-A scatter (the shape the native tier matches) plus generic
-//! counted loops the structural audit accepts but the native matcher
-//! does not — so both batch tiers are covered explicitly.
+//! phase-A scatter (the shape the native tier matches), a phase-B-shaped
+//! loop over the custom neuromorphic ops, and generic counted loops the
+//! structural audit accepts but the native matcher does not — so both
+//! batch tiers are covered explicitly.
 
+use izhi_core::params::IzhParams;
+use izhi_isa::asm::Assembler;
 use izhi_isa::encode;
 use izhi_isa::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use izhi_isa::reg::Reg;
 use izhi_sim::{
-    layout, register_kernel_span, FaultKind, FaultPlan, KernelVariant, SchedMode, SimError,
-    SpanState, System, SystemConfig, TimingModel,
+    layout, register_kernel_span, FaultKind, FaultPlan, SchedMode, SimError, SpanState, System,
+    SystemConfig, TimingModel,
 };
 use proptest::prelude::*;
 
@@ -142,7 +146,7 @@ fn run_dense(
     }
     let registered = {
         let sh = sys.shared_mut();
-        register_kernel_span(&mut sh.code, &sh.mem, entry, KernelVariant::DenseA).is_ok()
+        register_kernel_span(&mut sh.code, &sh.mem, entry).is_ok()
     };
     let res = sys.run(10_000_000).map(|_| ());
     (sys, res, registered)
@@ -192,6 +196,12 @@ fn assert_identical(
         );
     }
     assert_eq!(on.core(0).time, off.core(0).time, "{tag}: clock diverges");
+    assert_eq!(on.core(0).pc(), off.core(0).pc(), "{tag}: pc diverges");
+    assert_eq!(
+        on.shared().dev.spike_log,
+        off.shared().dev.spike_log,
+        "{tag}: spike log diverges"
+    );
     assert_eq!(
         on.core(0).counters,
         off.core(0).counters,
@@ -221,8 +231,8 @@ fn assert_identical(
 }
 
 /// Array placements: every screen of the native tier and the generic
-/// batch loop gets exercised, including ones that end in a trap (which
-/// must then trap identically).
+/// tier gets exercised, including ones that end in a trap (which must
+/// then trap identically).
 #[derive(Debug, Clone, Copy)]
 enum Placement {
     ScratchDisjoint,
@@ -231,7 +241,7 @@ enum Placement {
     SdramWeightsScratchIsyn,
     /// Accumulator sweep overlapping the weight sweep (order-exactness).
     ScratchOverlap,
-    /// Odd weight base: every `lh` defers and the interpreter traps.
+    /// Odd weight base: the first `lh` traps.
     MisalignedWeights,
     /// Accumulator sweep crossing the end of scratch mid-loop.
     CrossesScratchEnd,
@@ -271,11 +281,101 @@ fn bases(p: Placement, count: u32, w_off: u32, i_off: u32, scratch_size: u32) ->
     }
 }
 
+/// Where the phase-B replica's `nmpn` stores its updated VU word.
+#[derive(Debug, Clone, Copy)]
+enum NmpnTarget {
+    Scratch,
+    Sdram,
+    /// A half-word stride: the second iteration's `nmpn` — the first
+    /// one inside a kernel batch — traps misaligned.
+    Misaligned,
+    /// The MMIO spike log: every `nmpn` store is a device write, which
+    /// the batch tiers defer to the interpreter.
+    SpikeLog,
+}
+
+/// (first store address, per-iteration stride) of an `nmpn` target.
+fn nmpn_target(t: NmpnTarget) -> (u32, u32) {
+    let s = layout::SCRATCH_BASE;
+    match t {
+        NmpnTarget::Scratch => (s + 0x2800, 4),
+        NmpnTarget::Sdram => (0x2000, 4),
+        NmpnTarget::Misaligned => (s + 0x2800, 2),
+        NmpnTarget::SpikeLog => (layout::MMIO_BASE + layout::MMIO_SPIKE_LOG, 0),
+    }
+}
+
+/// A counted loop shaped like the engine's NPU phase B: per neuron an
+/// `nmldl` of its parameter pair, an `nmdec` of its synaptic current, two
+/// `nmpn` half-steps storing through `target`, and a forward branch
+/// around a spike export to the MMIO spike log. Parameters live at
+/// scratch +0x1000 (8 bytes each), VU words at +0x2000, currents at
+/// +0x3000, and the spike list grows from +0x4000. Returns the program
+/// and its loop entry.
+fn phase_b_program(count: u32, target: NmpnTarget) -> (izhi_isa::asm::Program, u32) {
+    let s = layout::SCRATCH_BASE;
+    let (vu_out, stride) = nmpn_target(target);
+    let spike_log = layout::MMIO_BASE + layout::MMIO_SPIKE_LOG;
+    let src = format!(
+        "
+        _start: li   s9, {params:#x}
+                li   s5, {isyn:#x}
+                li   s11, {vu:#x}
+                li   s6, {vu_out:#x}
+                li   s3, {stride}
+                li   s8, {spikes:#x}
+                li   s4, {spike_log:#x}
+                li   s1, {count}
+                li   s2, 7
+                li   a3, 0
+                li   t0, 1
+                nmldh x0, t0, x0
+        loop:   lw   a6, (s9)
+                lw   a7, 4(s9)
+                nmldl x0, a6, a7
+                lw   a2, (s5)
+                li   t6, 3
+                nmdec a2, a2, t6
+                lw   a6, (s11)
+                sw   a2, (s5)
+                add  a7, a2, x0
+                add  a2, x0, s6
+                nmpn a2, a6, a7
+                add  t4, x0, a2
+                add  a2, x0, s6
+                nmpn a2, a6, a7
+                or   t4, t4, a2
+                addi s5, s5, 4
+                addi s9, s9, 8
+                addi s11, s11, 4
+                beqz t4, quiet
+                sh   a3, (s8)
+                addi s8, s8, 2
+                slli t5, s2, 16
+                or   t5, t5, a3
+                sw   t5, (s4)
+        quiet:  addi a3, a3, 1
+                add  s6, s6, s3
+                bne  a3, s1, loop
+                ebreak
+        ",
+        params = s + 0x1000,
+        isyn = s + 0x3000,
+        vu = s + 0x2000,
+        spikes = s + 0x4000,
+    );
+    let prog = Assembler::new()
+        .assemble(&src)
+        .expect("phase-B replica assembles");
+    let entry = prog.symbol("loop").expect("loop label");
+    (prog, entry)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Dense phase-A replica, kernels on vs off, across placements that
-    /// drive the native tier, the generic batch and the defer/trap
+    /// drive the native tier, the generic tier and the defer/trap
     /// paths, under every battery mode.
     #[test]
     fn dense_axpy_kernels_on_off_bit_identical(
@@ -340,7 +440,7 @@ proptest! {
     }
 
     /// A generic counted loop (audit-accepted, native-matcher-rejected):
-    /// the trace executor path, with scratch loads/stores and ALU mix.
+    /// the generic tier, with scratch loads/stores and ALU mix.
     #[test]
     fn generic_counted_loops_kernels_on_off_bit_identical(
         count in 1u32..200,
@@ -379,35 +479,103 @@ proptest! {
         }
     }
 
-    /// A loop whose body stores into its own span code every iteration.
-    /// Writing back the identical word keeps the fingerprint valid (the
-    /// span re-verifies Ready each entry); writing a different word makes
+    /// The custom-op loop: `nmldl`/`nmdec`/`nmpn` through a kernel batch
+    /// (the generic tier) with the `nmpn` store landing in scratch, in
+    /// SDRAM, misaligned (a trap the batch raises itself) and on the MMIO
+    /// spike log (a device write the batch defers). The first iteration
+    /// runs before the back-edge first reaches the span entry, so every
+    /// case loops at least twice.
+    #[test]
+    fn phase_b_custom_op_loops_kernels_on_off_bit_identical(
+        count in 2u32..100,
+        target in prop_oneof![
+            Just(NmpnTarget::Scratch),
+            Just(NmpnTarget::Sdram),
+            Just(NmpnTarget::Misaligned),
+            Just(NmpnTarget::SpikeLog),
+        ],
+        seed in any::<u64>(),
+    ) {
+        let (prog, entry) = phase_b_program(count, target);
+        let mut x = seed | 1;
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as u32
+        };
+        let kinds = [IzhParams::regular_spiking(), IzhParams::fast_spiking()];
+        let params: Vec<(u32, u32)> = (0..count)
+            .map(|_| kinds[next() as usize % 2].quantize().pack())
+            .collect();
+        let vu: Vec<u32> = (0..count).map(|_| next()).collect();
+        let isyn: Vec<u32> = (0..count).map(|_| (next() as i32 >> 6) as u32).collect();
+        let code_words = prog.segments.iter().map(|s| s.data.len() / 4).sum();
+        for mode in modes() {
+            let run = |kernels: bool| {
+                let mut sys = System::new(SystemConfig {
+                    n_cores: 1,
+                    sched: mode,
+                    kernels,
+                    ..Default::default()
+                });
+                assert!(sys.load_program(&prog));
+                let s = layout::SCRATCH_BASE;
+                let mem = &mut sys.shared_mut().mem;
+                for k in 0..count {
+                    let (p0, p1) = params[k as usize];
+                    mem.write_u32(s + 0x1000 + 8 * k, p0);
+                    mem.write_u32(s + 0x1004 + 8 * k, p1);
+                    mem.write_u32(s + 0x2000 + 4 * k, vu[k as usize]);
+                    mem.write_u32(s + 0x3000 + 4 * k, isyn[k as usize]);
+                }
+                let sh = sys.shared_mut();
+                assert!(
+                    register_kernel_span(&mut sh.code, &sh.mem, entry).is_ok(),
+                    "audit rejected the phase-B replica"
+                );
+                let res = sys.run(10_000_000).map(|_| ());
+                (sys, res)
+            };
+            let on = run(true);
+            let off = run(false);
+            assert_identical(&on, &off, code_words, &format!("phase B {target:?} {mode:?}"));
+            // Every relaxed run enters the batch tier, even the one that
+            // traps (the ops before the faulting `nmpn` retire in the
+            // batch).
+            let batched = on.0.core(0).kernel_instret > 0;
+            assert_eq!(batched, mode != SchedMode::Exact, "phase B {target:?} {mode:?}");
+        }
+    }
+
+    /// A loop whose body stores into its own span code every iteration,
+    /// at `patch_slot`: a word that already ran this iteration (slot 0,
+    /// the batch must end at the back-edge), the store's own word (slot
+    /// 1) or a word ahead of the store (slot 2, the batch must end right
+    /// after it). Writing back the identical word keeps the fingerprint
+    /// valid (the span re-verifies Ready each entry); writing a nop makes
     /// re-verification fail and hands the loop to the interpreter. Both
     /// must stay bit-identical with kernels off.
     #[test]
     fn self_modifying_stores_into_span_stay_identical(
         count in 2u32..60,
         same_word in any::<bool>(),
+        patch_slot in 0u32..3,
     ) {
-        // Patch target: the `addi x13, x13, 1` at slot 1 of the body.
-        let body_inc = addi(Reg(13), Reg(13), 1);
-        let patch = if same_word { body_inc } else { addi(Reg(0), Reg(0), 0) };
         let mut v = Vec::new();
         v.extend(li(T3, count));
         v.extend(li(Reg(11), 0)); // patched below once entry is known
-        v.extend(li(Reg(12), encode(patch)));
+        v.extend(li(Reg(12), 0)); // likewise, once the body is known
         let entry = 4 * v.len() as u32;
-        v[2] = li(Reg(11), entry + 4)[0];
-        v[3] = li(Reg(11), entry + 4)[1];
-        v.push(Inst::Store { op: StoreOp::Sw, rs1: Reg(11), rs2: Reg(12), imm: 0 });
-        v.push(body_inc);
-        v.push(addi(T3, T3, -1));
-        v.push(Inst::Branch {
-            op: BranchOp::Ne,
-            rs1: T3,
-            rs2: Reg(0),
-            imm: entry as i32 - 4 * v.len() as i32,
-        });
+        let body = [
+            addi(Reg(13), Reg(13), 1),
+            Inst::Store { op: StoreOp::Sw, rs1: Reg(11), rs2: Reg(12), imm: 0 },
+            addi(Reg(14), Reg(14), 1),
+            addi(T3, T3, -1),
+            Inst::Branch { op: BranchOp::Ne, rs1: T3, rs2: Reg(0), imm: -16 },
+        ];
+        let patch = if same_word { body[patch_slot as usize] } else { addi(Reg(0), Reg(0), 0) };
+        v[2..4].copy_from_slice(&li(Reg(11), entry + 4 * patch_slot));
+        v[4..6].copy_from_slice(&li(Reg(12), encode(patch)));
+        v.extend(body);
         v.push(Inst::Ebreak);
         for mode in modes() {
             let run = |kernels: bool| {
@@ -419,7 +587,12 @@ proptest! {
             };
             let on = run(true);
             let off = run(false);
-            assert_identical(&on, &off, v.len(), &format!("smc same_word={same_word} {mode:?}"));
+            assert_identical(
+                &on,
+                &off,
+                v.len(),
+                &format!("smc slot={patch_slot} same_word={same_word} {mode:?}"),
+            );
         }
     }
 }

@@ -509,10 +509,10 @@ fn cmd_scenario_run(args: &[String]) {
         eprintln!("--json only applies to --battery runs");
         exit(2);
     }
-    // Reject inconsistent parameter combinations up front (shards beyond
-    // cores, standard-map scenarios past their memory bounds, …) with a
-    // one-line error instead of a guest trap deep inside the engine.
-    if let Err(e) = sc.validate(&params) {
+    // Reject shapes the engine cannot build (shards beyond cores,
+    // standard-map scenarios past their memory bounds, …) up front with a
+    // one-line error instead of a guest trap or panic inside the engine.
+    if let Err(e) = sc.validate(&params, quick) {
         eprintln!("{name}: invalid parameters: {e}");
         exit(2);
     }
