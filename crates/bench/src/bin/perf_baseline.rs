@@ -1069,7 +1069,7 @@ fn check_throughput_gate(
     let report = izhi_bench::gate::check_throughput_gate(fresh, &text, floor);
     for e in &report.checked {
         println!(
-            "throughput gate vs {baseline_path}: cached/cold {:.3}x (floor {floor:.1}x, baseline {:.3}x informational)",
+            "throughput gate vs {baseline_path}: cached/cold {:.3}x (floor {floor:.2}x, baseline {:.3}x informational)",
             e.fresh, e.baseline
         );
     }

@@ -146,7 +146,7 @@ impl core::fmt::Display for GateFailure {
             }
             GateFailure::TemplateSpeedupBelowFloor { speedup, floor } => write!(
                 f,
-                "battery_throughput: cached/cold {speedup:.3}x BELOW the {floor:.1}x floor"
+                "battery_throughput: cached/cold {speedup:.3}x BELOW the {floor:.2}x floor"
             ),
             GateFailure::BelowAbsoluteFloor { name, fresh, floor } => write!(
                 f,
@@ -742,7 +742,15 @@ impl ThroughputSummary {
 /// deliver on the repeat-seed quick battery. A ratio of two arms timed
 /// on the same host in the same process, so — unlike absolute jobs/s —
 /// it is *not* a host-speed lottery and can be gated hard.
-pub const THROUGHPUT_FLOOR: f64 = 2.0;
+///
+/// The ratio was about 4× while a cold Sudoku build spent most of a
+/// second generating its puzzle; with exact bitmask uniqueness counting
+/// and row-parallel noise tables a cold quick build costs about as much
+/// as an instantiation, and the ratio measured 0.99-1.17× (14 runs on a
+/// 2-CPU host). The floor sits 24 % below that minimum: it no longer
+/// asks the cache for a speedup, only that instantiating never costs
+/// much more than building cold.
+pub const THROUGHPUT_FLOOR: f64 = 0.75;
 
 /// Whether a baseline file carries a `"battery_throughput"` section at
 /// all. Old baselines (schema <= v7) legitimately predate run templates;

@@ -45,7 +45,7 @@ use izhi_programs::sudoku_prog::SudokuWorkload;
 use izhi_sim::Metrics;
 use izhi_snn::analysis::{band_power, IsiHistogram};
 use izhi_snn::simulate::{F64Simulator, FixedSimulator};
-use izhi_snn::sudoku::{hard_corpus, SudokuGrid};
+use izhi_snn::sudoku::{hard_puzzle, SudokuGrid};
 
 /// Paired single/dual-core Sudoku results (Table VI rows).
 pub struct SudokuPair {
@@ -717,7 +717,7 @@ pub fn fig5() -> String {
 /// §VI-C ablation: per-timestep cost of NPU vs base-ISA fixed point vs
 /// soft-float, on the Sudoku-sized network.
 pub fn ablation_softfloat() -> String {
-    let puzzle = hard_corpus(1)[0];
+    let puzzle = hard_puzzle(0);
     let ticks = 60;
     let mut rows = Vec::new();
     for variant in [Variant::Npu, Variant::BaseFixed, Variant::SoftFloat] {

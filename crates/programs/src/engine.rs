@@ -269,35 +269,13 @@ impl GuestImage {
                 weights_q[pre * n + post as usize] = Q7_8::from_f64(w).raw();
             }
         }
-        let mut rng = XorShift32::new(seed);
-        let noise_rows = layout::noise_period(n, ticks);
-        let mut noise_q = Vec::with_capacity(noise_rows as usize * n);
-        for t in 0..noise_rows {
-            let gain = if schedule.is_empty() {
-                1.0
-            } else {
-                schedule[t as usize % schedule.len()]
-            };
-            for i in 0..n {
-                let v = bias[i] + gain * noise_std[i] * rng.next_gaussian();
-                noise_q.push(Q7_8::from_f64(v).raw());
-            }
-        }
-        let init_vu = net
-            .params
-            .iter()
-            .map(|p| {
-                let v = Q7_8::from_f64(p.c);
-                let u = Q7_8::from_f64(p.b * p.c);
-                izhi_fixed::qformat::pack_vu(v, u)
-            })
-            .collect();
+        let noise_rows = layout::noise_period(n, ticks) as usize;
         GuestImage {
             params,
             weights_q,
             csr: None,
-            noise_q,
-            init_vu,
+            noise_q: noise_table(bias, noise_std, schedule, noise_rows, seed),
+            init_vu: init_vu(net),
             n,
             ticks,
         }
@@ -334,24 +312,7 @@ impl GuestImage {
             }
             row_ptr.push(targets.len() as u32);
         }
-        let mut rng = XorShift32::new(seed);
-        let noise_rows = lay.noise_rows(n, ticks);
-        let mut noise_q = Vec::with_capacity(noise_rows as usize * n);
-        for _ in 0..noise_rows {
-            for i in 0..n {
-                let v = bias[i] + noise_std[i] * rng.next_gaussian();
-                noise_q.push(Q7_8::from_f64(v).raw());
-            }
-        }
-        let init_vu = net
-            .params
-            .iter()
-            .map(|p| {
-                let v = Q7_8::from_f64(p.c);
-                let u = Q7_8::from_f64(p.b * p.c);
-                izhi_fixed::qformat::pack_vu(v, u)
-            })
-            .collect();
+        let noise_rows = lay.noise_rows(n, ticks) as usize;
         GuestImage {
             params,
             weights_q: Vec::new(),
@@ -360,8 +321,8 @@ impl GuestImage {
                 targets,
                 weights_q,
             }),
-            noise_q,
-            init_vu,
+            noise_q: noise_table(bias, noise_std, &[], noise_rows, seed),
+            init_vu: init_vu(net),
             n,
             ticks,
         }
@@ -434,9 +395,12 @@ impl GuestImage {
 
     /// Build and load the per-core CSR spike-propagation tables: for every
     /// (owner core, presynaptic neuron) the row of `(target, weight)` pairs
-    /// whose targets the core owns. The rows come from [`GuestImage::csr`]
-    /// when present (large sparse images) and from a scan of the dense
-    /// matrix otherwise — byte-identical tables either way.
+    /// whose targets the core owns, core by core. The rows come from
+    /// [`GuestImage::csr`] when present (large sparse images) and from a
+    /// scan of the dense matrix otherwise — byte-identical tables either
+    /// way. Each core's edge count is known up front (a histogram of the
+    /// targets), so one pass over the rows writes every core's row
+    /// pointers and edge words in place.
     fn load_csr_tables(
         &self,
         mem: &mut MainMemory,
@@ -446,53 +410,86 @@ impl GuestImage {
     ) {
         let n = self.n;
         let chunk = cfg.chunk();
+        let f32_mirror = cfg.variant == Variant::SoftFloat;
         assert!(
-            self.csr.is_none() || cfg.variant != Variant::SoftFloat,
+            self.csr.is_none() || !f32_mirror,
             "CSR-native images carry no f32 edge mirror"
         );
-        let mut edge_idx: u32 = 0;
-        for core in 0..cfg.n_cores as usize {
-            let lo = (core * chunk).min(n);
-            let hi = ((core + 1) * chunk).min(n);
-            let rowptr_base = lay.rowptr + (core * (n + 1) * 4) as u32;
-            for pre in 0..n {
-                mem.write_u32(rowptr_base + 4 * pre as u32, edge_idx);
-                if let Some(csr) = &self.csr {
-                    let rlo = csr.row_ptr[pre] as usize;
-                    let row = &csr.targets[rlo..csr.row_ptr[pre + 1] as usize];
-                    let a = row.partition_point(|&t| (t as usize) < lo);
-                    let b = row.partition_point(|&t| (t as usize) < hi);
-                    for (&t, &w) in row[a..b].iter().zip(&csr.weights_q[rlo + a..rlo + b]) {
-                        let word = ((w as u16 as u32) << 16) | t;
-                        mem.write_u32(lay.edges + 4 * edge_idx, word);
-                        edge_idx += 1;
-                    }
-                } else {
-                    for post in lo..hi {
-                        let w = self.weights_q[pre * n + post];
-                        if w != 0 {
-                            let word = ((w as u16 as u32) << 16) | post as u32;
-                            mem.write_u32(lay.edges + 4 * edge_idx, word);
-                            if cfg.variant == Variant::SoftFloat {
-                                let f = (Q7_8::from_raw(w).to_f64() as f32).to_bits();
-                                mem.write_u32(lay.edges_f32 + 4 * edge_idx, f);
-                            }
-                            edge_idx += 1;
-                        }
-                    }
-                }
+        // Core c owns targets c·chunk.., and its edges follow every lower
+        // core's: the in-degree histogram summed per chunk gives each
+        // core's first edge slot.
+        let mut in_degree = vec![0u32; n];
+        self.for_each_row(|_, targets, _| {
+            for &t in targets {
+                in_degree[t as usize] += 1;
             }
-            mem.write_u32(rowptr_base + 4 * n as u32, edge_idx);
-        }
+        });
+        let mut owned = in_degree
+            .chunks(chunk.max(1))
+            .map(|c| c.iter().sum::<u32>());
+        let mut n_edges = 0;
+        let mut cursor: Vec<u32> = (0..cfg.n_cores)
+            .map(|_| {
+                let first = n_edges;
+                n_edges += owned.next().unwrap_or(0);
+                first
+            })
+            .collect();
         assert!(
-            lay.edges + 4 * edge_idx <= lay.edge_cap(cfg.system.sdram_size),
-            "sparse edge table overflow ({edge_idx} edges) — call EngineConfig::fit_memory"
+            lay.edges + 4 * n_edges <= lay.edge_cap(cfg.system.sdram_size),
+            "sparse edge table overflow ({n_edges} edges) — call EngineConfig::fit_memory"
         );
+        let sdram = mem.sdram_bytes_mut();
+        let row_ptrs = |sdram: &mut [u8], pre: usize, cursor: &[u32]| {
+            for (core, &at) in cursor.iter().enumerate() {
+                put_u32(sdram, lay.rowptr + 4 * (core * (n + 1) + pre) as u32, at);
+            }
+        };
+        self.for_each_row(|pre, targets, weights| {
+            row_ptrs(sdram, pre, &cursor);
+            for (&post, &w) in targets.iter().zip(weights) {
+                let core = post as usize / chunk;
+                let at = cursor[core];
+                put_u32(sdram, lay.edges + 4 * at, ((w as u16 as u32) << 16) | post);
+                if f32_mirror {
+                    let f = (Q7_8::from_raw(w).to_f64() as f32).to_bits();
+                    put_u32(sdram, lay.edges_f32 + 4 * at, f);
+                }
+                cursor[core] = at + 1;
+            }
+        });
+        row_ptrs(sdram, n, &cursor);
         // The row-pointer tables are contiguous across cores.
         patches.record(lay.rowptr, cfg.n_cores as usize * (n + 1) * 4);
-        patches.record(lay.edges, 4 * edge_idx as usize);
-        if cfg.variant == Variant::SoftFloat && self.csr.is_none() {
-            patches.record(lay.edges_f32, 4 * edge_idx as usize);
+        patches.record(lay.edges, 4 * n_edges as usize);
+        if f32_mirror {
+            patches.record(lay.edges_f32, 4 * n_edges as usize);
+        }
+    }
+
+    /// Call `f(pre, targets, weights)` for every presynaptic neuron in
+    /// order, with its nonzero edges in target order: the rows of
+    /// [`GuestImage::csr`] when present, else each dense row's nonzeros
+    /// (gathered into one reused row buffer).
+    fn for_each_row(&self, mut f: impl FnMut(usize, &[u32], &[i16])) {
+        if let Some(csr) = &self.csr {
+            for (pre, span) in csr.row_ptr.windows(2).enumerate() {
+                let (lo, hi) = (span[0] as usize, span[1] as usize);
+                f(pre, &csr.targets[lo..hi], &csr.weights_q[lo..hi]);
+            }
+        } else {
+            let (mut targets, mut weights) = (Vec::new(), Vec::new());
+            for (pre, row) in self.weights_q.chunks(self.n.max(1)).enumerate() {
+                targets.clear();
+                weights.clear();
+                for (post, &w) in row.iter().enumerate() {
+                    if w != 0 {
+                        targets.push(post as u32);
+                        weights.push(w);
+                    }
+                }
+                f(pre, &targets, &weights);
+            }
         }
     }
 
@@ -530,42 +527,112 @@ impl GuestImage {
         patches.record(layout::NOISE_F32, 4 * mirrored);
     }
 
-    /// The commutative weight hash of the image *as loaded*: the same
-    /// per-core edge-word multiset [`load_csr_tables`](Self::load_into_mem)
-    /// writes, hashed the way a plastic run hashes its final table. A
-    /// plastic run whose [`WorkloadResult::weight_hash`] still equals this
-    /// never updated a weight.
-    pub fn initial_weight_hash(&self, cfg: &EngineConfig) -> u64 {
-        let n = self.n;
-        let chunk = cfg.chunk();
+    /// The commutative weight hash of the image *as loaded*: the edge-word
+    /// multiset [`load_csr_tables`](Self::load_into_mem) writes (each edge
+    /// lands in exactly one core's table), hashed the way a plastic run
+    /// hashes its final table. A plastic run whose
+    /// [`WorkloadResult::weight_hash`] still equals this never updated a
+    /// weight.
+    pub fn initial_weight_hash(&self) -> u64 {
         let mut h: u64 = 0;
-        for core in 0..cfg.n_cores as usize {
-            let lo = (core * chunk).min(n);
-            let hi = ((core + 1) * chunk).min(n);
-            if let Some(csr) = &self.csr {
-                for pre in 0..n {
-                    let rlo = csr.row_ptr[pre] as usize;
-                    let row = &csr.targets[rlo..csr.row_ptr[pre + 1] as usize];
-                    let a = row.partition_point(|&t| (t as usize) < lo);
-                    let b = row.partition_point(|&t| (t as usize) < hi);
-                    for (&t, &w) in row[a..b].iter().zip(&csr.weights_q[rlo + a..rlo + b]) {
-                        h = h.wrapping_add(edge_word_fnv(((w as u16 as u32) << 16) | t));
-                    }
-                }
-            } else {
-                for pre in 0..n {
-                    for post in lo..hi {
-                        let w = self.weights_q[pre * n + post];
-                        if w != 0 {
-                            let word = ((w as u16 as u32) << 16) | post as u32;
-                            h = h.wrapping_add(edge_word_fnv(word));
-                        }
-                    }
-                }
+        self.for_each_row(|_, targets, weights| {
+            for (&t, &w) in targets.iter().zip(weights) {
+                h = h.wrapping_add(edge_word_fnv(((w as u16 as u32) << 16) | t));
             }
-        }
+        });
         h
     }
+}
+
+/// Store a little-endian word at SDRAM address `addr`.
+fn put_u32(sdram: &mut [u8], addr: u32, word: u32) {
+    let a = addr as usize;
+    sdram[a..a + 4].copy_from_slice(&word.to_le_bytes());
+}
+
+/// Initial VU words: every neuron at rest (`v = c`, `u = b·c`).
+fn init_vu(net: &Network) -> Vec<u32> {
+    net.params
+        .iter()
+        .map(|p| {
+            let v = Q7_8::from_f64(p.c);
+            let u = Q7_8::from_f64(p.b * p.c);
+            izhi_fixed::qformat::pack_vu(v, u)
+        })
+        .collect()
+}
+
+/// The fewest noise-table entries (about 3 ms of draws) worth a thread of
+/// their own: smaller tables use fewer threads, down to the calling one.
+const NOISE_MIN_PER_THREAD: usize = 1 << 16;
+
+/// The premixed thalamic drive `[row][neuron]`, Q7.8: row `t` holds
+/// `bias[i] + gain(t) · noise_std[i] · N(0, 1)`, the Gaussians drawn in
+/// row-major order from one xorshift stream seeded with `seed`, and
+/// `gain(t)` cycling through `schedule` (empty = constant 1). The rows
+/// are split over up to [`std::thread::available_parallelism`] threads of
+/// at least [`NOISE_MIN_PER_THREAD`] entries each; the table is the same
+/// at every thread count.
+fn noise_table(
+    bias: &[f64],
+    noise_std: &[f64],
+    schedule: &[f64],
+    rows: usize,
+    seed: u32,
+) -> Vec<i16> {
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let chunks = threads.min(rows * bias.len() / NOISE_MIN_PER_THREAD).max(1);
+    noise_table_chunked(bias, noise_std, schedule, rows, seed, chunks)
+}
+
+/// [`noise_table`] split into at most `chunks` runs of whole rows, each
+/// filled on its own scoped thread (the last on the calling one). Every
+/// Gaussian consumes exactly two raw draws, so one sequential pass of raw
+/// draws finds the generator state at each run's first row, and each
+/// thread writes its own disjoint slice of the table.
+fn noise_table_chunked(
+    bias: &[f64],
+    noise_std: &[f64],
+    schedule: &[f64],
+    rows: usize,
+    seed: u32,
+    chunks: usize,
+) -> Vec<i16> {
+    let n = bias.len();
+    assert_eq!(noise_std.len(), n);
+    let mut table = vec![0i16; rows * n];
+    if table.is_empty() {
+        return table;
+    }
+    let run = rows.div_ceil(chunks.max(1)) * n;
+    let fill = move |out: &mut [i16], first_row: usize, mut rng: XorShift32| {
+        for (k, row) in out.chunks_mut(n).enumerate() {
+            let gain = match schedule.len() {
+                0 => 1.0,
+                len => schedule[(first_row + k) % len],
+            };
+            for ((q, &b), &sd) in row.iter_mut().zip(bias).zip(noise_std) {
+                *q = Q7_8::from_f64(b + gain * sd * rng.next_gaussian()).raw();
+            }
+        }
+    };
+    let mut rng = XorShift32::new(seed);
+    std::thread::scope(|s| {
+        let mut rest = table.as_mut_slice();
+        let mut first_row = 0;
+        while rest.len() > run {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(run);
+            let start = rng;
+            for _ in 0..2 * head.len() {
+                rng.next_u32();
+            }
+            s.spawn(move || fill(head, first_row, start));
+            rest = tail;
+            first_row += run / n;
+        }
+        fill(rest, first_row, rng);
+    });
+    table
 }
 
 /// Result of running a workload on the simulator.
@@ -1719,6 +1786,37 @@ mod tests {
         Network::from_edges(params, edges)
     }
 
+    #[test]
+    fn noise_table_is_the_same_at_every_chunk_count() {
+        let n = 37;
+        // Prime, so no chunk count below divides it, and a schedule whose
+        // period does not line up with any chunk boundary.
+        let rows = 43;
+        let bias: Vec<f64> = (0..n).map(|i| i as f64 * 0.25 - 3.0).collect();
+        let noise_std: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let schedule = [1.3, 1.1, 0.9, 0.7, 0.4];
+        for sched in [&schedule[..], &[]] {
+            // The sequential row-major draw loop.
+            let mut rng = XorShift32::new(77);
+            let mut want = Vec::new();
+            for t in 0..rows {
+                let gain = if sched.is_empty() {
+                    1.0
+                } else {
+                    sched[t % sched.len()]
+                };
+                for i in 0..n {
+                    let v = bias[i] + gain * noise_std[i] * rng.next_gaussian();
+                    want.push(Q7_8::from_f64(v).raw());
+                }
+            }
+            for chunks in [1, 2, 3, 7] {
+                let got = noise_table_chunked(&bias, &noise_std, sched, rows, 77, chunks);
+                assert_eq!(got, want, "{chunks} chunks, schedule {sched:?}");
+            }
+        }
+    }
+
     fn run_tiny(variant: Variant, n_cores: u32, ticks: u32) -> WorkloadResult {
         let net = tiny_net(20);
         let bias = vec![6.0; 20];
@@ -1999,10 +2097,7 @@ mod tests {
         let lay = cfg.layout();
         let dense = GuestImage::from_network(&net, &bias, &noise, 100, 7);
         let native = GuestImage::from_network_csr(&net, &bias, &noise, 100, 7, &lay);
-        assert_eq!(
-            dense.initial_weight_hash(&cfg),
-            native.initial_weight_hash(&cfg)
-        );
+        assert_eq!(dense.initial_weight_hash(), native.initial_weight_hash());
         let a = run_workload(&cfg, &dense, 2_000_000_000).unwrap();
         let b = run_workload(&cfg, &native, 2_000_000_000).unwrap();
         assert_eq!(a.raster.spikes, b.raster.spikes);
@@ -2019,7 +2114,7 @@ mod tests {
             let mut cfg = EngineConfig::new(60, 200, cores, Variant::Npu);
             cfg.sparse = true;
             cfg.plastic = true;
-            let initial = image.initial_weight_hash(&cfg);
+            let initial = image.initial_weight_hash();
             let res = run_workload(&cfg, &image, 4_000_000_000).unwrap();
             assert!(!res.raster.spikes.is_empty());
             let hash = res.weight_hash.expect("plastic run must report weights");

@@ -173,7 +173,7 @@ impl Net8020Workload {
             seed,
             true,
         );
-        wl.initial_weight_hash = Some(wl.image.initial_weight_hash(&wl.cfg));
+        wl.initial_weight_hash = Some(wl.image.initial_weight_hash());
         wl
     }
 

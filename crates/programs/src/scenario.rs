@@ -24,7 +24,7 @@
 use std::any::Any;
 
 use izhi_sim::SimError;
-use izhi_snn::sudoku::{hard_corpus, SudokuGrid};
+use izhi_snn::sudoku::{hard_puzzle, SudokuGrid};
 
 use crate::engine::{run_workload, EngineConfig, GuestImage, Variant, WorkloadResult};
 use crate::net8020::Net8020Workload;
@@ -936,7 +936,7 @@ fn sudoku_instance(
     n_cores: u32,
     seed: u32,
 ) -> SudokuWorkload {
-    let mut puzzle = hard_corpus(5)[puzzle_idx % 5];
+    let mut puzzle = hard_puzzle(puzzle_idx % 5);
     if ease {
         puzzle = eased(puzzle);
     }

@@ -89,13 +89,20 @@ impl Net8020 {
         let mut weights = Vec::with_capacity(keep * n);
         row_ptr.push(0u32);
         let mut row = Vec::with_capacity(keep);
+        // Membership of the current row's targets, cleared through the
+        // row's own entries so each row costs O(keep), not O(n).
+        let mut in_row = vec![false; n];
         for pre in 0..n {
             // Rejection-sample `keep` distinct targets; deterministic in
             // the seed, and cheap for the sparse densities this is for.
+            for &t in &row {
+                in_row[t as usize] = false;
+            }
             row.clear();
             while row.len() < keep {
                 let t = (rng.next_f64() * n as f64) as u32 % n as u32;
-                if !row.contains(&t) {
+                if !in_row[t as usize] {
+                    in_row[t as usize] = true;
                     row.push(t);
                 }
             }

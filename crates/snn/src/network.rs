@@ -47,16 +47,27 @@ impl Network {
     pub fn from_dense(params: Vec<IzhParams>, w: &[f64]) -> Self {
         let n = params.len();
         assert_eq!(w.len(), n * n);
-        let mut edges = Vec::with_capacity(w.len());
-        for pre in 0..n {
-            for post in 0..n {
-                let wv = w[pre * n + post];
+        let nonzero = w.iter().filter(|&&wv| wv != 0.0).count();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(nonzero);
+        let mut weights = Vec::with_capacity(nonzero);
+        row_ptr.push(0u32);
+        // Row-major order is already the (pre, post) order CSR wants.
+        for row in w.chunks(n.max(1)) {
+            for (post, &wv) in row.iter().enumerate() {
                 if wv != 0.0 {
-                    edges.push((pre as u32, post as u32, wv));
+                    targets.push(post as u32);
+                    weights.push(wv);
                 }
             }
+            row_ptr.push(targets.len() as u32);
         }
-        Network::from_edges(params, edges)
+        Network {
+            params,
+            row_ptr,
+            targets,
+            weights,
+        }
     }
 
     /// Number of neurons.

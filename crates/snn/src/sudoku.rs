@@ -139,36 +139,23 @@ impl SudokuGrid {
         false
     }
 
-    /// Count solutions up to `limit` (for uniqueness checks).
+    /// Count solutions up to `limit` (for uniqueness checks): returns
+    /// `min(solutions, limit)`, and 0 for an inconsistent grid.
     pub fn count_solutions(&self, limit: usize) -> usize {
-        let mut g = *self;
-        if !g.is_consistent() {
-            return 0;
-        }
-        let mut count = 0;
-        g.count_inner(limit, &mut count);
-        count
-    }
-
-    fn count_inner(&mut self, limit: usize, count: &mut usize) {
-        if *count >= limit {
-            return;
-        }
-        let Some(i) = (0..81).find(|&i| self.0[i] == 0) else {
-            *count += 1;
-            return;
-        };
-        let (r, c) = (i / 9, i % 9);
-        for d in 1..=9 {
-            if self.placement_ok(r, c, d) {
-                self.0[i] = d;
-                self.count_inner(limit, count);
-                self.0[i] = 0;
-                if *count >= limit {
-                    return;
-                }
+        let mut masks = DigitMasks::default();
+        let mut empty = [0u8; 81];
+        let mut n_empty = 0;
+        for (i, &d) in self.0.iter().enumerate() {
+            if d == 0 {
+                empty[n_empty] = i as u8;
+                n_empty += 1;
+            } else if !masks.place(i, 1 << (d - 1)) {
+                return 0;
             }
         }
+        let mut count = 0;
+        masks.count(&mut empty[..n_empty], limit, &mut count);
+        count
     }
 
     /// A canonical valid complete grid (the shift pattern).
@@ -239,6 +226,87 @@ impl SudokuGrid {
     }
 }
 
+/// The digits used in each row, column and box of a partial grid, one bit
+/// per digit (bit `d - 1`).
+#[derive(Default)]
+struct DigitMasks {
+    rows: [u16; 9],
+    cols: [u16; 9],
+    boxes: [u16; 9],
+}
+
+impl DigitMasks {
+    /// Row, column and box of cell `i`.
+    #[inline]
+    fn units(i: usize) -> (usize, usize, usize) {
+        let (r, c) = (i / 9, i % 9);
+        (r, c, r / 3 * 3 + c / 3)
+    }
+
+    /// Digits still allowed at cell `i`.
+    #[inline]
+    fn candidates(&self, i: usize) -> u16 {
+        let (r, c, b) = Self::units(i);
+        !(self.rows[r] | self.cols[c] | self.boxes[b]) & 0x1FF
+    }
+
+    /// Place the digit with mask `bit` at cell `i`; false if its row,
+    /// column or box already holds it.
+    fn place(&mut self, i: usize, bit: u16) -> bool {
+        let (r, c, b) = Self::units(i);
+        if (self.rows[r] | self.cols[c] | self.boxes[b]) & bit != 0 {
+            return false;
+        }
+        self.toggle(i, bit);
+        true
+    }
+
+    #[inline]
+    fn toggle(&mut self, i: usize, bit: u16) {
+        let (r, c, b) = Self::units(i);
+        self.rows[r] ^= bit;
+        self.cols[c] ^= bit;
+        self.boxes[b] ^= bit;
+    }
+
+    /// Add the completions of the cells in `empty` to `count`, stopping
+    /// at `limit`. Branches on the cell with the fewest candidates; the
+    /// solution set, and so the capped count, does not depend on that
+    /// order.
+    fn count(&mut self, empty: &mut [u8], limit: usize, count: &mut usize) {
+        if *count >= limit {
+            return;
+        }
+        let Some(last) = empty.len().checked_sub(1) else {
+            *count += 1;
+            return;
+        };
+        let (mut best, mut best_cands) = (0, 0u16);
+        let mut best_n = u32::MAX;
+        for (k, &i) in empty.iter().enumerate() {
+            let cands = self.candidates(i as usize);
+            let n = cands.count_ones();
+            if n < best_n {
+                (best, best_cands, best_n) = (k, cands, n);
+                if n <= 1 {
+                    break;
+                }
+            }
+        }
+        empty.swap(best, last);
+        let cell = empty[last] as usize;
+        let rest = &mut empty[..last];
+        let mut cands = best_cands;
+        while cands != 0 && *count < limit {
+            let bit = cands & cands.wrapping_neg();
+            cands ^= bit;
+            self.toggle(cell, bit);
+            self.count(rest, limit, count);
+            self.toggle(cell, bit);
+        }
+    }
+}
+
 impl core::fmt::Display for SudokuGrid {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         for r in 0..9 {
@@ -262,9 +330,12 @@ impl core::fmt::Display for SudokuGrid {
 /// stand-in for the magictour Top-100 list, which is not redistributable
 /// here; see DESIGN.md).
 pub fn hard_corpus(n: usize) -> Vec<SudokuGrid> {
-    (0..n)
-        .map(|i| SudokuGrid::generate(1000 + i as u32, 24))
-        .collect()
+    (0..n).map(hard_puzzle).collect()
+}
+
+/// Puzzle `i` of [`hard_corpus`], generated alone.
+pub fn hard_puzzle(i: usize) -> SudokuGrid {
+    SudokuGrid::generate(1000 + i as u32, 24)
 }
 
 /// The 729-neuron Winner-Takes-All Sudoku network.
@@ -531,6 +602,7 @@ pub fn solve_wta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parse_and_display_roundtrip() {
@@ -604,6 +676,132 @@ mod tests {
         let b = hard_corpus(3);
         assert_eq!(a, b);
         assert!(a.iter().all(|p| p.count_solutions(2) == 1));
+    }
+
+    /// `hard_corpus(10)` as generated with the first-empty-cell counter
+    /// ([`count_solutions_reference`]): a faster counter must dig exactly
+    /// the same puzzles.
+    const HARD_CORPUS_10: [&str; 10] = [
+        "...58.71.6...17........3.6.4.....8..2.3...5.7.5..........1.......4..2.7.3.8.7.24.",
+        ".5..789.........1.6.....3.....4......7.81....9.6..34..1..78....2......35.4..2.6..",
+        "6...5.........841..83..19...9.7......3.8..2....53....7..9.468........1.6..4...3..",
+        "..21.4..3....9......4..8.6....4..62.....62.151..8...4..3.6..8..2.........9..7....",
+        ".7.9.1..3.....5..2.....3618...1.....6....8..9..5...7.61....4...46..8......8....2.",
+        "3.........5.4..1....7.8.9.....81..9..35........2.9....271..93.6...1...7...6..8..9",
+        ".72..9.6..3816.27.6..........6.9...3........52...3.91..5.7.....72.......1..9..3..",
+        "...1.69.3.8.....7.2.9....1.8...2.15..2.......4..56.....9.3.4....1..79...7......9.",
+        "8.7...5..1.6...4...9.72.....513..8.6.....6....4...8..5...9.........1.2947..5....8",
+        "..4...75.5...9.2..37...2......9.6....5.....38..15....9..9.3..6..6.41.8...........",
+    ];
+
+    #[test]
+    fn hard_corpus_matches_pinned_puzzles() {
+        let corpus = hard_corpus(10);
+        for (i, (got, want)) in corpus.iter().zip(HARD_CORPUS_10).enumerate() {
+            assert_eq!(*got, SudokuGrid::parse(want).unwrap(), "puzzle {i}");
+            assert_eq!(hard_puzzle(i), *got, "puzzle {i} alone");
+        }
+    }
+
+    /// The first-empty-cell counter `count_solutions` replaced, kept as
+    /// the reference for the bitmask counter.
+    fn count_solutions_reference(grid: &SudokuGrid, limit: usize) -> usize {
+        fn count(g: &mut SudokuGrid, limit: usize, found: &mut usize) {
+            if *found >= limit {
+                return;
+            }
+            let Some(i) = (0..81).find(|&i| g.0[i] == 0) else {
+                *found += 1;
+                return;
+            };
+            let (r, c) = (i / 9, i % 9);
+            for d in 1..=9 {
+                if g.placement_ok(r, c, d) {
+                    g.0[i] = d;
+                    count(g, limit, found);
+                    g.0[i] = 0;
+                    if *found >= limit {
+                        return;
+                    }
+                }
+            }
+        }
+        if !grid.is_consistent() {
+            return 0;
+        }
+        let mut g = *grid;
+        let mut found = 0;
+        count(&mut g, limit, &mut found);
+        found
+    }
+
+    /// A consistent partial grid: `keep` cells of a random solution, then
+    /// up to `rivals` blanks refilled with another digit their row, column
+    /// and box still allow (often leaving no solution at all).
+    fn partial_grid(seed: u32, keep: usize, rivals: usize) -> SudokuGrid {
+        let sol = SudokuGrid::random_solution(seed);
+        let mut rng = XorShift32::new(seed ^ 0x5EED_0001);
+        let mut order: Vec<usize> = (0..81).collect();
+        for k in (1..81).rev() {
+            order.swap(k, rng.next_u32() as usize % (k + 1));
+        }
+        let mut g = sol;
+        for &i in &order[keep..] {
+            g.0[i] = 0;
+        }
+        for &i in order[keep..].iter().take(rivals) {
+            let (r, c) = (i / 9, i % 9);
+            let d = (1..=9)
+                .map(|k| (sol.0[i] + k) % 9 + 1)
+                .find(|&d| d != sol.0[i] && g.placement_ok(r, c, d));
+            if let Some(d) = d {
+                g.0[i] = d;
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn count_solutions_edge_cases() {
+        let full = SudokuGrid::canonical_solution();
+        assert_eq!(full.count_solutions(2), 1);
+        assert_eq!(full.count_solutions(0), 0);
+        assert_eq!(SudokuGrid([0; 81]).count_solutions(3), 3);
+        let mut clash = SudokuGrid([0; 81]);
+        clash.set(4, 0, 7);
+        clash.set(4, 8, 7);
+        assert_eq!(clash.count_solutions(2), 0);
+        let mut boxed = SudokuGrid([0; 81]);
+        boxed.set(0, 0, 3);
+        boxed.set(2, 2, 3);
+        assert_eq!(boxed.count_solutions(2), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The bitmask counter agrees with the reference on random
+        /// consistent partial grids, solvable or not, at every small limit.
+        #[test]
+        fn count_solutions_matches_reference(
+            seed in 1u32..1_000_000,
+            keep in 0usize..82,
+            rivals in 0usize..4,
+            limit in 1usize..4,
+        ) {
+            // Rivals only on well-filled grids: the reference needs far
+            // too long to refute a sparse unsolvable grid.
+            let rivals = if keep >= 30 { rivals } else { 0 };
+            let g = partial_grid(seed, keep, rivals);
+            prop_assert!(g.is_consistent());
+            prop_assert_eq!(
+                g.count_solutions(limit),
+                count_solutions_reference(&g, limit),
+                "grid {:?}, limit {}",
+                g.0,
+                limit
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! solved (the reproduction's stand-in for the magictour Top-100 set).
 
 use izhirisc::programs::sudoku_prog::SudokuWorkload;
-use izhirisc::snn::sudoku::{hard_corpus, SudokuGrid};
+use izhirisc::snn::sudoku::{hard_puzzle, SudokuGrid};
 
 fn main() {
     let arg = std::env::args().nth(1);
@@ -18,7 +18,7 @@ fn main() {
         Some(s) => SudokuGrid::parse(&s).expect("puzzle must be 81 chars of 1-9/./0"),
         None => {
             // A moderately hard instance so the demo converges quickly.
-            let mut p = hard_corpus(1)[0];
+            let mut p = hard_puzzle(0);
             // Re-add a few givens from the classical solution for speed.
             let sol = p.solve().unwrap();
             for i in (0..81).step_by(3) {
