@@ -1,7 +1,7 @@
 //! Workload-level raster identity for the host-parallel relaxed
 //! scheduler — the acceptance gate of the `RelaxedParallel` feature:
-//! on the 80-20, sweep and Sudoku scenarios (built through the scenario
-//! registry), `RelaxedParallel {quantum}` must produce **bit-identical
+//! on the 80-20, sweep, sharded and Sudoku scenarios (built through the
+//! scenario registry), `RelaxedParallel {quantum}` must produce **bit-identical
 //! spike logs, cycles and instret** to `Relaxed {quantum}` at every
 //! tested host-thread count, and therefore the same spike raster *as a
 //! set* as the exact scheduler.
@@ -10,9 +10,9 @@
 //! forced so `host_threads: 0` rows exercise the threaded path even on
 //! single-CPU runners).
 
-use izhi_programs::engine::WorkloadResult;
+use izhi_programs::engine::{self, WorkloadResult};
 use izhi_programs::scenario::{self, ScenarioParams};
-use izhi_sim::{SchedMode, TimingModel};
+use izhi_sim::{SchedMode, System, TimingModel};
 use izhi_snn::analysis::SpikeRaster;
 
 fn sorted(raster: &SpikeRaster) -> Vec<(u32, u32)> {
@@ -113,4 +113,57 @@ fn sudoku_parallel_raster_identity() {
             .with_seed(100),
         &[SchedMode::DEFAULT_QUANTUM],
     );
+}
+
+#[test]
+fn sharded_parallel_raster_identity() {
+    // The benchmark's host-parallel job class at quick scale: 16 guest
+    // cores, one barrier per tick, so the completing arrival's release
+    // runs in mid-round waves.
+    let quick = scenario::find("net8020_sharded")
+        .expect("registered scenario")
+        .quick;
+    scenario_contract(
+        "net8020_sharded",
+        quick,
+        &[7, 64, 1000, SchedMode::DEFAULT_QUANTUM],
+    );
+}
+
+#[test]
+fn sharded_parallel_retires_in_waves() {
+    // Everything but the deferred barrier arrivals must run in waves.
+    // The split is a function of the schedule alone, so it is the same
+    // at every host-thread count.
+    let sc = scenario::find("net8020_sharded").expect("registered scenario");
+    let mut wl = sc.build(&sc.quick);
+    let mut splits = Vec::new();
+    for host_threads in [1u32, 2] {
+        wl.cfg_mut().system.sched = SchedMode::RelaxedParallel {
+            quantum: SchedMode::DEFAULT_QUANTUM,
+            host_threads,
+            timing: TimingModel::Unit,
+        };
+        let cfg = wl.cfg();
+        let prep = engine::prepare_run(cfg, wl.image());
+        let mut system = cfg.system.clone();
+        system.n_cores = cfg.n_cores;
+        let mut sys = System::from_snapshot(system, prep.mem, prep.code, prep.entry);
+        let res = engine::run_prepared_system(&mut sys, cfg, wl.max_cycles()).expect("run");
+        let par = sys.parallel_stats();
+        assert_eq!(par.wave_instret + par.commit_instret, res.instret);
+        // One arrival per core at the start-up barrier and at each tick.
+        assert_eq!(
+            par.commit_instret,
+            u64::from(cfg.n_cores) * (u64::from(cfg.ticks) + 1)
+        );
+        assert!(
+            par.wave_instret * 100 >= res.instret * 95,
+            "ht={host_threads}: {} of {} retired in waves",
+            par.wave_instret,
+            res.instret
+        );
+        splits.push(par);
+    }
+    assert_eq!(splits[0], splits[1]);
 }

@@ -10,11 +10,14 @@
 //! * [`Variant::SoftFloat`] — IEEE-754 single precision through the
 //!   [`crate::softfloat`] library (the §VI-C baseline).
 //!
-//! Every tick has two phases separated by a hardware barrier:
-//! phase A scatters the previous tick's spikes into the synaptic-current
-//! array (row-major weight walk), phase B updates each neuron in the
-//! core's range, appends spikes to a per-core list and logs them to the
-//! MMIO spike FIFO. Work is partitioned across cores in contiguous chunks.
+//! Every tick has two phases: phase A scatters the previous tick's spikes
+//! into the synaptic-current array (row-major weight walk), phase B
+//! updates each neuron in the core's range, appends spikes to a per-core
+//! list (double-buffered by tick parity) and logs them to the MMIO spike
+//! FIFO. A hardware barrier separates the ticks: the coupled engine
+//! synchronises once at start-up and once per tick, the uncoupled sweep
+//! engine only at start-up. Work is partitioned across cores in
+//! contiguous chunks.
 
 use izhi_core::dcu::SHIFT_TABLES;
 use izhi_core::params::FixedIzhParams;
@@ -1667,9 +1670,10 @@ pub fn prepare_run(cfg: &EngineConfig, image: &GuestImage) -> PreparedRun {
 }
 
 /// `IZHI_PROFILE=1` report: the per-op-class retired-instruction
-/// histogram (summed across cores) plus the share of retirement that ran
-/// inside kernel-span batches. Printed to stderr so battery JSON on
-/// stdout stays machine-parseable.
+/// histogram (summed across cores), the share of retirement that ran
+/// inside kernel-span batches and, for host-parallel runs, where the
+/// scheduler retired it. Printed to stderr so battery JSON on stdout
+/// stays machine-parseable.
 fn print_profile_report(sys: &System, cfg: &EngineConfig, instret: u64, classes: &[u64; 8]) {
     let mut kernel = 0u64;
     for i in 0..cfg.n_cores as usize {
@@ -1693,6 +1697,17 @@ fn print_profile_report(sys: &System, cfg: &EngineConfig, instret: u64, classes:
         "  kernel-span coverage: {kernel} of {instret} retired ({:.1}%)",
         100.0 * kernel as f64 / instret.max(1) as f64
     );
+    let par = sys.parallel_stats();
+    if par.rounds > 0 {
+        eprintln!(
+            "  host-parallel: {} rounds, {} waves; {} of {instret} retired in waves ({:.1}%), {} in the commit pass",
+            par.rounds,
+            par.waves,
+            par.wave_instret,
+            100.0 * par.wave_instret as f64 / instret.max(1) as f64,
+            par.commit_instret
+        );
+    }
 }
 
 /// Run a fully prepared system and collect the workload result — the
@@ -2019,12 +2034,13 @@ mod tests {
 
     #[test]
     fn relaxed_parallel_matches_relaxed_on_coupled_engine() {
-        // The coupled engine barriers twice per tick, so under
+        // The coupled engine barriers once per tick, so under
         // host-parallel scheduling nearly every quantum defers at a
-        // barrier arrival and finishes in the sequential commit phase —
-        // the worst case for the parallel scheduler, which must still be
-        // bit-identical to the sequential relaxed schedule (spike-log
-        // order, relaxed clock, instret), on even and odd core splits.
+        // barrier arrival, and the cores the completing arrival releases
+        // run in a later wave of the same round. The parallel scheduler
+        // must still be bit-identical to the sequential relaxed schedule
+        // (spike-log order, relaxed clock, instret), on even and odd core
+        // splits.
         use izhi_sim::{SchedMode, TimingModel};
         let net = tiny_net(20);
         let bias = vec![6.0; 20];

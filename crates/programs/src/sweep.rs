@@ -1,6 +1,6 @@
 //! Barrier-light multi-population 80-20 sweep workload.
 //!
-//! The coupled 80-20 workload synchronises its cores twice per tick, which
+//! The coupled 80-20 workload synchronises its cores once per tick, which
 //! is exactly the regime where cycle-exact multi-core interleaving is
 //! expensive to simulate. Parameter sweeps have the opposite shape: each
 //! core runs an *independent* 80-20 population (here: the same geometry
@@ -248,23 +248,37 @@ mod tests {
         assert_eq!(sorted(&one), sorted(&two));
     }
 
-    #[test]
-    fn uncoupled_engine_barriers_once() {
-        // Only the start-up barrier remains: generation 1 after the run.
-        let wl = Net8020SweepWorkload::sized(40, 10, 50, 2, 3);
-        let mut sys_cfg = wl.cfg.system.clone();
-        sys_cfg.n_cores = 2;
+    /// Barrier generation after running `cfg` on the sweep image.
+    fn final_generation(wl: &Net8020SweepWorkload, cfg: &EngineConfig) -> u32 {
+        let mut sys_cfg = cfg.system.clone();
+        sys_cfg.n_cores = cfg.n_cores;
         let prog = izhi_isa::Assembler::new()
             .assemble(&format!(
                 ".equ DECAY_F32, {:#x}\n{}",
-                ((1.0 - 0.5 / wl.cfg.tau as f64) as f32).to_bits(),
-                crate::engine::build_asm(&wl.cfg)
+                ((1.0 - 0.5 / cfg.tau as f64) as f32).to_bits(),
+                crate::engine::build_asm(cfg)
             ))
             .unwrap();
         let mut sys = izhi_sim::System::new(sys_cfg);
         assert!(sys.load_program(&prog));
-        wl.image.load_into(&mut sys, &wl.cfg);
+        wl.image.load_into(&mut sys, cfg);
         sys.run(8_000_000_000).unwrap();
-        assert_eq!(sys.shared().dev.barrier_generation(), 1);
+        sys.shared().dev.barrier_generation()
+    }
+
+    #[test]
+    fn uncoupled_engine_barriers_once() {
+        // Only the start-up barrier remains: generation 1 after the run.
+        let wl = Net8020SweepWorkload::sized(40, 10, 50, 2, 3);
+        assert_eq!(final_generation(&wl, &wl.cfg), 1);
+    }
+
+    #[test]
+    fn coupled_engine_barriers_once_per_tick() {
+        // The start-up barrier plus one per tick (`skeleton_tail`).
+        let wl = Net8020SweepWorkload::sized(40, 10, 50, 2, 3);
+        let mut cfg = wl.cfg.clone();
+        cfg.coupled = true;
+        assert_eq!(final_generation(&wl, &cfg), cfg.ticks + 1);
     }
 }

@@ -156,9 +156,9 @@ pub(crate) trait ExecCtx {
     fn kernel_set_state(&mut self, idx: u8, state: SpanState);
     /// Whether the core must stop with [`RunStop::SharedOp`] *before* the
     /// op at `pc` (with register file `regs`) executes. Only the
-    /// host-parallel scheduler's worker phase answers yes — for an op that
-    /// targets a shared-interactive MMIO register, which the sequential
-    /// commit phase must replay against the real devices. Every other
+    /// host-parallel scheduler's segments answer yes — for an op that
+    /// targets a shared-interactive MMIO register, which its sequential
+    /// commit pass must execute against the real devices. Every other
     /// context keeps this default, and the check compiles out of its loop.
     #[inline(always)]
     fn defers_shared_op(&mut self, _regs: &[u32; 32], _pc: u32) -> bool {
@@ -242,10 +242,10 @@ pub(crate) enum RunStop {
     /// only): it must be descheduled until the barrier releases.
     Parked,
     /// The next instruction targets a shared-interactive MMIO register
-    /// (mutex / barrier / RNG). Only produced under a context whose
-    /// [`ExecCtx::defers_shared_op`] hook asks for it (the host-parallel
-    /// scheduler's worker phase), and it stops the core *before* the
-    /// access executes, so the sequential commit phase can replay it
+    /// (mutex / barrier arrival / RNG / stimulus). Only produced under a
+    /// context whose [`ExecCtx::defers_shared_op`] hook asks for it (the
+    /// host-parallel scheduler's segments), and it stops the core *before*
+    /// the access executes, so the sequential commit pass can execute it
     /// against the real devices.
     SharedOp,
 }
@@ -787,7 +787,7 @@ impl Core {
                     RunStop::Budget
                 });
             }
-            // Host-parallel workers stop before an op that touches a
+            // Host-parallel segments stop before an op that touches a
             // shared-interactive device (compiled out everywhere else).
             // The check precedes both batch tiers: a batch's first op is
             // the checked one, and both tiers defer before any interior

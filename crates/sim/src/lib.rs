@@ -39,7 +39,7 @@
 //! unchanged for guests that synchronise through the barrier/mutex
 //! devices. The
 //! host-parallel variant ([`SchedMode::RelaxedParallel`], [`parallel`])
-//! runs those quanta on host worker threads against a sharded memory view
+//! runs those quanta in waves on host threads against a sharded memory view
 //! while staying bit-identical to the single-threaded relaxed schedule at
 //! every host-thread count.
 //!
@@ -84,6 +84,6 @@ pub use cpu::{Core, TrapCause};
 pub use kernel::{register_kernel_span, KernelReject, KernelSpan, SpanState};
 pub use mem::{layout, MainMemory};
 pub use mmio::{FaultKind, FaultPlan, FaultSpec, SharedDevices, StimEvent, StimPlan};
-pub use parallel::resolve_host_threads;
+pub use parallel::{resolve_host_threads, ParallelStats};
 pub use predecode::{CodeMem, CodeTable, PreInst, SlotState};
 pub use system::{RunExit, SchedMode, SimError, System, SystemConfig, TimingModel};

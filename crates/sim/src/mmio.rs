@@ -147,19 +147,23 @@ pub enum MmioEffect {
 
 /// `true` when an MMIO access at `offset` is **shared-interactive**: its
 /// result or effect depends on other cores' device traffic (mutex
-/// try-acquire/release, barrier generation reads and arrivals, the one
-/// shared RNG stream). The host-parallel scheduler must execute these in
-/// hart order against the real device block; everything else is either
-/// pure per-core (core id, core count, own cycle counter, halt, ROI) or
-/// append-only (console, spike log, progress) and safe to answer/buffer
-/// core-locally. Keep this in sync with [`SharedDevices::read`]/
+/// try-acquire/release, barrier arrivals, the one shared RNG stream) or
+/// on device-side state only the real block holds (the stimulus port).
+/// The host-parallel scheduler must execute these in hart order against
+/// the real device block; everything else is either pure per-core (core
+/// id, core count, own cycle counter, halt, ROI), append-only (console,
+/// spike log, progress) or a barrier-generation read, and safe to
+/// answer/buffer core-locally. A generation read is answered with the
+/// generation current when the reading core's segment was posted: under
+/// relaxed scheduling no round completes before every core has arrived
+/// in it, so a core that has not arrived yet always reads that value (see
+/// [`crate::parallel`]). Keep this in sync with [`SharedDevices::read`]/
 /// [`SharedDevices::write`] when adding registers.
 #[inline]
 pub(crate) fn is_interactive(offset: u32, write: bool) -> bool {
-    matches!(
-        offset,
-        layout::MMIO_MUTEX | layout::MMIO_BARRIER | layout::MMIO_STIM
-    ) || (!write && offset == layout::MMIO_RAND)
+    matches!(offset, layout::MMIO_MUTEX | layout::MMIO_STIM)
+        || (write && offset == layout::MMIO_BARRIER)
+        || (!write && offset == layout::MMIO_RAND)
 }
 
 /// Shared device state.
@@ -410,7 +414,7 @@ mod tests {
         // Reads whose value depends on other cores' traffic, plus the
         // stimulus port (stateful on the real device block only — the
         // buffered per-core shim cannot answer it):
-        for off in [MMIO_MUTEX, MMIO_BARRIER, MMIO_RAND, MMIO_STIM] {
+        for off in [MMIO_MUTEX, MMIO_RAND, MMIO_STIM] {
             assert!(is_interactive(off, false), "read {off:#x}");
         }
         // Writes with cross-core effects or device-side state:
@@ -430,7 +434,15 @@ mod tests {
         ] {
             assert!(!is_interactive(off, true), "write {off:#x}");
         }
-        for off in [MMIO_CONSOLE, MMIO_COREID, MMIO_NCORES, MMIO_CYCLE] {
+        // A barrier-generation read is answered core-locally: it returns
+        // the generation current when the reading segment was posted.
+        for off in [
+            MMIO_CONSOLE,
+            MMIO_COREID,
+            MMIO_NCORES,
+            MMIO_CYCLE,
+            MMIO_BARRIER,
+        ] {
             assert!(!is_interactive(off, false), "read {off:#x}");
         }
     }

@@ -6,58 +6,87 @@
 //!
 //! The single-threaded relaxed scheduler runs cores round-robin in quanta:
 //! within a round, core 0 executes its whole quantum, then core 1, and so
-//! on. This module runs those quanta on host worker threads instead,
-//! while keeping the run **bit-identical** to the sequential schedule at
-//! every host-thread count. Three mechanisms make that possible:
+//! on. This module runs those quanta on host threads instead, while
+//! keeping the run **bit-identical** to the sequential schedule at every
+//! host-thread count. Three mechanisms make that possible:
 //!
 //! 1. **Sharded RAM** (`RamView`). Worker threads access guest SDRAM and
 //!    scratchpad through bounds-checked raw pointers into the one backing
 //!    allocation. The *race-free-guest contract* (the same contract
 //!    `SchedMode::Relaxed` already imposes, sharpened): cores may only
-//!    communicate through the barrier/mutex devices, so within one
-//!    scheduling round every core touches a disjoint set of addresses and
+//!    communicate through the barrier/mutex devices, so segments that no
+//!    device synchronisation orders touch disjoint sets of addresses and
 //!    the concurrent raw accesses never alias. A guest that breaks the
 //!    contract races on the host — exactly the class of program the
 //!    relaxed modes already exclude (use [`SchedMode::Exact`] for it).
 //!
-//! 2. **Deferred interactive devices.** MMIO traffic whose result depends
-//!    on other cores — mutex try-acquire/release, barrier reads and
-//!    arrivals, the shared RNG — is *detected before it executes* (every
-//!    instruction that can touch MMIO computes its address from registers,
-//!    so a one-shot pre-check per instruction suffices) and ends the
-//!    core's parallel portion of the quantum. After the workers
-//!    rendezvous, the coordinator finishes each such quantum **in
-//!    ascending hart order against the real devices** — the exact order
-//!    the sequential scheduler would have produced. Per-core MMIO traffic
-//!    (core id, cycle counter, halt, ROI) executes in place.
+//! 2. **Deferred interactive devices.** MMIO traffic whose result or
+//!    effect depends on other cores — mutex try-acquire/release, barrier
+//!    arrivals, the shared RNG, the stimulus port — is *detected before
+//!    it executes* (every instruction that can touch MMIO computes its
+//!    address from registers, so a one-shot pre-check per instruction
+//!    suffices) and ends the core's *segment*. The coordinator executes
+//!    each such op **alone, in ascending hart order, against the real
+//!    devices** — the exact order the sequential scheduler produces.
+//!    Barrier *generation reads* are not deferred: a segment answers them
+//!    with the generation that was current when it was posted. That is
+//!    exact. An arrival that leaves a round incomplete parks its core
+//!    until the generation moves, so a core arrives at most once per
+//!    generation, and generation g completes only after all n cores have
+//!    arrived in g. A posted core has not arrived in the current
+//!    generation, so every read it makes before its own next arrival
+//!    returns that generation in the sequential schedule too; the commit
+//!    pass asserts it. Per-core MMIO traffic (core id, cycle counter,
+//!    halt, ROI) executes in place.
 //!
 //! 3. **Buffered append-only devices.** Spike-log, console and progress
-//!    writes land in a per-core `DeviceBuffer` during the parallel
-//!    portion and are merged into the shared devices in ascending hart
-//!    order at commit time. Since the sequential schedule runs the
-//!    round's quanta in exactly that order, the merged logs match it word
-//!    for word.
+//!    writes land in a per-core `DeviceBuffer` during a segment and are
+//!    merged into the shared devices in ascending hart order at commit
+//!    time. Since the sequential schedule runs the round's quanta in
+//!    exactly that order, the merged logs match it word for word.
 //!
-//! Worker threads are spawned once per `run()` (a `std::thread::scope`)
-//! and park on a condvar between rounds; a guest core arriving at an
-//! incomplete barrier round parks its host thread the same way — nobody
-//! spins. On the error paths (trap / cycle budget) the reported error and
-//! core are identical to the sequential schedule, but cores *later* in
-//! hart order may have advanced further than it would have run them.
+//! **Waves.** A round starts with one *wave*: a segment for every core
+//! that is certain to run at its turn — live and unparked, or parked at a
+//! generation that has already moved (generations only grow, so its
+//! release check at its turn cannot fail). The commit pass then walks
+//! the cores in ascending hart order, flushing each finished segment.
+//! When a segment stopped at a deferred op, the coordinator executes that
+//! one instruction, and if the core's quantum goes on it posts the rest
+//! of the quantum as another wave — together with every later parked
+//! core the op released — and waits for that wave before the cursor
+//! moves on. A wave only runs side by side segments that no device
+//! synchronisation orders in the sequential schedule, and the
+//! race-free-guest contract already requires those to touch disjoint
+//! data.
 //!
-//! Scheduling cost intuition: only the portion of a quantum *before* its
-//! first interactive device access parallelises. Barrier-light workloads
-//! (the `Net8020SweepWorkload` parameter sweeps: zero cross-core traffic
-//! after the start-up barrier) parallelise almost perfectly; barrier-per-
-//! tick workloads degrade gracefully toward the sequential schedule. On a
-//! host with fewer CPUs than worker threads (CI runners, 1-CPU dev boxes)
-//! wall clock does not improve at all — the value there is that results,
-//! counters and logs are *guaranteed unchanged*, which is what the
-//! differential suites exercise.
+//! The coordinator and `host_threads − 1` helper threads (spawned once
+//! per `run()` in a `std::thread::scope`) claim a wave's segments from
+//! one shared queue; helpers park on a condvar between waves, and a wave
+//! of one segment runs on the coordinator without waking any. A guest
+//! core parked at an incomplete barrier round is simply not posted —
+//! nobody spins. On the error paths (trap / cycle budget) the reported
+//! error and core are identical to the sequential schedule, but cores
+//! *later* in hart order may have advanced further than it would have
+//! run them.
+//!
+//! Scheduling cost intuition: every instruction except the deferred ops
+//! themselves runs in a wave, so the speedup is bounded by how many
+//! cores a wave holds. Barrier-light workloads (the
+//! `Net8020SweepWorkload` parameter sweeps: zero cross-core traffic after
+//! the start-up barrier) post every core in one wave per round;
+//! barrier-per-tick workloads post most cores at the start of a round
+//! and the cores the completing arrival releases in a later wave; guests
+//! dense in mutex or RNG traffic run one single-segment wave per
+//! interactive op. On a host with fewer CPUs than threads (CI runners,
+//! 1-CPU dev boxes) wall clock does not improve at all — the value there
+//! is that results, counters and logs are *guaranteed unchanged*, which
+//! is what the differential suites exercise. [`ParallelStats`] (read via
+//! [`System::parallel_stats`]) counts rounds, waves, and the instructions
+//! retired in waves versus in the commit pass.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use izhi_isa::inst::{LoadOp, StoreOp};
 
@@ -85,13 +114,13 @@ pub fn resolve_host_threads(requested: u32) -> u32 {
     std::thread::available_parallelism().map_or(1, |n| n.get() as u32)
 }
 
-/// Bounds-checked raw view of guest RAM, shareable across worker threads.
+/// Bounds-checked raw view of guest RAM, shareable across host threads.
 ///
 /// # Safety contract
 ///
-/// Dereferencing relies on the race-free-guest contract: during the
-/// parallel portion of a round no two cores access the same guest address
-/// (one of them writing). The pointers stay valid for the whole `run()`
+/// Dereferencing relies on the race-free-guest contract: segments that
+/// run side by side in a wave never access the same guest address (one of
+/// them writing). The pointers stay valid for the whole `run()`
 /// call — [`MainMemory`] is not resized or otherwise touched through
 /// references while a `RamView` of it is live.
 #[derive(Clone, Copy)]
@@ -122,7 +151,7 @@ impl RamView {
     }
 
     /// Width-dispatched read at `off` into the region behind `ptr`.
-    #[inline]
+    #[inline(always)]
     fn read_at(ptr: *const u8, len: usize, off: usize, op: LoadOp) -> Option<u32> {
         let width = match op {
             LoadOp::Lw => 4,
@@ -151,7 +180,7 @@ impl RamView {
     }
 
     /// Width-dispatched write at `off` into the region behind `ptr`.
-    #[inline]
+    #[inline(always)]
     fn write_at(ptr: *mut u8, len: usize, off: usize, value: u32, op: StoreOp) -> bool {
         let width = match op {
             StoreOp::Sw => 4,
@@ -192,8 +221,8 @@ impl CodeMem for RamView {
     }
 }
 
-/// Per-core buffer for append-only device traffic produced during the
-/// parallel portion of a quantum; merged in hart order at commit time.
+/// Per-core buffer for append-only device traffic produced during a
+/// segment; merged in hart order at commit time.
 #[derive(Debug, Default)]
 pub(crate) struct DeviceBuffer {
     console: Vec<u8>,
@@ -212,8 +241,8 @@ impl DeviceBuffer {
 /// Pre-execution check: does the next instruction touch an interactive
 /// MMIO register? Only loads, stores and `nmpn` (whose store address is
 /// `rd`) can access MMIO at all, and all three compute their address from
-/// registers already visible here — so this check is *complete*: the
-/// parallel phase can never see an interactive access.
+/// registers already visible here — so this check is *complete*: a
+/// segment can never see an interactive access.
 #[inline]
 fn targets_interactive_mmio(regs: &[u32; 32], pre: &PreInst) -> bool {
     let (addr, write) = match pre.op {
@@ -231,26 +260,28 @@ fn targets_interactive_mmio(regs: &[u32; 32], pre: &PreInst) -> bool {
 }
 
 /// Where a shard context's device traffic goes — the only thing that
-/// differs between the two phases of a quantum. RAM, predecode-shard and
+/// differs between a segment and a deferred op. RAM, predecode-shard and
 /// timing behaviour are shared via the single [`ShardCtx`] below, so a
-/// fix to the memory path cannot land in one phase and miss the other.
+/// fix to the memory path cannot land in one and miss the other.
 trait DevSink {
     /// Whether interactive MMIO must stop the core before it executes
-    /// ([`ExecCtx::defers_shared_op`]): only the buffered parallel phase
-    /// cannot run it.
+    /// ([`ExecCtx::defers_shared_op`]): only a buffered segment cannot
+    /// run it.
     const DEFERS_SHARED: bool;
     fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32;
     fn mmio_write(&mut self, core_id: u32, offset: u32, value: u32) -> MmioEffect;
     fn console_extend(&mut self, bytes: &[u8]);
 }
 
-/// Parallel-phase policy: append-only traffic buffers per core, pure
-/// reads (core id, core count, own cycle counter) answer from snapshots,
-/// and interactive offsets are unreachable — the scheduler's pre-check
-/// stops the core first.
+/// Segment policy: append-only traffic buffers per core, pure reads
+/// (core id, core count, own cycle counter) answer from snapshots, a
+/// barrier-generation read answers the generation the segment was posted
+/// at (exact; see the module docs), and interactive offsets are
+/// unreachable — the scheduler's pre-check stops the core first.
 struct BufferedDev<'a> {
     buf: &'a mut DeviceBuffer,
     n_cores: u32,
+    generation: u32,
 }
 
 impl DevSink for BufferedDev<'_> {
@@ -262,7 +293,8 @@ impl DevSink for BufferedDev<'_> {
             layout::MMIO_COREID => core_id,
             layout::MMIO_NCORES => self.n_cores,
             layout::MMIO_CYCLE => now as u32,
-            layout::MMIO_MUTEX | layout::MMIO_BARRIER | layout::MMIO_RAND | layout::MMIO_STIM => {
+            layout::MMIO_BARRIER => self.generation,
+            layout::MMIO_MUTEX | layout::MMIO_RAND | layout::MMIO_STIM => {
                 debug_assert!(false, "interactive MMIO read escaped the pre-check");
                 0
             }
@@ -307,8 +339,8 @@ impl DevSink for BufferedDev<'_> {
     }
 }
 
-/// Commit-phase policy: the real shared device block — interactive
-/// traffic executes in place, in hart order.
+/// Commit-pass policy: the real shared device block — a deferred
+/// interactive op executes in place, in hart order.
 struct RealDev<'a>(&'a mut SharedDevices);
 
 impl DevSink for RealDev<'_> {
@@ -330,9 +362,9 @@ impl DevSink for RealDev<'_> {
     }
 }
 
-/// Execution context for both phases of a quantum: sharded RAM and the
-/// core's own predecode shard, with device traffic routed through the
-/// phase's [`DevSink`] policy.
+/// Execution context for segments and deferred ops alike: sharded RAM
+/// and the core's own predecode shard, with device traffic routed
+/// through a [`DevSink`] policy.
 struct ShardCtx<'a, D> {
     ram: RamView,
     code: &'a mut CodeTable,
@@ -343,47 +375,47 @@ struct ShardCtx<'a, D> {
 }
 
 impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
-    #[inline]
+    #[inline(always)]
     fn fetch(&mut self, pc: u32) -> PreInst {
         self.code.fetch(pc, &self.ram)
     }
 
-    #[inline]
+    #[inline(always)]
     fn code_word(&self, pc: u32) -> Option<u32> {
         self.ram.code_word(pc)
     }
 
-    #[inline]
+    #[inline(always)]
     fn scratch_size(&self) -> u32 {
         self.ram.scratch_len as u32
     }
 
-    #[inline]
+    #[inline(always)]
     fn sdram_size(&self) -> u32 {
         self.ram.sdram_len as u32
     }
 
-    #[inline]
+    #[inline(always)]
     fn read_scratch(&self, off: usize, op: LoadOp) -> Option<u32> {
         RamView::read_at(self.ram.scratch, self.ram.scratch_len, off, op)
     }
 
-    #[inline]
+    #[inline(always)]
     fn read_sdram(&self, off: usize, op: LoadOp) -> Option<u32> {
         RamView::read_at(self.ram.sdram, self.ram.sdram_len, off, op)
     }
 
-    #[inline]
+    #[inline(always)]
     fn write_scratch(&mut self, off: usize, value: u32, op: StoreOp) -> bool {
         RamView::write_at(self.ram.scratch, self.ram.scratch_len, off, value, op)
     }
 
-    #[inline]
+    #[inline(always)]
     fn write_sdram(&mut self, off: usize, value: u32, op: StoreOp) -> bool {
         RamView::write_at(self.ram.sdram, self.ram.sdram_len, off, value, op)
     }
 
-    #[inline]
+    #[inline(always)]
     fn invalidate_store(&mut self, addr: u32) {
         // Invalidates this core's own shard: self-modifying code within a
         // core stays correct; cross-core code patching is cross-core
@@ -391,17 +423,17 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
         self.code.invalidate_store(addr);
     }
 
-    #[inline]
+    #[inline(always)]
     fn mmio_read(&mut self, core_id: u32, offset: u32, now: u64) -> u32 {
         self.dev.mmio_read(core_id, offset, now)
     }
 
-    #[inline]
+    #[inline(always)]
     fn mmio_write(&mut self, core_id: u32, offset: u32, value: u32) -> MmioEffect {
         self.dev.mmio_write(core_id, offset, value)
     }
 
-    #[inline]
+    #[inline(always)]
     fn console_extend(&mut self, bytes: &[u8]) {
         self.dev.console_extend(bytes);
     }
@@ -418,17 +450,17 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
         unreachable!("relaxed contexts never instantiate the timing model")
     }
 
-    #[inline]
+    #[inline(always)]
     fn csr_writeback(&self) -> bool {
         self.csr_writeback
     }
 
-    #[inline]
+    #[inline(always)]
     fn superblocks_enabled(&self) -> bool {
         self.superblocks
     }
 
-    #[inline]
+    #[inline(always)]
     fn superblock(&mut self, pc: u32, buf: &mut [PreInst; MAX_SB]) -> (u32, u32) {
         // This core's own shard: block state diverges with the shard's
         // invalidations, which is exactly what per-core self-modifying
@@ -436,32 +468,32 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
         self.code.superblock(pc, buf)
     }
 
-    #[inline]
+    #[inline(always)]
     fn kernels_enabled(&self) -> bool {
         self.kernels && !self.code.kernels.is_empty()
     }
 
-    #[inline]
+    #[inline(always)]
     fn kernel_match(&self, pc: u32) -> Option<crate::kernel::KernelHeader> {
         self.code.kernels.lookup(pc)
     }
 
-    #[inline]
+    #[inline(always)]
     fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize {
         self.code.kernels.copy_trace(idx, buf)
     }
 
-    #[inline]
+    #[inline(always)]
     fn kernel_state(&self, idx: u8) -> crate::kernel::SpanState {
         self.code.kernels.state(idx)
     }
 
-    #[inline]
+    #[inline(always)]
     fn kernel_set_state(&mut self, idx: u8, state: crate::kernel::SpanState) {
         self.code.kernels.set_state(idx, state);
     }
 
-    #[inline]
+    #[inline(always)]
     fn defers_shared_op(&mut self, regs: &[u32; 32], pc: u32) -> bool {
         D::DEFERS_SHARED
             && pc.is_multiple_of(4)
@@ -469,23 +501,25 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
     }
 }
 
-/// What a worker left behind for the commit phase.
+/// What a posted segment left behind for the commit pass.
 enum Pending {
-    /// No quantum was posted this round (halted or parked core).
+    /// Nothing to commit: no segment was posted this round (halted core,
+    /// or parked at a generation that has not moved), or its outcome was
+    /// already committed.
     Idle,
-    /// A quantum is posted and not yet executed.
+    /// A segment is posted and not yet run.
     Job,
-    /// The parallel portion finished with this result.
+    /// The segment finished with this result.
     Done(Result<RunStop, TrapCause>),
-    /// The parallel portion panicked (host bug or an injected
-    /// `FaultKind::HostPanic`). The worker caught the payload so the
-    /// round rendezvous still completes; the coordinator re-raises it on
-    /// the calling thread once the pool is shut down.
+    /// The segment panicked (host bug or an injected
+    /// `FaultKind::HostPanic`). The thread that ran it caught the payload
+    /// so the wave still completes; the coordinator re-raises it on the
+    /// calling thread once the helpers have shut down.
     Panicked(Box<dyn Any + Send>),
 }
 
 /// Why `coordinate` abandoned the run: a simulator error (reported
-/// exactly as the sequential scheduler would), or a worker panic to
+/// exactly as the sequential scheduler would), or a segment panic to
 /// re-raise on the calling thread after the thread scope has joined.
 enum RoundError {
     Sim(SimError),
@@ -498,93 +532,73 @@ impl From<SimError> for RoundError {
     }
 }
 
+/// Where a [`SchedMode::RelaxedParallel`] run did its work, counted once
+/// per segment and per deferred op, never in the per-instruction loop.
+/// Read it with [`System::parallel_stats`] after `run`. Every count is a
+/// function of the schedule alone, so it is the same at every host-thread
+/// count.
+///
+/// [`SchedMode::RelaxedParallel`]: crate::system::SchedMode::RelaxedParallel
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParallelStats {
+    /// Scheduling rounds (at most one quantum per live core each).
+    pub rounds: u64,
+    /// Waves run, the first wave of each round included.
+    pub waves: u64,
+    /// Instructions retired in wave segments, on whichever thread (helper
+    /// or coordinator) claimed them.
+    pub wave_instret: u64,
+    /// Instructions retired in the sequential commit pass: the deferred
+    /// interactive ops, one instruction each.
+    pub commit_instret: u64,
+}
+
 /// One core's state while the run is threaded. The mutex is uncontended
-/// by construction (each core belongs to exactly one worker, and the
-/// coordinator only locks between rounds); it exists to move the state
-/// across threads safely and cheaply.
+/// by construction (each posted segment is claimed by exactly one thread,
+/// and the coordinator touches a slot only outside the waves that run
+/// it); it exists to move the state across threads safely and cheaply.
 struct CoreSlot {
     core: Core,
     /// This core's private predecode shard (diverging copies of a pure
     /// cache — see [`CodeTable`]).
     code: CodeTable,
     buf: DeviceBuffer,
-    /// Quantum bound posted by the coordinator, consumed by worker and
-    /// commit phases alike.
+    /// Quantum bound of the posted segment. The rest of a quantum after a
+    /// deferred op keeps the bound its first segment was posted with.
     bound: u64,
+    /// Barrier generation when the segment was posted: the answer to
+    /// every generation read the segment makes.
+    generation: u32,
+    /// Instructions the last segment retired.
+    retired: u64,
     pending: Pending,
 }
 
-/// The host-side round rendezvous: workers park on `start` between
-/// rounds, the coordinator parks on `done` while a round is in flight.
-struct RoundSync {
-    state: Mutex<RoundState>,
-    start: Condvar,
-    done: Condvar,
-}
-
-struct RoundState {
-    epoch: u64,
-    running: usize,
-    shutdown: bool,
-}
-
-impl RoundSync {
-    fn new() -> Self {
-        RoundSync {
-            state: Mutex::new(RoundState {
-                epoch: 0,
-                running: 0,
-                shutdown: false,
-            }),
-            start: Condvar::new(),
-            done: Condvar::new(),
-        }
+impl CoreSlot {
+    fn post(&mut self, bound: u64, generation: u32) {
+        self.bound = bound;
+        self.generation = generation;
+        self.pending = Pending::Job;
     }
 
-    /// Coordinator: release all `workers` for one round and park until
-    /// every one of them has drained its cores.
-    fn run_round(&self, workers: usize) {
-        let mut st = self.state.lock().unwrap();
-        st.epoch += 1;
-        st.running = workers;
-        self.start.notify_all();
-        while st.running > 0 {
-            st = self.done.wait(st).unwrap();
+    /// Post a fresh quantum if the core is certain to run at its turn
+    /// this round: it is live, and unparked or parked at a generation
+    /// other than the current `generation`. Generations only grow, so
+    /// such a core passes its release check at its turn whatever the
+    /// harts before it commit first; it is released here.
+    fn post_quantum(&mut self, parked: &mut Option<u32>, generation: u32, quantum: u64) -> bool {
+        if self.core.halted() || *parked == Some(generation) {
+            return false;
         }
-    }
-
-    /// Worker: park until a round newer than `seen` starts; `None` on
-    /// shutdown.
-    fn wait_start(&self, seen: u64) -> Option<u64> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.shutdown {
-                return None;
-            }
-            if st.epoch > seen {
-                return Some(st.epoch);
-            }
-            st = self.start.wait(st).unwrap();
+        if parked.take().is_some() {
+            self.core.clear_parked();
         }
-    }
-
-    /// Worker: signal that this worker's share of the round is done.
-    fn finish_round(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.running -= 1;
-        if st.running == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn shutdown(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.shutdown = true;
-        self.start.notify_all();
+        self.post(self.core.time.saturating_add(quantum - 1), generation);
+        true
     }
 }
 
-/// Per-run constants shared by the coordinator and every worker.
+/// Per-run constants shared by the coordinator and every helper.
 #[derive(Clone, Copy)]
 struct RunEnv {
     ram: RamView,
@@ -596,72 +610,67 @@ struct RunEnv {
     max_cycles: u64,
 }
 
-/// Worker `w` of `stride`: owns cores `w, w + stride, …` and runs their
-/// posted quanta each round. The core-to-worker map is static, but since
-/// parallel portions are independent (that is the whole construction) the
-/// partition cannot affect results — only load balance.
-fn worker_loop<T: Timing>(
-    w: usize,
-    stride: usize,
-    slots: &[Mutex<CoreSlot>],
-    sync: &RoundSync,
-    env: RunEnv,
-) {
-    let mut seen = 0u64;
-    while let Some(epoch) = sync.wait_start(seen) {
-        seen = epoch;
-        let mut i = w;
-        while i < slots.len() {
-            let mut slot = slots[i].lock().unwrap();
-            let CoreSlot {
-                core,
-                code,
-                buf,
-                bound,
-                pending,
-            } = &mut *slot;
-            if matches!(pending, Pending::Job) {
-                let mut ctx = ShardCtx {
-                    ram: env.ram,
-                    code,
-                    dev: BufferedDev {
-                        buf,
-                        n_cores: env.n_cores,
-                    },
-                    csr_writeback: env.csr_writeback,
-                    superblocks: env.superblocks,
-                    kernels: env.kernels,
-                };
-                // A panicking quantum must not strand the rendezvous:
-                // catch it here (before it can poison the slot mutex or
-                // skip `finish_round`), park the payload in the slot, and
-                // let the coordinator re-raise it after the round. The
-                // `AssertUnwindSafe` is sound because a `Panicked` slot
-                // aborts the whole run — its possibly-inconsistent core
-                // state is never used again.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    core.run_while::<T, _>(&mut ctx, *bound, env.max_cycles)
-                }));
-                *pending = match run {
-                    Ok(outcome) => Pending::Done(outcome),
-                    Err(payload) => Pending::Panicked(payload),
-                };
-            }
-            drop(slot);
-            i += stride;
-        }
-        sync.finish_round();
-    }
+/// Lock a scheduler mutex (a core slot or the wave queue). Segments catch
+/// their own panics inside the slot lock and no guest code runs under the
+/// queue lock; a panic on the coordinator while it holds a slot (in a
+/// deferred op, or a broken invariant) abandons the run, after which only
+/// `into_inner` touches the slots. So no `lock` ever meets a poisoned
+/// mutex.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock()
+        .expect("no scheduler lock is poisoned while the run goes on")
 }
 
-/// Finish a quantum (or run a whole one, for a freshly unparked core)
-/// against the real devices.
-fn run_direct<T: Timing>(
+/// Run one posted segment against a buffered device sink, up to its
+/// quantum bound or the first interactive op. A panic is caught here —
+/// before it can poison the slot mutex or strand the wave — and parked
+/// in the slot for the coordinator to re-raise. The `AssertUnwindSafe`
+/// is sound because a `Panicked` slot aborts the whole run: its
+/// possibly-inconsistent core state is never used again.
+fn run_segment<T: Timing>(slot: &Mutex<CoreSlot>, env: RunEnv) {
+    let mut slot = lock(slot);
+    let CoreSlot {
+        core,
+        code,
+        buf,
+        bound,
+        generation,
+        retired,
+        pending,
+    } = &mut *slot;
+    debug_assert!(matches!(pending, Pending::Job));
+    let mut ctx = ShardCtx {
+        ram: env.ram,
+        code,
+        dev: BufferedDev {
+            buf,
+            n_cores: env.n_cores,
+            generation: *generation,
+        },
+        csr_writeback: env.csr_writeback,
+        superblocks: env.superblocks,
+        kernels: env.kernels,
+    };
+    let start = core.counters.instret;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        core.run_while::<T, _>(&mut ctx, *bound, env.max_cycles)
+    }));
+    *retired = core.counters.instret - start;
+    *pending = match run {
+        Ok(outcome) => Pending::Done(outcome),
+        Err(payload) => Pending::Panicked(payload),
+    };
+}
+
+/// Execute the deferred interactive op at the core's pc against the real
+/// devices. The bound is the core's current time and every op costs at
+/// least one cycle, so exactly one instruction runs (the batch tiers
+/// decline for lack of headroom).
+fn commit_op<T: Timing>(
     core: &mut Core,
     code: &mut CodeTable,
     dev: &mut SharedDevices,
     env: RunEnv,
-    bound: u64,
 ) -> Result<RunStop, TrapCause> {
     let mut ctx = ShardCtx {
         ram: env.ram,
@@ -671,138 +680,232 @@ fn run_direct<T: Timing>(
         superblocks: env.superblocks,
         kernels: env.kernels,
     };
-    core.run_while::<T, _>(&mut ctx, bound, env.max_cycles)
+    core.run_while::<T, _>(&mut ctx, core.time, env.max_cycles)
 }
 
-/// The coordinator loop: plan a round, fan the quanta out to the workers,
-/// then commit in ascending hart order. Mirrors `System::run_relaxed`
-/// decision for decision — the property suites assert bit-identity.
+/// The one shared queue a wave's segments are claimed from: the
+/// coordinator publishes a wave, then it and the helpers claim segments
+/// in ascending hart order until none is left.
+struct WaveQueue {
+    state: Mutex<WaveState>,
+    /// Helpers park here between waves.
+    start: Condvar,
+    /// The coordinator parks here until the wave's last segment finishes.
+    done: Condvar,
+}
+
+struct WaveState {
+    /// Slots posted in the current wave, ascending.
+    jobs: Vec<usize>,
+    /// Next unclaimed entry of `jobs`.
+    next: usize,
+    /// Entries of `jobs` whose segment has finished.
+    finished: usize,
+    shutdown: bool,
+}
+
+impl WaveQueue {
+    fn new(n: usize) -> Self {
+        WaveQueue {
+            state: Mutex::new(WaveState {
+                jobs: Vec::with_capacity(n),
+                next: 0,
+                finished: 0,
+                shutdown: false,
+            }),
+            start: Condvar::new(),
+            done: Condvar::new(),
+        }
+    }
+
+    /// Claim and run segments of the current wave until none is left
+    /// unclaimed; hands the re-acquired lock back.
+    fn drain<'q, T: Timing>(
+        &'q self,
+        mut st: MutexGuard<'q, WaveState>,
+        slots: &[Mutex<CoreSlot>],
+        env: RunEnv,
+    ) -> MutexGuard<'q, WaveState> {
+        while let Some(&i) = st.jobs.get(st.next) {
+            st.next += 1;
+            drop(st);
+            run_segment::<T>(&slots[i], env);
+            st = lock(&self.state);
+            st.finished += 1;
+            if st.finished == st.jobs.len() {
+                self.done.notify_one();
+            }
+        }
+        st
+    }
+
+    /// Coordinator: run one wave to completion, claiming segments
+    /// alongside the helpers. A one-segment wave runs right here without
+    /// waking any, so guests dense in interactive ops pay no rendezvous.
+    fn run<T: Timing>(&self, jobs: &[usize], slots: &[Mutex<CoreSlot>], env: RunEnv) {
+        if let [i] = *jobs {
+            run_segment::<T>(&slots[i], env);
+            return;
+        }
+        let mut st = lock(&self.state);
+        st.jobs.clear();
+        st.jobs.extend_from_slice(jobs);
+        st.next = 0;
+        st.finished = 0;
+        self.start.notify_all();
+        st = self.drain::<T>(st, slots, env);
+        while st.finished < st.jobs.len() {
+            st = self
+                .done
+                .wait(st)
+                .expect("the queue lock is never poisoned");
+        }
+    }
+
+    /// Helper: claim segments of every wave until shutdown.
+    fn serve<T: Timing>(&self, slots: &[Mutex<CoreSlot>], env: RunEnv) {
+        let mut st = lock(&self.state);
+        while !st.shutdown {
+            st = self.drain::<T>(st, slots, env);
+            st = self
+                .start
+                .wait(st)
+                .expect("the queue lock is never poisoned");
+        }
+    }
+
+    fn shutdown(&self) {
+        lock(&self.state).shutdown = true;
+        self.start.notify_all();
+    }
+}
+
+/// The coordinator loop: post a round's first wave, then commit in
+/// ascending hart order, posting a further wave whenever a deferred op
+/// lets cores go on. Mirrors `System::run_relaxed` decision for decision —
+/// the property suites assert bit-identity.
 fn coordinate<T: Timing>(
     dev: &mut SharedDevices,
     slots: &[Mutex<CoreSlot>],
-    sync: &RoundSync,
-    workers: usize,
+    queue: &WaveQueue,
     env: RunEnv,
     wd: &mut Watchdog,
+    stats: &mut ParallelStats,
 ) -> Result<(), RoundError> {
     let n = slots.len();
+    let trap = |core: usize| {
+        move |cause| SimError::Trap {
+            core: core as u32,
+            cause,
+        }
+    };
+    let timeout = || SimError::Timeout {
+        max_cycles: env.max_cycles,
+    };
     // Generation at which each parked core arrived (same bookkeeping as
     // the sequential relaxed scheduler).
     let mut parked_gen: Vec<Option<u32>> = vec![None; n];
+    let mut wave: Vec<usize> = Vec::with_capacity(n);
     loop {
         // One wall-clock check per round, mirroring the sequential
-        // scheduler's per-rotation cadence. A worker stalled mid-round
-        // (e.g. an injected stall fault) delays the check until the
-        // round's rendezvous completes — enforcement stays cooperative.
+        // scheduler's per-rotation cadence. A segment stalled mid-wave
+        // (e.g. an injected stall fault) delays the check until the wave
+        // completes — enforcement stays cooperative.
         wd.check()?;
-        // Plan: post one quantum per runnable core. Parked cores are
-        // excluded — whether they wake this round depends on barrier
-        // writes that earlier harts commit *during* the round.
+        let generation = dev.barrier_generation();
         let mut all_halted = true;
-        let mut posted = 0usize;
+        wave.clear();
         for (i, slot) in slots.iter().enumerate() {
-            let mut s = slot.lock().unwrap();
-            if s.core.halted() {
-                continue;
+            let mut s = lock(slot);
+            all_halted &= s.core.halted();
+            if s.post_quantum(&mut parked_gen[i], generation, env.quantum) {
+                wave.push(i);
             }
-            all_halted = false;
-            if parked_gen[i].is_some() {
-                continue;
-            }
-            s.bound = s.core.time.saturating_add(env.quantum - 1);
-            s.pending = Pending::Job;
-            posted += 1;
         }
         if all_halted {
             return Ok(());
         }
-        // Parallel phase.
-        if posted > 0 {
-            sync.run_round(workers);
+        stats.rounds += 1;
+        if !wave.is_empty() {
+            stats.waves += 1;
+            queue.run::<T>(&wave, slots, env);
         }
-        // Commit phase, ascending hart order.
+        // Commit pass, ascending hart order. A core's turn ends when a
+        // segment stops without a deferred op, or its deferred op ends
+        // the quantum.
         let mut any_ran = false;
         for (i, slot) in slots.iter().enumerate() {
-            let mut s = slot.lock().unwrap();
-            let CoreSlot {
-                core,
-                code,
-                buf,
-                bound,
-                pending,
-            } = &mut *s;
-            if let Some(gen) = parked_gen[i] {
-                // The release check happens here — after harts `< i`
-                // committed — exactly where the sequential scheduler
-                // performs it within the round.
-                if dev.barrier_generation() == gen {
-                    continue;
-                }
-                parked_gen[i] = None;
-                core.clear_parked();
+            loop {
+                let mut s = lock(slot);
+                let outcome = match std::mem::replace(&mut s.pending, Pending::Idle) {
+                    Pending::Idle => break,
+                    Pending::Job => unreachable!("a wave completes before it is committed"),
+                    Pending::Done(outcome) => outcome,
+                    // Abandon the run; the caller re-raises the panic on
+                    // its own thread once the helpers have joined.
+                    Pending::Panicked(payload) => return Err(RoundError::Panic(payload)),
+                };
+                // The segment answered generation reads with the posted
+                // generation; no round can complete before this core
+                // arrives, so the device must still agree.
+                assert_eq!(
+                    dev.barrier_generation(),
+                    s.generation,
+                    "core {i}: barrier generation moved before the core arrived"
+                );
                 any_ran = true;
-                let bound = core.time.saturating_add(env.quantum - 1);
-                let stop = run_direct::<T>(core, code, dev, env, bound).map_err(|cause| {
-                    SimError::Trap {
-                        core: i as u32,
-                        cause,
-                    }
-                })?;
-                match stop {
-                    RunStop::Halted | RunStop::Bound => {}
-                    RunStop::Parked => parked_gen[i] = Some(dev.barrier_generation()),
-                    RunStop::Budget => {
-                        return Err(SimError::Timeout {
-                            max_cycles: env.max_cycles,
-                        }
-                        .into())
-                    }
-                    RunStop::SharedOp => unreachable!("the commit phase never defers"),
+                stats.wave_instret += s.retired;
+                let CoreSlot {
+                    core,
+                    code,
+                    buf,
+                    bound,
+                    ..
+                } = &mut *s;
+                buf.flush_into(dev);
+                match outcome.map_err(trap(i))? {
+                    RunStop::Halted | RunStop::Bound => break,
+                    RunStop::Budget => return Err(timeout().into()),
+                    RunStop::Parked => unreachable!("segments never park"),
+                    RunStop::SharedOp => {}
                 }
-                continue;
-            }
-            let outcome = match std::mem::replace(pending, Pending::Idle) {
-                Pending::Idle => continue, // halted before the round
-                Pending::Job => unreachable!("round barrier guarantees completion"),
-                Pending::Done(outcome) => outcome,
-                // Abandon the run; the caller re-raises the panic on its
-                // own thread once the worker pool has joined.
-                Pending::Panicked(payload) => return Err(RoundError::Panic(payload)),
-            };
-            any_ran = true;
-            buf.flush_into(dev);
-            match outcome.map_err(|cause| SimError::Trap {
-                core: i as u32,
-                cause,
-            })? {
-                RunStop::Halted | RunStop::Bound => {}
-                RunStop::Budget => {
-                    return Err(SimError::Timeout {
-                        max_cycles: env.max_cycles,
+                let before = core.counters.instret;
+                let stop = commit_op::<T>(core, code, dev, env);
+                stats.commit_instret += core.counters.instret - before;
+                let goes_on = match stop.map_err(trap(i))? {
+                    RunStop::Halted => false,
+                    RunStop::Bound => core.time <= *bound,
+                    RunStop::Budget => return Err(timeout().into()),
+                    RunStop::Parked => {
+                        parked_gen[i] = Some(dev.barrier_generation());
+                        false
                     }
-                    .into())
+                    RunStop::SharedOp => unreachable!("the commit pass never defers"),
+                };
+                // Post what the op made certain to run this round: the
+                // rest of this core's quantum, and every later core
+                // parked at a generation the op just completed.
+                let generation = dev.barrier_generation();
+                wave.clear();
+                if goes_on {
+                    let bound = s.bound;
+                    s.post(bound, generation);
+                    wave.push(i);
                 }
-                RunStop::Parked => unreachable!("shard contexts never park"),
-                RunStop::SharedOp => {
-                    // Finish the quantum against the real devices; the
-                    // deferred operation is its first instruction.
-                    let stop = run_direct::<T>(core, code, dev, env, *bound).map_err(|cause| {
-                        SimError::Trap {
-                            core: i as u32,
-                            cause,
-                        }
-                    })?;
-                    match stop {
-                        RunStop::Halted | RunStop::Bound => {}
-                        RunStop::Parked => parked_gen[i] = Some(dev.barrier_generation()),
-                        RunStop::Budget => {
-                            return Err(SimError::Timeout {
-                                max_cycles: env.max_cycles,
-                            }
-                            .into())
-                        }
-                        RunStop::SharedOp => unreachable!("the commit phase never defers"),
+                drop(s);
+                for (j, later) in slots.iter().enumerate().skip(i + 1) {
+                    if parked_gen[j].is_some()
+                        && lock(later).post_quantum(&mut parked_gen[j], generation, env.quantum)
+                    {
+                        wave.push(j);
                     }
+                }
+                if !wave.is_empty() {
+                    stats.waves += 1;
+                    queue.run::<T>(&wave, slots, env);
+                }
+                if !goes_on {
+                    break;
                 }
             }
         }
@@ -810,10 +913,7 @@ fn coordinate<T: Timing>(
             // Every live core is parked at a barrier round that can no
             // longer complete — same timeout the sequential scheduler
             // surfaces.
-            return Err(SimError::Timeout {
-                max_cycles: env.max_cycles,
-            }
-            .into());
+            return Err(timeout().into());
         }
     }
 }
@@ -835,7 +935,7 @@ impl System {
             // scheduler is the same schedule without the thread pool.
             return self.run_relaxed::<T>(quantum, max_cycles, wd);
         }
-        let workers = (resolve_host_threads(host_threads) as usize).clamp(1, n);
+        let threads = (resolve_host_threads(host_threads) as usize).clamp(1, n);
         let env = RunEnv {
             ram: RamView::new(&mut self.shared.mem),
             n_cores: n as u32,
@@ -853,31 +953,36 @@ impl System {
                     code: self.shared.code.clone(),
                     buf: DeviceBuffer::default(),
                     bound: 0,
+                    generation: 0,
+                    retired: 0,
                     pending: Pending::Idle,
                 })
             })
             .collect();
-        let sync = RoundSync::new();
+        let queue = WaveQueue::new(n);
         let dev = &mut self.shared.dev;
+        let mut stats = ParallelStats::default();
         let result = std::thread::scope(|scope| {
-            for w in 0..workers {
-                let (slots, sync) = (&slots, &sync);
-                scope.spawn(move || worker_loop::<T>(w, workers, slots, sync, env));
+            // The coordinator drains the queue too, so it brings the
+            // thread count to `threads`.
+            for _ in 1..threads {
+                let (slots, queue) = (&slots, &queue);
+                scope.spawn(move || queue.serve::<T>(slots, env));
             }
-            // The commit phase runs guest code too (`run_direct` finishes
-            // deferred quanta against the real devices), so a panic —
-            // host bug or injected fault — can fire on *this* thread as
-            // well as on a worker. Catch it before it can unwind out of
-            // the scope closure: `thread::scope` would otherwise join the
-            // pool before propagating, and the workers are parked on the
-            // round condvar waiting for a shutdown that never comes.
+            // Deferred ops run guest code on *this* thread, so a panic —
+            // host bug or injected fault — can fire here as well as in a
+            // segment. Catch it before it can unwind out of the scope
+            // closure: `thread::scope` would otherwise join the helpers
+            // before propagating, and they are parked on the queue
+            // condvar waiting for a shutdown that never comes.
             let out = catch_unwind(AssertUnwindSafe(|| {
-                coordinate::<T>(dev, &slots, &sync, workers, env, wd)
+                coordinate::<T>(dev, &slots, &queue, env, wd, &mut stats)
             }))
             .unwrap_or_else(|payload| Err(RoundError::Panic(payload)));
-            sync.shutdown();
+            queue.shutdown();
             out
         });
+        self.par_stats = stats;
         self.cores = slots
             .into_iter()
             .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner).core)
@@ -895,8 +1000,8 @@ impl System {
         match result {
             Ok(()) => Ok(()),
             Err(RoundError::Sim(e)) => Err(e),
-            // Re-raise the worker's panic here, on the calling thread,
-            // now that the scope has joined the pool — a supervisor's
+            // Re-raise the segment's panic here, on the calling thread,
+            // now that the scope has joined the helpers — a supervisor's
             // `catch_unwind` around `run()` sees exactly the panic a
             // sequential schedule would have raised, never a deadlock.
             Err(RoundError::Panic(payload)) => resume_unwind(payload),
@@ -1183,8 +1288,8 @@ mod tests {
 
     #[test]
     fn parallel_worker_panic_unwinds_to_the_caller_instead_of_deadlocking() {
-        // An injected host panic fires on a worker thread mid-quantum.
-        // The round rendezvous must still complete (siblings and the
+        // An injected host panic fires inside a segment, on a helper or
+        // the coordinator. The wave must still complete (the
         // coordinator may be parked waiting on it) and the panic must
         // re-raise on the calling thread, where a supervisor's
         // `catch_unwind` can classify it. A regression here hangs the
@@ -1214,11 +1319,12 @@ mod tests {
 
     #[test]
     fn coordinator_panic_during_commit_shuts_the_pool_down_instead_of_deadlocking() {
-        // Mutex traffic is interactive, so nearly all of this guest runs
-        // in the commit phase (`run_direct`) on the *coordinator* thread.
-        // A panic there must still release the parked workers — it
-        // unwinds through the scope closure otherwise, and the scope
-        // joins a pool that is waiting for a round that never starts.
+        // Mutex traffic is interactive, so this guest commits an op
+        // every few instructions and runs the rest in one-segment waves
+        // on the *coordinator* thread. A panic there must still release
+        // the parked helpers — it unwinds through the scope closure
+        // otherwise, and the scope joins helpers that wait for a wave
+        // that never comes.
         use crate::mmio::{FaultKind, FaultPlan};
         let src = "
             .equ MUTEX, 0xF000000C
@@ -1245,6 +1351,40 @@ mod tests {
         assert!(sys.load_program(&prog));
         let run = std::panic::catch_unwind(AssertUnwindSafe(|| sys.run(10_000_000)));
         assert!(run.is_err(), "the injected panic surfaces as a panic");
+    }
+
+    #[test]
+    fn panic_in_a_deferred_op_shuts_the_helpers_down_instead_of_deadlocking() {
+        // Core 0's fault is armed at its third instruction, an RNG draw.
+        // The draw is interactive, so the segment stops before it and
+        // the fault fires while the coordinator executes the op alone,
+        // outside any segment's `catch_unwind`.
+        use crate::mmio::{FaultKind, FaultPlan};
+        let src = "
+            _start: li   s1, 0xF0000020    # RNG (lui + addi)
+                    lw   t0, (s1)          # instret 2: the deferred draw
+                    ebreak
+        ";
+        let prog = Assembler::new().assemble(src).expect("asm");
+        let mut sys = System::new(SystemConfig {
+            n_cores: 2,
+            sched: SchedMode::RelaxedParallel {
+                quantum: 64,
+                host_threads: 2,
+                timing: TimingModel::Unit,
+            },
+            faults: FaultPlan::none().with(0, 2, FaultKind::HostPanic),
+            ..Default::default()
+        });
+        assert!(sys.load_program(&prog));
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| sys.run(1_000_000)));
+        let payload = run.expect_err("the injected panic surfaces as a panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(msg.contains("injected host panic on core 0"), "{msg}");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::cpu::{
 };
 use crate::mem::{layout, read_slice, write_slice, MainMemory};
 use crate::mmio::{FaultPlan, MmioEffect, SharedDevices, StimPlan};
+use crate::parallel::ParallelStats;
 use crate::predecode::{CodeTable, PreInst};
 
 use std::time::{Duration, Instant};
@@ -83,27 +84,28 @@ pub enum SchedMode {
         timing: TimingModel,
     },
     /// Host-parallel relaxed scheduling: the same round-robin quantum
-    /// structure as [`SchedMode::Relaxed`], but each core's quantum
-    /// executes on a host worker thread against a sharded memory view
-    /// (see [`crate::parallel`]). Shared-interactive device traffic
-    /// (mutex, barrier, RNG) is detected before it executes and committed
-    /// in ascending hart order after the threads rendezvous, and each
-    /// core's append-only device output (spike log, console, progress) is
+    /// structure as [`SchedMode::Relaxed`], but the quanta execute in
+    /// waves on host threads against a sharded memory view (see
+    /// [`crate::parallel`]). Shared-interactive device traffic (mutex,
+    /// barrier arrivals, RNG, stimulus) is detected before it executes
+    /// and committed op by op in ascending hart order, and each core's
+    /// append-only device output (spike log, console, progress) is
     /// buffered per core and merged in the same hart order — so a
     /// `RelaxedParallel` run is **bit-identical to `Relaxed` at the same
     /// quantum, at every host-thread count**: registers, memory, cycles,
     /// instret, spike-log order, everything (the `prop_sched_parallel`
     /// suite pins this). The guest contract is the relaxed one, sharpened:
     /// cores must confine cross-core memory traffic to barrier/mutex
-    /// synchronisation — within a scheduling round, plain loads/stores of
-    /// other cores' data race on the host.
+    /// synchronisation — between two device synchronisations, plain
+    /// loads/stores of other cores' data race on the host.
     RelaxedParallel {
         /// Scheduling quantum in relaxed-clock cycles (= instructions
         /// under `Unit` timing).
         quantum: u64,
-        /// Number of host worker threads; `0` resolves via the
-        /// `IZHI_HOST_THREADS` environment variable, then host
-        /// parallelism ([`crate::parallel::resolve_host_threads`]).
+        /// Number of host threads, the coordinator included; `0`
+        /// resolves via the `IZHI_HOST_THREADS` environment variable,
+        /// then host parallelism
+        /// ([`crate::parallel::resolve_host_threads`]).
         /// Results never depend on this value — only wall time does.
         host_threads: u32,
         /// Relaxed-clock cost model (shared with [`SchedMode::Relaxed`]:
@@ -558,6 +560,8 @@ pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) cores: Vec<Core>,
     pub(crate) shared: Shared,
+    /// Work split of the last host-parallel run ([`System::parallel_stats`]).
+    pub(crate) par_stats: ParallelStats,
 }
 
 impl System {
@@ -600,7 +604,12 @@ impl System {
             superblocks: cfg.superblocks,
             kernels: cfg.kernels,
         };
-        System { cfg, cores, shared }
+        System {
+            cfg,
+            cores,
+            shared,
+            par_stats: ParallelStats::default(),
+        }
     }
 
     /// Build a system from a prebuilt memory image and predecode table —
@@ -627,7 +636,12 @@ impl System {
             superblocks: cfg.superblocks,
             kernels: cfg.kernels,
         };
-        System { cfg, cores, shared }
+        System {
+            cfg,
+            cores,
+            shared,
+            par_stats: ParallelStats::default(),
+        }
     }
 
     /// The configuration this system was built with.
@@ -703,6 +717,7 @@ impl System {
     pub fn run(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
         let mut wd = Watchdog::new(self.cfg.wall_limit);
         let wd = &mut wd;
+        self.par_stats = ParallelStats::default();
         match self.cfg.sched {
             SchedMode::Relaxed { quantum, timing } => match timing {
                 TimingModel::Unit => self.run_relaxed::<UnitTiming>(quantum, max_cycles, wd)?,
@@ -988,6 +1003,14 @@ impl System {
                 return Err(SimError::Timeout { max_cycles });
             }
         }
+    }
+
+    /// Where the last [`System::run`] did its work under
+    /// [`SchedMode::RelaxedParallel`]: rounds, waves, and the instructions
+    /// retired in waves versus in the sequential commit pass. All zeros
+    /// after a run under any other mode, or on a single core.
+    pub fn parallel_stats(&self) -> ParallelStats {
+        self.par_stats
     }
 
     /// Per-core metrics for the measured region (ROI delta when the guest

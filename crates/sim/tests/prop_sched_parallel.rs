@@ -413,3 +413,115 @@ fn barrier_mix_matches_relaxed_and_counts() {
         }
     }
 }
+
+/// Multi-generation barrier program. In generation `k` core `c` first
+/// runs `8 * ((c + k) mod n) + 1` iterations of own-page work, so the
+/// longest stretch — and with it the completing arrival — rotates
+/// through every hart position as `k` advances (hart `(n − 1 − k) mod n`
+/// completes generation `k` at every tested core count and quantum). Around each arrival the
+/// core reads the generation (before arriving and after release), exports
+/// spike words on both sides, and bumps a mutex-guarded counter shared by
+/// all cores. Core 0's page holds the counter at its last word, outside
+/// the words core 0 touches itself.
+const MULTI_GEN_SRC: &str = "
+    .equ GENS, 6
+    _start: li   t0, 0xF0000004
+            lw   s1, (t0)          # core id
+            lw   s6, 4(t0)         # core count
+            li   s7, 0x10000000
+            slli t1, s1, 12
+            add  s7, s7, t1        # own page
+            li   s2, 0xF000001C    # spike log
+            li   s4, 0xF000000C    # mutex
+            li   s5, 0x10000FFC    # shared counter
+            li   s8, 0xF0000010    # barrier
+            li   s0, 0             # generation index k
+    gen:    add  t1, s1, s0
+    wrap:   blt  t1, s6, sized     # t1 = (core + k) mod n
+            sub  t1, t1, s6
+            j    wrap
+    sized:  slli t1, t1, 3
+            addi t1, t1, 1
+    work:   lw   t2, 0x400(s7)
+            add  t2, t2, t1
+            sw   t2, 0x400(s7)
+            addi t1, t1, -1
+            bnez t1, work
+            slli t3, s1, 16
+            or   t3, t3, s0
+            sw   t3, (s2)          # pre-arrival export
+            lw   t5, (s8)          # generation before arriving
+            slli t4, s0, 3
+            add  t4, t4, s7
+            sw   t5, (t4)
+            sw   x0, (s8)          # arrive
+    spin:   lw   t6, (s8)          # generation after release
+            beq  t6, t5, spin
+            sw   t6, 4(t4)
+            ori  t3, t3, 0x100
+            sw   t3, (s2)          # post-release export
+    grab:   lw   t2, (s4)          # mutex try-acquire
+            beqz t2, grab
+            lw   t2, (s5)
+            addi t2, t2, 1
+            sw   t2, (s5)
+            sw   x0, (s4)          # release
+            addi s0, s0, 1
+            li   t0, GENS
+            bne  s0, t0, gen
+            ebreak
+";
+
+#[test]
+fn multi_generation_barriers_match_relaxed() {
+    let asm = izhi_isa::Assembler::new()
+        .assemble(MULTI_GEN_SRC)
+        .expect("asm");
+    let run_mode = |n_cores: u32, sched: SchedMode| {
+        let mut sys = System::new(SystemConfig {
+            n_cores,
+            sched,
+            ..Default::default()
+        });
+        assert!(sys.load_program(&asm));
+        sys.run(10_000_000).expect("run");
+        sys
+    };
+    for n_cores in [2u32, 3, 5] {
+        for timing in [TimingModel::Unit, TimingModel::Estimated] {
+            for quantum in [1u64, 7, 64, 1000, SchedMode::DEFAULT_QUANTUM] {
+                let reference = run_mode(n_cores, SchedMode::Relaxed { quantum, timing });
+                let mem = &reference.shared().mem;
+                assert_eq!(reference.shared().dev.barrier_generation(), 6);
+                assert_eq!(
+                    mem.read_u32(layout::SCRATCH_BASE + 0xFFC),
+                    Some(6 * n_cores)
+                );
+                // Generation k is read before the k-th arrival, k + 1
+                // after its release.
+                for core in 0..n_cores {
+                    for k in 0..6u32 {
+                        let at = layout::SCRATCH_BASE + core * PAGE + 8 * k;
+                        assert_eq!(mem.read_u32(at), Some(k));
+                        assert_eq!(mem.read_u32(at + 4), Some(k + 1));
+                    }
+                }
+                for host_threads in [1u32, 2, 4] {
+                    let par = run_mode(
+                        n_cores,
+                        SchedMode::RelaxedParallel {
+                            quantum,
+                            host_threads,
+                            timing,
+                        },
+                    );
+                    assert_eq!(
+                        serialize_state(&reference),
+                        serialize_state(&par),
+                        "{n_cores} cores {timing:?} quantum {quantum} host_threads {host_threads}"
+                    );
+                }
+            }
+        }
+    }
+}
