@@ -29,6 +29,7 @@ use izhi_programs::scenario::{self, ScenarioParams, Workload};
 use izhi_programs::template;
 use izhi_sim::{FaultPlan, SchedMode, TimingModel};
 
+use crate::json::Value;
 use crate::supervise::{self, panic_message, RunErrorKind, SuperviseConfig};
 
 /// A scheduling mode under a battery label.
@@ -198,8 +199,7 @@ pub struct BatteryRow {
 }
 
 impl BatteryRow {
-    /// Stable gate key of this row (bracket-free so the hand-rolled
-    /// baseline parser can terminate the battery array on `]`).
+    /// Stable gate key of this row.
     pub fn key(&self) -> String {
         format!("{}:{}:{}", self.scenario, self.seed, self.sched)
     }
@@ -466,42 +466,33 @@ pub fn check_rows(rows: &[BatteryRow]) -> Result<(), String> {
     Ok(())
 }
 
-/// Render rows as the `"battery"` JSON array of a BENCH file. Each entry
-/// carries a stable `key` the CI gate matches committed baselines against.
-pub fn rows_json(rows: &[BatteryRow]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"key\": \"{}\", \"scenario\": \"{}\", \"seed\": {}, \"sched\": \"{}\", \
-             \"timing\": \"{}\", \"quantum\": {}, \"host_threads\": {}, \"wall_s\": {:.6}, \
-             \"sim_cycles\": {}, \"sim_instret\": {}, \"spikes\": {}, \
-             \"raster_hash\": \"{:#018x}\", \"verified\": {}",
-            r.key(),
-            r.scenario,
-            r.seed,
-            r.sched,
-            r.timing,
-            r.quantum,
-            r.host_threads,
-            r.wall_s,
-            r.sim_cycles,
-            r.sim_instret,
-            r.spikes,
-            r.raster_hash,
-            r.verified,
+/// The `"battery"` JSON array of a BENCH file. Each entry carries a
+/// stable `key` the CI gate matches committed baselines against.
+pub fn rows_json(rows: &[BatteryRow]) -> Value {
+    let row = |r: &BatteryRow| {
+        let mut doc = vec![
+            ("key", r.key().into()),
+            ("scenario", r.scenario.as_str().into()),
+            ("seed", r.seed.into()),
+            ("sched", r.sched.into()),
+            ("timing", r.timing.into()),
+            ("quantum", r.quantum.into()),
+            ("host_threads", r.host_threads.into()),
+            ("wall_s", Value::decimal(r.wall_s, 6)),
+            ("sim_cycles", r.sim_cycles.into()),
+            ("sim_instret", r.sim_instret.into()),
+            ("spikes", r.spikes.into()),
+            ("raster_hash", format!("{:#018x}", r.raster_hash).into()),
+            ("verified", r.verified.into()),
+        ];
+        doc.extend(
+            r.weight_hash
+                .map(|w| ("weight_hash", format!("{w:#018x}").into())),
         );
-        if let Some(w) = r.weight_hash {
-            let _ = write!(out, ", \"weight_hash\": \"{w:#018x}\"");
-        }
-        if let Some(kind) = r.error_kind {
-            let _ = write!(out, ", \"error_kind\": \"{}\"", kind.label());
-        }
-        out.push('}');
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]");
-    out
+        doc.extend(r.error_kind.map(|k| ("error_kind", k.label().into())));
+        Value::object(doc)
+    };
+    Value::Array(rows.iter().map(row).collect())
 }
 
 /// Render a human-readable battery table.
@@ -609,12 +600,12 @@ mod tests {
     fn json_rows_carry_the_weight_hash_when_present() {
         let mut r = row("net8020_stdp", 21, "exact", 0x1234, true);
         r.weight_hash = Some(0xBEEF);
-        let json = rows_json(&[r]);
+        let json = rows_json(&[r]).to_string();
         assert!(
             json.contains("\"weight_hash\": \"0x000000000000beef\""),
             "{json}"
         );
-        let plain = rows_json(&[row("net8020", 5, "exact", 0x1, true)]);
+        let plain = rows_json(&[row("net8020", 5, "exact", 0x1, true)]).to_string();
         assert!(!plain.contains("weight_hash"), "non-plastic rows omit it");
     }
 
@@ -639,10 +630,11 @@ mod tests {
     #[test]
     fn json_rows_carry_stable_keys_and_timing() {
         let rows = vec![row("net8020", 5, "relaxed-par", 0x1234, true)];
-        let json = rows_json(&rows);
+        let json = rows_json(&rows).to_string();
         assert!(json.contains("\"key\": \"net8020:5:relaxed-par\""));
         assert!(json.contains("\"timing\": \"unit\""));
         assert!(json.contains("\"verified\": true"));
+        assert!(json.contains("\"raster_hash\": \"0x0000000000001234\""));
     }
 
     #[test]

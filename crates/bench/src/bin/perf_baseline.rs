@@ -64,41 +64,26 @@
 //!   (`izhi_programs::template`). Per-run raster-hash/cycle/instret
 //!   identity between the arms is asserted before timing is reported;
 //!   the `battery_throughput` section records both arms' runs/s and
-//!   their ratio, which the gate requires to be at least
-//!   `THROUGHPUT_FLOOR` × (a same-host ratio, so it is not a runner
-//!   speed lottery).
+//!   their ratio, which the gate floors (a same-host ratio, so it is not
+//!   a runner speed lottery).
 //!
 //! ```text
-//! cargo run --release --bin perf_baseline -- [out.json]
-//!     [--check baseline.json] [--min-ratio 0.85] [--battery-only]
+//! cargo run --release --bin perf_baseline -- [out.json] [--check baseline.json]
 //! ```
 //!
-//! Writes `BENCH_9.json` (or the given path). With `--check`, the
-//! single-core `speedup_vs_seed` entries of the fresh measurement are
-//! compared against the committed baseline file (exit non-zero if any
-//! entry fell below `min-ratio` × its baseline value), the headline
-//! single-core entries must additionally clear the absolute
-//! [`izhi_bench::gate::SINGLE_CORE_FLOOR`], the relaxed single-core rows
-//! must clear the kernel-offload gate
-//! ([`izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR`] on the quick row and
-//! [`izhi_bench::gate::KERNEL_SPEEDUP_FLOOR`] for every kernel-on vs
-//! kernel-off pair), every battery key of the
-//! baseline must be present and verified in the fresh run, and — when
-//! the baseline carries the sections — every `estimated_accuracy`
-//! scenario must reproduce a ratio inside the
-//! `ACCURACY_LO..=ACCURACY_HI` band of [`izhi_bench::gate`], the
-//! `battery_throughput` experiment must clear its floor, and the
-//! `instret_reduction` of the relaxation pass on the quick 80-20 row
-//! must clear [`izhi_bench::gate::INSTRET_REDUCTION_FLOOR`]. That set
-//! is the CI perf-regression gate. `--battery-only` runs and gates
-//! just the battery rows (the CI smoke job).
+//! Writes `BENCH_9.json` (or the given path) through the workspace's JSON
+//! codec. With `--check`, the document just written is gated against the
+//! committed baseline by the rule table [`izhi_bench::gate::RULES`] (the
+//! CI perf-regression gate), and the run exits non-zero if any rule
+//! fails. `BENCH_CMP_ONLY=1` runs only the interleaved seed-vs-live rows
+//! and gates only their sections ([`izhi_bench::gate::CMP_ONLY_SECTIONS`]).
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use izhi_bench::battery::{self, BatteryRow, BatteryRunner, BatterySpec};
-use izhi_bench::seedsim;
-use izhi_bench::serve::{self, LoadReport};
+use izhi_bench::json::{self, Value};
+use izhi_bench::serve;
+use izhi_bench::{gate, seedsim};
 use izhi_isa::Assembler;
 use izhi_programs::engine::{build_asm, run_workload, EngineConfig, GuestImage, WorkloadResult};
 use izhi_programs::scenario::{self, ScenarioParams, Workload};
@@ -141,6 +126,20 @@ impl Row {
 
     fn instr_per_s(&self) -> f64 {
         self.sim_instret as f64 / self.wall_s
+    }
+
+    fn json(&self) -> Value {
+        Value::object([
+            ("name", self.name.as_str().into()),
+            ("sched", self.sched.into()),
+            ("host_threads", self.host_threads.into()),
+            ("wall_s", Value::decimal(self.wall_s, 6)),
+            ("sim_cycles", self.sim_cycles.into()),
+            ("sim_instret", self.sim_instret.into()),
+            ("spikes", self.spikes.into()),
+            ("sim_cycles_per_s", Value::decimal(self.cycles_per_s(), 0)),
+            ("sim_instr_per_s", Value::decimal(self.instr_per_s(), 0)),
+        ])
     }
 
     fn keep_best(self, best: &mut Option<Row>) {
@@ -630,96 +629,11 @@ fn sudoku_rows() -> (Row, Row, Row) {
     )
 }
 
-fn json(
-    rows: &[Row],
-    speedups: &[(String, f64)],
-    reductions: &[(String, f64)],
-    battery: &[BatteryRow],
-    accuracy: &[(String, f64)],
-    service: Option<&LoadReport>,
-    throughput: Option<&izhi_bench::gate::ThroughputSummary>,
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"izhirisc-perf-baseline-v11\",\n");
-    let _ = writeln!(
-        out,
-        "  \"methodology\": \"seed rows: frozen seed interpreter, interleaved with live rows in-process, best of {REPS} reps x {SESSIONS} sessions; 1-core workloads produce a headline row (superblock interpreter + assembler relaxation on), a _norelax diagnostic row (relaxation off; asserted cycle/instret/spike-log identical to the seed — the superblock interpreter is timing-transparent) and a _nosb diagnostic row (superblocks off; asserted bit-identical to the headline row — fusion is dispatch-only), a _relaxed row (SchedMode::Relaxed with kernel offload on — the configuration relaxed sweeps ship; asserted seed spike-log word identity and headline-row instret identity) and a _relaxed_nokernel row (kernels forced off; asserted cycle/instret/spike-log bit-identical to the _relaxed row — kernel offload is dispatch-only); the headline row asserts seed spike-log word identity plus strictly fewer retired instructions; instret_reduction records the headline row's fractional instret saving vs the seed (deterministic, gated on the quick row); 2-core rows assert spike-raster set identity across seed/exact/relaxed schedules; relaxed rows run SchedMode::Relaxed (clock = 1 cycle per instruction, blocking barriers) and report that clock; relaxed-par rows run SchedMode::RelaxedParallel with the recorded host_threads forced and assert spike-log/cycle/instret bit-identity with the relaxed row (host_threads on sequential rows is 1); battery rows: every registered scenario at quick scale, seeds x (sched x timing) combinations sharded across host threads, raster-hash identity asserted across all combinations and each scenario's verification hook recorded; plastic (STDP) rows additionally record an order-independent hash of the final weight state, asserted bit-identical across all combinations; timing records the row's clock (exact = cycle-accurate, unit = 1 cycle/instruction, estimated = static per-op-class CostTable costs); estimated_accuracy: per scenario, estimated-vs-exact sim-cycle ratio summed over battery seeds (the gate bounds it); service: in-process scenario-service burst (bounded queue, supervised workers, two injected faults) — the gate requires health_ok/backpressure_hinted/failure_isolated and positive throughput, never an absolute jobs/s; battery_throughput: the repeat-seed quick battery (every scenario, first battery seed, {THROUGHPUT_TICKS}-tick service-shaped jobs, {THROUGHPUT_REPEATS} repeats) timed twice in-process — cold-building every run vs instantiating from the initially cleared template cache — with per-run hash/cycle/instret identity asserted between the arms; the gate requires cached/cold >= the floor (a same-host ratio, not an absolute runs/s)\","
-    );
-    let _ = writeln!(out, "  \"workloads\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"sched\": \"{}\", \"host_threads\": {}, \
-             \"wall_s\": {:.6}, \"sim_cycles\": {}, \
-             \"sim_instret\": {}, \"spikes\": {}, \"sim_cycles_per_s\": {:.0}, \
-             \"sim_instr_per_s\": {:.0}}}",
-            r.name,
-            r.sched,
-            r.host_threads,
-            r.wall_s,
-            r.sim_cycles,
-            r.sim_instret,
-            r.spikes,
-            r.cycles_per_s(),
-            r.instr_per_s(),
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"battery\": {},", battery::rows_json(battery));
-    if let Some(s) = service {
-        let _ = writeln!(
-            out,
-            "  \"service\": {{\"jobs\": {}, \"accepted\": {}, \"rejected\": {}, \
-             \"completed\": {}, \"failed\": {}, \"throughput_jobs_per_s\": {:.2}, \
-             \"health_ok\": {}, \"backpressure_hinted\": {}, \"failure_isolated\": {}}},",
-            s.submitted,
-            s.accepted,
-            s.rejected,
-            s.completed,
-            s.failed,
-            s.throughput_jobs_per_s,
-            s.health_ok == s.health_checks,
-            s.backpressure_hinted,
-            serve::failure_isolated(s),
-        );
-    }
-    if let Some(t) = throughput {
-        let _ = writeln!(
-            out,
-            "  \"battery_throughput\": {{\"runs\": {}, \"ticks\": {THROUGHPUT_TICKS}, \
-             \"repeats\": {THROUGHPUT_REPEATS}, \"cold_runs_per_s\": {:.2}, \
-             \"cached_runs_per_s\": {:.2}, \"speedup\": {:.3}}},",
-            t.runs,
-            t.cold_runs_per_s,
-            t.cached_runs_per_s,
-            t.speedup(),
-        );
-    }
-    let _ = writeln!(out, "  \"estimated_accuracy\": {{");
-    for (i, (name, r)) in accuracy.iter().enumerate() {
-        let _ = write!(out, "    \"{name}\": {r:.3}");
-        out.push_str(if i + 1 < accuracy.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  }},");
-    if !reductions.is_empty() {
-        let _ = writeln!(out, "  \"instret_reduction\": {{");
-        for (i, (name, r)) in reductions.iter().enumerate() {
-            let _ = write!(out, "    \"{name}\": {r:.4}");
-            out.push_str(if i + 1 < reductions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        let _ = writeln!(out, "  }},");
-    }
-    let _ = writeln!(out, "  \"speedup_vs_seed\": {{");
-    for (i, (name, s)) in speedups.iter().enumerate() {
-        let _ = write!(out, "    \"{name}\": {s:.3}");
-        out.push_str(if i + 1 < speedups.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  }\n}\n");
-    out
+/// The document's `methodology` string.
+fn methodology() -> String {
+    format!(
+        "seed rows: frozen seed interpreter, interleaved with live rows in-process, best of {REPS} reps x {SESSIONS} sessions; 1-core workloads produce a headline row (superblock interpreter + assembler relaxation on), a _norelax diagnostic row (relaxation off; asserted cycle/instret/spike-log identical to the seed — the superblock interpreter is timing-transparent) and a _nosb diagnostic row (superblocks off; asserted bit-identical to the headline row — fusion is dispatch-only), a _relaxed row (SchedMode::Relaxed with kernel offload on — the configuration relaxed sweeps ship; asserted seed spike-log word identity and headline-row instret identity) and a _relaxed_nokernel row (kernels forced off; asserted cycle/instret/spike-log bit-identical to the _relaxed row — kernel offload is dispatch-only); the headline row asserts seed spike-log word identity plus strictly fewer retired instructions; instret_reduction records the headline row's fractional instret saving vs the seed (deterministic, gated on the quick row); 2-core rows assert spike-raster set identity across seed/exact/relaxed schedules; relaxed rows run SchedMode::Relaxed (clock = 1 cycle per instruction, blocking barriers) and report that clock; relaxed-par rows run SchedMode::RelaxedParallel with the recorded host_threads forced and assert spike-log/cycle/instret bit-identity with the relaxed row (host_threads on sequential rows is 1); battery rows: every registered scenario at quick scale, seeds x (sched x timing) combinations sharded across host threads, raster-hash identity asserted across all combinations and each scenario's verification hook recorded; plastic (STDP) rows additionally record an order-independent hash of the final weight state, asserted bit-identical across all combinations; timing records the row's clock (exact = cycle-accurate, unit = 1 cycle/instruction, estimated = static per-op-class CostTable costs); estimated_accuracy: per scenario, estimated-vs-exact sim-cycle ratio summed over battery seeds (the gate bounds it); service: in-process scenario-service burst (bounded queue, supervised workers, two injected faults) — the gate requires health_ok/backpressure_hinted/failure_isolated and positive throughput, never an absolute jobs/s; battery_throughput: the repeat-seed quick battery (every scenario, first battery seed, {THROUGHPUT_TICKS}-tick service-shaped jobs, {THROUGHPUT_REPEATS} repeats) timed twice in-process — cold-building every run vs instantiating from the initially cleared template cache — with per-run hash/cycle/instret identity asserted between the arms; the gate requires cached/cold >= the floor (a same-host ratio, not an absolute runs/s)"
+    )
 }
 
 /// Run the quick scenario battery: every registered scenario, its battery
@@ -740,116 +654,6 @@ fn battery_rows() -> Vec<BatteryRow> {
         panic!("scenario battery failed: {e}");
     }
     rows
-}
-
-/// The CI regression gate (see [`izhi_bench::gate`] for the testable
-/// core): every single-core `speedup_vs_seed` entry of the committed
-/// baseline must be reproduced at `min_ratio` × its value or better, and
-/// a baseline entry missing from the fresh measurement is an error, not a
-/// silent pass. Multi-core / relaxed entries are informational only —
-/// they depend on host parallel/throughput behaviour CI runners don't
-/// promise.
-fn check_gate(fresh: &[(String, f64)], baseline_path: &str, min_ratio: f64) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    println!("\nperf gate vs {baseline_path} (min ratio {min_ratio:.2}):");
-    let report = izhi_bench::gate::check_gate(fresh, &text, min_ratio);
-    for e in &report.checked {
-        println!(
-            "  {}: {:.3}x vs baseline {:.3}x (ratio {:.3})",
-            e.name,
-            e.fresh,
-            e.baseline,
-            e.ratio()
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The absolute-floor side of the CI gate (core in [`izhi_bench::gate`]):
-/// every headline single-core speedup (the `*_1core` entries, excluding
-/// the `_norelax`/`_nosb` diagnostic rows) must reach
-/// [`izhi_bench::gate::SINGLE_CORE_FLOOR`] outright — not merely hold its
-/// ratio vs a committed baseline, which would let the floor erode one
-/// re-baseline at a time.
-fn check_floor_gate(fresh: &[(String, f64)]) -> bool {
-    let floor = izhi_bench::gate::SINGLE_CORE_FLOOR;
-    let report = izhi_bench::gate::check_floor_gate(fresh, floor);
-    println!("\nabsolute single-core floor ({floor:.1}x):");
-    for e in &report.checked {
-        println!("  {}: {:.3}x", e.name, e.fresh);
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The kernel-offload side of the CI gate (core in [`izhi_bench::gate`]):
-/// the relaxed quick row must clear the absolute
-/// [`izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR`] and every `*_relaxed`
-/// row must beat its `*_relaxed_nokernel` twin by at least
-/// [`izhi_bench::gate::KERNEL_SPEEDUP_FLOOR`]. Both are absolute,
-/// same-host ratios — no committed baseline is consulted.
-fn check_kernel_gate(fresh: &[(String, f64)]) -> bool {
-    let relaxed_floor = izhi_bench::gate::RELAXED_SINGLE_CORE_FLOOR;
-    let kernel_floor = izhi_bench::gate::KERNEL_SPEEDUP_FLOOR;
-    let report = izhi_bench::gate::check_kernel_gate(fresh, relaxed_floor, kernel_floor);
-    println!(
-        "\nkernel-offload gate (relaxed quick floor {relaxed_floor:.1}x, \
-         kernel-on/off floor {kernel_floor:.2}x):"
-    );
-    for e in &report.checked {
-        println!("  {}: kernel-on/off {:.3}x", e.name, e.fresh);
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The relaxation side of the CI gate (core in [`izhi_bench::gate`]):
-/// every workload of the baseline's `instret_reduction` section must be
-/// reproduced, and the quick 80-20 row's reduction must reach
-/// [`izhi_bench::gate::INSTRET_REDUCTION_FLOOR`]. The reduction is a
-/// deterministic property of the emitted code, so this gate carries no
-/// host noise at all. Baselines predating the relaxation pass (schema <=
-/// v9) skip it.
-fn check_instret_gate(reductions: &[(String, f64)], baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if !izhi_bench::gate::has_instret_reduction(&text) {
-        println!("instret gate: baseline {baseline_path} predates assembler relaxation — skipped");
-        return true;
-    }
-    let floor = izhi_bench::gate::INSTRET_REDUCTION_FLOOR;
-    let report = izhi_bench::gate::check_instret_gate(reductions, &text, floor);
-    println!("instret-reduction gate vs {baseline_path} (quick-row floor {floor:.2}):");
-    for e in &report.checked {
-        println!(
-            "  {}: {:.2}% fewer retired instructions (baseline {:.2}%)",
-            e.name,
-            e.fresh * 100.0,
-            e.baseline * 100.0
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
 }
 
 /// Per-scenario estimated-vs-exact simulated-cycle ratio, from the
@@ -878,110 +682,41 @@ fn estimated_accuracy(battery: &[BatteryRow]) -> Vec<(String, f64)> {
     out
 }
 
-/// The estimated-accuracy side of the CI gate (core in
-/// [`izhi_bench::gate`]): every scenario of the baseline's
-/// `estimated_accuracy` section must reproduce a ratio inside the allowed
-/// band. Baselines predating the section (schema <= v5) skip this gate.
-fn check_accuracy_gate(accuracy: &[(String, f64)], baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if !izhi_bench::gate::has_estimated_accuracy(&text) {
-        println!("accuracy gate: baseline {baseline_path} predates estimated timing — skipped");
-        return true;
-    }
-    let (lo, hi) = (izhi_bench::gate::ACCURACY_LO, izhi_bench::gate::ACCURACY_HI);
-    let report = izhi_bench::gate::check_accuracy_gate(accuracy, &text, lo, hi);
-    println!(
-        "accuracy gate vs {baseline_path} (band [{lo:.2}, {hi:.2}]): {} scenarios checked",
-        report.checked.len()
-    );
-    for e in &report.checked {
-        println!(
-            "  {}: estimated/exact cycle ratio {:.3} (baseline {:.3})",
-            e.name, e.fresh, e.baseline
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
-/// The battery side of the CI gate (core in [`izhi_bench::gate`]): every
-/// battery key of the committed baseline must be present *and* verified in
-/// the fresh run.
-fn check_battery_gate(battery: &[BatteryRow], baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    let fresh: Vec<(String, bool)> = battery.iter().map(|r| (r.key(), r.verified)).collect();
-    let report = izhi_bench::gate::check_battery_gate(&fresh, &text);
-    println!(
-        "battery gate vs {baseline_path}: {} keys checked",
-        report.checked.len()
-    );
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
-}
-
 /// Number of jobs in the service burst (queue cap 8, 2 workers — far
 /// past capacity, so backpressure must fire).
 const SERVICE_BURST_JOBS: usize = 40;
 
-/// Run the in-process service burst (see [`serve::service_benchmark`]).
-fn service_burst() -> LoadReport {
-    serve::service_benchmark(SERVICE_BURST_JOBS).expect("service burst failed")
-}
-
-fn service_summary(r: &LoadReport) -> izhi_bench::gate::ServiceSummary {
-    izhi_bench::gate::ServiceSummary {
-        completed: r.completed,
-        throughput_jobs_per_s: r.throughput_jobs_per_s,
-        health_ok: r.health_ok == r.health_checks,
-        backpressure_hinted: r.backpressure_hinted,
-        failure_isolated: serve::failure_isolated(r),
-    }
-}
-
-/// The service side of the CI gate (core in [`izhi_bench::gate`]): when
-/// the baseline carries a `service` section, the fresh burst must exist
-/// and every service guarantee must hold. Baselines predating the
-/// service (schema <= v6) skip this gate.
-fn check_service_gate(service: Option<&LoadReport>, baseline_path: &str) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
-    };
-    if !izhi_bench::gate::has_service(&text) {
-        println!("service gate: baseline {baseline_path} predates the scenario service — skipped");
-        return true;
-    }
-    let summary = service.map(service_summary);
-    let report = izhi_bench::gate::check_service_gate(summary.as_ref(), &text);
-    for e in &report.checked {
-        println!(
-            "service gate vs {baseline_path}: {} {:.2} jobs/s (baseline {:.2}, informational)",
-            e.name, e.fresh, e.baseline
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
+/// Run the in-process service burst (see [`serve::service_benchmark`])
+/// and return the document's `service` section.
+fn service_section() -> Value {
+    let s = serve::service_benchmark(SERVICE_BURST_JOBS).expect("service burst failed");
+    println!(
+        "service burst: {} jobs -> {} accepted / {} backpressured, \
+         {} completed + {} structured failures, {:.1} jobs/s, health {}/{}, isolation {}",
+        s.submitted,
+        s.accepted,
+        s.rejected,
+        s.completed,
+        s.failed,
+        s.throughput_jobs_per_s,
+        s.health_ok,
+        s.health_checks,
+        serve::failure_isolated(&s),
+    );
+    Value::object([
+        ("jobs", s.submitted.into()),
+        ("accepted", s.accepted.into()),
+        ("rejected", s.rejected.into()),
+        ("completed", s.completed.into()),
+        ("failed", s.failed.into()),
+        (
+            "throughput_jobs_per_s",
+            Value::decimal(s.throughput_jobs_per_s, 2),
+        ),
+        ("health_ok", (s.health_ok == s.health_checks).into()),
+        ("backpressure_hinted", s.backpressure_hinted.into()),
+        ("failure_isolated", serve::failure_isolated(&s).into()),
+    ])
 }
 
 /// Repeats per scenario and arm of the template-throughput experiment.
@@ -1006,8 +741,9 @@ fn throughput_params(sc: &scenario::Scenario) -> ScenarioParams {
 
 /// Measure the repeat-seed quick battery twice — cold-building every run
 /// vs instantiating from the (initially cleared) template cache — and
-/// assert the two arms bit-identical per run before reporting runs/s.
-fn battery_throughput() -> izhi_bench::gate::ThroughputSummary {
+/// assert the two arms bit-identical per run before reporting runs/s in
+/// the document's `battery_throughput` section.
+fn battery_throughput() -> Value {
     let registry = scenario::registry();
     let mut cold_results: Vec<(&str, u64, u64, u64)> = Vec::new();
     let (cold_s, ()) = time(|| {
@@ -1038,68 +774,66 @@ fn battery_throughput() -> izhi_bench::gate::ThroughputSummary {
         "template instantiation drifted from the cold build"
     );
     let runs = cold_results.len();
-    izhi_bench::gate::ThroughputSummary {
-        runs,
-        cold_runs_per_s: runs as f64 / cold_s,
-        cached_runs_per_s: runs as f64 / cached_s,
-    }
+    let (cold, cached) = (runs as f64 / cold_s, runs as f64 / cached_s);
+    println!(
+        "battery throughput ({runs} runs of {THROUGHPUT_TICKS}-tick repeat-seed jobs per arm): \
+         cold {cold:.1} runs/s, template-cached {cached:.1} runs/s, speedup {:.2}x",
+        cached / cold,
+    );
+    Value::object([
+        ("runs", runs.into()),
+        ("ticks", THROUGHPUT_TICKS.into()),
+        ("repeats", THROUGHPUT_REPEATS.into()),
+        ("cold_runs_per_s", Value::decimal(cold, 2)),
+        ("cached_runs_per_s", Value::decimal(cached, 2)),
+        ("speedup", Value::decimal(cached / cold, 3)),
+    ])
 }
 
-/// The throughput side of the CI gate (core in [`izhi_bench::gate`]):
-/// when the baseline carries a `battery_throughput` section, the fresh
-/// run must reproduce the experiment with the cached arm at least
-/// `THROUGHPUT_FLOOR` × the cold arm. Baselines predating run templates
-/// (schema <= v7) skip this gate.
-fn check_throughput_gate(
-    fresh: Option<&izhi_bench::gate::ThroughputSummary>,
-    baseline_path: &str,
-) -> bool {
-    let text = match std::fs::read_to_string(baseline_path) {
-        Ok(t) => t,
+/// Gate the written document against the baseline file with
+/// [`gate::RULES`] (only the seed-comparison sections under
+/// `BENCH_CMP_ONLY`), reading the baseline once and printing one report.
+fn check(doc: &Value, baseline_path: &str, cmp_only: bool) -> bool {
+    let baseline = std::fs::read_to_string(baseline_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| json::parse(&text));
+    let baseline = match baseline {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("cannot read baseline {baseline_path}: {e}");
             return false;
         }
     };
-    if !izhi_bench::gate::has_battery_throughput(&text) {
-        println!("throughput gate: baseline {baseline_path} predates run templates — skipped");
-        return true;
+    let checks = gate::RULES
+        .iter()
+        .filter(|c| !cmp_only || gate::CMP_ONLY_SECTIONS.contains(&c.section));
+    let outcomes = gate::evaluate(doc, &baseline, checks);
+    let failed = outcomes.iter().filter(|o| !o.passed).count();
+    println!(
+        "\nperf gate vs {baseline_path}: {} outcomes, {failed} failed",
+        outcomes.len()
+    );
+    for o in &outcomes {
+        // Passing presence and boolean outcomes are counted, not listed.
+        if !o.passed || !matches!(o.rule, "keys_present" | "all_true") {
+            println!("  {o}");
+        }
     }
-    let floor = izhi_bench::gate::THROUGHPUT_FLOOR;
-    let report = izhi_bench::gate::check_throughput_gate(fresh, &text, floor);
-    for e in &report.checked {
-        println!(
-            "throughput gate vs {baseline_path}: cached/cold {:.3}x (floor {floor:.2}x, baseline {:.3}x informational)",
-            e.fresh, e.baseline
-        );
-    }
-    for f in &report.failures {
-        println!("  {f}");
-    }
-    report.passed()
+    failed == 0
 }
 
 fn main() {
     let mut out_path: Option<String> = None;
     let mut check_path: Option<String> = None;
-    let mut min_ratio = 0.85f64;
-    let mut battery_only = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check_path = args.next(),
-            "--min-ratio" => {
-                min_ratio = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--min-ratio needs a number");
-            }
-            "--battery-only" => battery_only = true,
             // Reject unknown flags loudly: a typoed `--check` silently
             // consumed as the output path would disable the CI gate while
             // staying green.
             flag if flag.starts_with("--") => {
-                eprintln!("unknown flag `{flag}`; usage: perf_baseline [out.json] [--check baseline.json] [--min-ratio R] [--battery-only]");
+                eprintln!("unknown flag `{flag}`; usage: perf_baseline [out.json] [--check baseline.json]");
                 std::process::exit(2);
             }
             _ => out_path = Some(arg),
@@ -1110,13 +844,7 @@ fn main() {
     // BENCH_CMP_ONLY=1 runs just the interleaved seed-vs-live rows (fast
     // inner loop for performance work on the interpreter itself).
     let cmp_only = std::env::var_os("BENCH_CMP_ONLY").is_some();
-    if cmp_only && battery_only {
-        // Together they would skip both halves of the gate — a green run
-        // that checked nothing.
-        eprintln!("BENCH_CMP_ONLY and --battery-only are mutually exclusive");
-        std::process::exit(2);
-    }
-    let mut rows = if cmp_only || battery_only {
+    let mut rows = if cmp_only {
         Vec::new()
     } else {
         vec![selftest_row()]
@@ -1124,58 +852,56 @@ fn main() {
     let mut speedups = Vec::new();
     let mut reductions = Vec::new();
 
-    if !battery_only {
-        for (name, n, ticks) in [
-            ("net8020_quick_1core", 200, 300u32),
-            ("net8020_paper_1core_100ms", 1000, 100),
-        ] {
-            let best = (0..SESSIONS)
-                .map(|_| compare_rows_1core(name, n, ticks))
-                .max_by(|a, b| {
-                    (a.seed.wall_s / a.live.wall_s).total_cmp(&(b.seed.wall_s / b.live.wall_s))
-                })
-                .expect("at least one session");
-            let CmpRows1 {
-                seed,
-                live,
-                norelax,
-                nosb,
-                relaxed,
-                nokernel,
-            } = best;
-            speedups.push((name.to_string(), seed.wall_s / live.wall_s));
-            speedups.push((format!("{name}_norelax"), seed.wall_s / norelax.wall_s));
-            speedups.push((format!("{name}_nosb"), seed.wall_s / nosb.wall_s));
-            speedups.push((format!("{name}_relaxed"), seed.wall_s / relaxed.wall_s));
-            speedups.push((
-                format!("{name}_relaxed_nokernel"),
-                seed.wall_s / nokernel.wall_s,
-            ));
-            reductions.push((
-                name.to_string(),
-                (seed.sim_instret - live.sim_instret) as f64 / seed.sim_instret as f64,
-            ));
-            rows.push(seed);
-            rows.push(live);
-            rows.push(norelax);
-            rows.push(nosb);
-            rows.push(relaxed);
-            rows.push(nokernel);
-        }
-
-        let name = "net8020_quick_2core";
-        let (seed, relaxed, exact) = (0..SESSIONS)
-            .map(|_| compare_rows_2core(name, 200, 300))
-            .max_by(|a, b| (a.0.wall_s / a.1.wall_s).total_cmp(&(b.0.wall_s / b.1.wall_s)))
+    for (name, n, ticks) in [
+        ("net8020_quick_1core", 200, 300u32),
+        ("net8020_paper_1core_100ms", 1000, 100),
+    ] {
+        let best = (0..SESSIONS)
+            .map(|_| compare_rows_1core(name, n, ticks))
+            .max_by(|a, b| {
+                (a.seed.wall_s / a.live.wall_s).total_cmp(&(b.seed.wall_s / b.live.wall_s))
+            })
             .expect("at least one session");
-        speedups.push((name.to_string(), seed.wall_s / relaxed.wall_s));
-        speedups.push((format!("{name}_exact"), seed.wall_s / exact.wall_s));
+        let CmpRows1 {
+            seed,
+            live,
+            norelax,
+            nosb,
+            relaxed,
+            nokernel,
+        } = best;
+        speedups.push((name.to_string(), seed.wall_s / live.wall_s));
+        speedups.push((format!("{name}_norelax"), seed.wall_s / norelax.wall_s));
+        speedups.push((format!("{name}_nosb"), seed.wall_s / nosb.wall_s));
+        speedups.push((format!("{name}_relaxed"), seed.wall_s / relaxed.wall_s));
+        speedups.push((
+            format!("{name}_relaxed_nokernel"),
+            seed.wall_s / nokernel.wall_s,
+        ));
+        reductions.push((
+            name.to_string(),
+            (seed.sim_instret - live.sim_instret) as f64 / seed.sim_instret as f64,
+        ));
         rows.push(seed);
+        rows.push(live);
+        rows.push(norelax);
+        rows.push(nosb);
         rows.push(relaxed);
-        rows.push(exact);
+        rows.push(nokernel);
     }
 
-    if !cmp_only && !battery_only {
+    let name = "net8020_quick_2core";
+    let (seed, relaxed, exact) = (0..SESSIONS)
+        .map(|_| compare_rows_2core(name, 200, 300))
+        .max_by(|a, b| (a.0.wall_s / a.1.wall_s).total_cmp(&(b.0.wall_s / b.1.wall_s)))
+        .expect("at least one session");
+    speedups.push((name.to_string(), seed.wall_s / relaxed.wall_s));
+    speedups.push((format!("{name}_exact"), seed.wall_s / exact.wall_s));
+    rows.push(seed);
+    rows.push(relaxed);
+    rows.push(exact);
+
+    if !cmp_only {
         let (one, two, par) = sweep_rows("net8020_sweep_quick", 200, 300);
         rows.push(one);
         rows.push(two);
@@ -1188,8 +914,30 @@ fn main() {
 
     let battery = if cmp_only { Vec::new() } else { battery_rows() };
     let accuracy = estimated_accuracy(&battery);
-    let service = (!cmp_only && !battery_only).then(service_burst);
-    let throughput = (!cmp_only && !battery_only).then(battery_throughput);
+    let mut doc = vec![
+        ("schema", "izhirisc-perf-baseline-v11".into()),
+        ("methodology", methodology().into()),
+        (
+            "workloads",
+            Value::Array(rows.iter().map(Row::json).collect()),
+        ),
+        ("battery", battery::rows_json(&battery)),
+    ];
+    if !cmp_only {
+        doc.push(("service", service_section()));
+        doc.push(("battery_throughput", battery_throughput()));
+    }
+    let section = |entries: &[(String, f64)], places| {
+        Value::object(
+            entries
+                .iter()
+                .map(|(k, v)| (k.as_str(), Value::decimal(*v, places))),
+        )
+    };
+    doc.push(("estimated_accuracy", section(&accuracy, 3)));
+    doc.push(("instret_reduction", section(&reductions, 4)));
+    doc.push(("speedup_vs_seed", section(&speedups, 3)));
+    let doc = Value::object(doc);
 
     println!(
         "{:<32} {:>11} {:>3} {:>9} {:>14} {:>14} {:>12} {:>12}",
@@ -1224,63 +972,11 @@ fn main() {
             println!("  {name}: {r:.3}");
         }
     }
-    if let Some(s) = &service {
-        println!(
-            "\nservice burst: {} jobs -> {} accepted / {} backpressured, \
-             {} completed + {} structured failures, {:.1} jobs/s, health {}/{}, isolation {}",
-            s.submitted,
-            s.accepted,
-            s.rejected,
-            s.completed,
-            s.failed,
-            s.throughput_jobs_per_s,
-            s.health_ok,
-            s.health_checks,
-            serve::failure_isolated(s),
-        );
-    }
-    if let Some(t) = &throughput {
-        println!(
-            "\nbattery throughput ({} runs of {THROUGHPUT_TICKS}-tick repeat-seed jobs per arm): \
-             cold {:.1} runs/s, template-cached {:.1} runs/s, speedup {:.2}x",
-            t.runs,
-            t.cold_runs_per_s,
-            t.cached_runs_per_s,
-            t.speedup(),
-        );
-    }
-    std::fs::write(
-        &out_path,
-        json(
-            &rows,
-            &speedups,
-            &reductions,
-            &battery,
-            &accuracy,
-            service.as_ref(),
-            throughput.as_ref(),
-        ),
-    )
-    .expect("write json");
+    std::fs::write(&out_path, format!("{doc}\n")).expect("write json");
     println!("\nwrote {out_path}");
 
     if let Some(baseline) = check_path {
-        let mut ok = true;
-        if !battery_only {
-            ok &= check_gate(&speedups, &baseline, min_ratio);
-            ok &= check_floor_gate(&speedups);
-            ok &= check_kernel_gate(&speedups);
-            ok &= check_instret_gate(&reductions, &baseline);
-        }
-        if !cmp_only {
-            ok &= check_battery_gate(&battery, &baseline);
-            ok &= check_accuracy_gate(&accuracy, &baseline);
-        }
-        if !cmp_only && !battery_only {
-            ok &= check_service_gate(service.as_ref(), &baseline);
-            ok &= check_throughput_gate(throughput.as_ref(), &baseline);
-        }
-        if !ok {
+        if !check(&doc, &baseline, cmp_only) {
             eprintln!("perf gate FAILED");
             std::process::exit(1);
         }

@@ -17,7 +17,7 @@
 use std::time::Duration;
 
 use izhi_bench::serve::{
-    failure_isolated, generate_load, tiny_job_body, LoadReport, ServeConfig, Server,
+    burst_bodies, failure_isolated, generate_load, LoadReport, ServeConfig, Server,
 };
 
 fn usage() -> ! {
@@ -100,15 +100,7 @@ fn print_report(r: &LoadReport) {
 
 fn main() {
     let args = parse_args();
-    let mut bodies: Vec<String> = (0..args.jobs as u32).map(tiny_job_body).collect();
-    if args.faults && bodies.len() >= 2 {
-        bodies[0] = "{\"scenario\": \"net8020\", \"seed\": 5, \"sched\": \"relaxed\", \
-                     \"ticks\": 10, \"n\": 60, \"fault\": \"panic\"}"
-            .to_string();
-        bodies[1] = "{\"scenario\": \"net8020\", \"seed\": 6, \"sched\": \"relaxed\", \
-                     \"ticks\": 10, \"n\": 60, \"fault\": \"trap\"}"
-            .to_string();
-    }
+    let bodies = burst_bodies(args.jobs as u32, args.faults);
 
     let (report, served_inline) = match &args.addr {
         Some(addr) => (

@@ -24,6 +24,7 @@
 
 pub mod battery;
 pub mod gate;
+pub mod json;
 pub mod seedsim;
 pub mod serve;
 pub mod supervise;

@@ -17,24 +17,32 @@
 //!   queries answered throughout the drain.
 //!
 //! The whole stack is `std`-only: HTTP/1.1 on [`std::net::TcpListener`],
-//! a hand-rolled flat-JSON reader for the tiny job documents, and a
-//! `Mutex<VecDeque> + Condvar` queue. The workspace is offline, so no
-//! dependency was an option — and none is needed at this size.
+//! the workspace's JSON codec ([`crate::json`]) for every request and
+//! response body, and a `Mutex<VecDeque> + Condvar` queue. The workspace
+//! is offline, so no dependency was an option — and none is needed at this
+//! size.
 //!
 //! ## Endpoints
 //!
 //! | Method & path | Purpose |
 //! |---|---|
 //! | `GET /health` | queue/worker counters; always answered, even while draining |
-//! | `POST /jobs` | submit a job (flat JSON); `202` + id, or `429` when full |
+//! | `POST /jobs` | submit a job document; `202` + id, or `429` when full |
 //! | `GET /jobs/<id>` | status/result of one job |
 //! | `POST /shutdown` | stop admissions, drain, exit |
 //!
-//! A job document is a flat JSON object:
-//! `{"scenario": "net8020", "seed": 5, "sched": "relaxed", "ticks": 20}`
-//! with optional `n`, `n_cores`, `quick` (default `true`) and fault-
-//! injection knobs `fault` (`"panic" | "trap" | "stall" | "corrupt"`),
-//! `fault_core`, `fault_at`, `fault_arg` for chaos drills.
+//! A job document is a JSON object:
+//! `{"scenario": "net8020", "seed": 5, "sched": "relaxed", "ticks": 20}`.
+//! It accepts exactly these keys ([`JOB_KEYS`]): `scenario` (required),
+//! `sched` (a battery label, default `"relaxed"`), `quick` (default
+//! `true`), the integers `seed`, `ticks`, `n` and `n_cores`, and the
+//! fault-injection knobs `fault` (`"panic" | "trap" | "stall" |
+//! "corrupt"`), `fault_arg`, `fault_core` and `fault_at` for chaos drills.
+//! An integer field takes an integer token (no fraction, no exponent, no
+//! sign) that fits its type: `u32`, or `u64` for `fault_at` and a stall's
+//! `fault_arg`. Anything else — another value, an unknown or repeated
+//! key, a body that is not one JSON object — is a `400` whose JSON body
+//! names the problem.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -49,6 +57,7 @@ use izhi_programs::template;
 use izhi_sim::{FaultKind, FaultPlan, FaultSpec, SchedMode};
 
 use crate::battery::SchedSpec;
+use crate::json::{self, Value};
 use crate::supervise::{run_supervised, RunErrorKind, SuperviseConfig};
 
 /// Service configuration.
@@ -435,9 +444,10 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 fn write_response(
     stream: &mut TcpStream,
     status: u16,
-    body: &str,
+    body: &Value,
     retry_after: Option<Duration>,
 ) -> std::io::Result<()> {
+    let body = body.to_string();
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
@@ -461,43 +471,49 @@ fn write_response(
     stream.flush()
 }
 
-/// Route one request. Returns `(status, body, retry_after)`.
-fn handle_request(state: &ServerState, req: &Request) -> (u16, String, Option<Duration>) {
+/// A response: status, JSON body and the optional backpressure hint.
+type Response = (u16, Value, Option<Duration>);
+
+fn error(status: u16, message: &str) -> Response {
+    (status, Value::object([("error", message.into())]), None)
+}
+
+/// Route one request.
+fn handle_request(state: &ServerState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
             let (queued, running, done, failed) = state.counters();
             let draining = state.draining.load(Ordering::SeqCst);
-            (
-                200,
-                format!(
-                    "{{\"status\": \"ok\", \"queued\": {queued}, \"running\": {running}, \
-                     \"done\": {done}, \"failed\": {failed}, \"draining\": {draining}}}"
-                ),
-                None,
-            )
+            let body = Value::object([
+                ("status", "ok".into()),
+                ("queued", queued.into()),
+                ("running", running.into()),
+                ("done", done.into()),
+                ("failed", failed.into()),
+                ("draining", draining.into()),
+            ]);
+            (200, body, None)
         }
         ("POST", "/jobs") => submit_job(state, &req.body),
         ("POST", "/shutdown") => {
             state.draining.store(true, Ordering::SeqCst);
             state.not_empty.notify_all();
-            (202, "{\"status\": \"draining\"}".to_string(), None)
+            (202, Value::object([("status", "draining".into())]), None)
         }
         ("GET", path) if path.starts_with("/jobs/") => job_status(state, &path["/jobs/".len()..]),
-        (_, "/health" | "/jobs" | "/shutdown") => {
-            (405, "{\"error\": \"method not allowed\"}".to_string(), None)
-        }
-        _ => (404, "{\"error\": \"no such endpoint\"}".to_string(), None),
+        (_, "/health" | "/jobs" | "/shutdown") => error(405, "method not allowed"),
+        _ => error(404, "no such endpoint"),
     }
 }
 
 /// `POST /jobs`: validate, admit or push back.
-fn submit_job(state: &ServerState, body: &str) -> (u16, String, Option<Duration>) {
+fn submit_job(state: &ServerState, body: &str) -> Response {
     if state.draining.load(Ordering::SeqCst) {
-        return (503, "{\"error\": \"shutting down\"}".to_string(), None);
+        return error(503, "shutting down");
     }
     let spec = match parse_job(body) {
         Ok(spec) => spec,
-        Err(e) => return (400, format!("{{\"error\": \"{e}\"}}"), None),
+        Err(e) => return error(400, &e),
     };
     let mut q = lock(&state.queue);
     if q.len() >= state.cfg.queue_cap {
@@ -507,14 +523,11 @@ fn submit_job(state: &ServerState, body: &str) -> (u16, String, Option<Duration>
         let hint = Duration::from_millis(
             100 * state.cfg.queue_cap as u64 / state.cfg.workers.max(1) as u64,
         );
-        return (
-            429,
-            format!(
-                "{{\"error\": \"queue full\", \"retry_after_ms\": {}}}",
-                hint.as_millis()
-            ),
-            Some(hint),
-        );
+        let body = Value::object([
+            ("error", "queue full".into()),
+            ("retry_after_ms", (hint.as_millis() as u64).into()),
+        ]);
+        return (429, body, Some(hint));
     }
     let id = state.next_id.fetch_add(1, Ordering::SeqCst);
     lock(&state.jobs).insert(id, JobState::Queued);
@@ -522,28 +535,24 @@ fn submit_job(state: &ServerState, body: &str) -> (u16, String, Option<Duration>
     let queued = q.len();
     drop(q);
     state.not_empty.notify_one();
-    (202, format!("{{\"id\": {id}, \"queued\": {queued}}}"), None)
+    let body = Value::object([("id", id.into()), ("queued", queued.into())]);
+    (202, body, None)
 }
 
 /// `GET /jobs/<id>`.
-fn job_status(state: &ServerState, id_str: &str) -> (u16, String, Option<Duration>) {
+fn job_status(state: &ServerState, id_str: &str) -> Response {
     let Ok(id) = id_str.parse::<u64>() else {
-        return (400, "{\"error\": \"bad job id\"}".to_string(), None);
+        return error(400, "bad job id");
     };
     let jobs = lock(&state.jobs);
-    match jobs.get(&id) {
-        None => (404, "{\"error\": \"no such job\"}".to_string(), None),
-        Some(JobState::Queued) => (
-            200,
-            format!("{{\"id\": {id}, \"status\": \"queued\"}}"),
-            None,
-        ),
-        Some(JobState::Running) => (
-            200,
-            format!("{{\"id\": {id}, \"status\": \"running\"}}"),
-            None,
-        ),
-        Some(JobState::Done {
+    let Some(job) = jobs.get(&id) else {
+        return error(404, "no such job");
+    };
+    let mut doc = vec![("id", id.into())];
+    doc.extend(match job {
+        JobState::Queued => vec![("status", "queued".into())],
+        JobState::Running => vec![("status", "running".into())],
+        JobState::Done {
             cycles,
             instret,
             spikes,
@@ -551,209 +560,124 @@ fn job_status(state: &ServerState, id_str: &str) -> (u16, String, Option<Duratio
             wall_s,
             attempts,
             template_hit,
-        }) => (
-            200,
-            format!(
-                "{{\"id\": {id}, \"status\": \"done\", \"sim_cycles\": {cycles}, \
-                 \"sim_instret\": {instret}, \"spikes\": {spikes}, \
-                 \"raster_hash\": \"{raster_hash:#018x}\", \"wall_s\": {wall_s:.6}, \
-                 \"attempts\": {attempts}, \"template_hit\": {template_hit}}}"
-            ),
-            None,
-        ),
-        Some(JobState::Failed {
+        } => vec![
+            ("status", "done".into()),
+            ("sim_cycles", (*cycles).into()),
+            ("sim_instret", (*instret).into()),
+            ("spikes", (*spikes).into()),
+            ("raster_hash", format!("{raster_hash:#018x}").into()),
+            ("wall_s", Value::decimal(*wall_s, 6)),
+            ("attempts", (*attempts).into()),
+            ("template_hit", (*template_hit).into()),
+        ],
+        JobState::Failed {
             kind,
             message,
             attempts,
-        }) => (
-            200,
-            format!(
-                "{{\"id\": {id}, \"status\": \"failed\", \"error_kind\": \"{}\", \
-                 \"error\": \"{}\", \"attempts\": {attempts}}}",
-                kind.label(),
-                escape_json(message),
-            ),
-            None,
-        ),
-    }
+        } => vec![
+            ("status", "failed".into()),
+            ("error_kind", kind.label().into()),
+            ("error", message.as_str().into()),
+            ("attempts", (*attempts).into()),
+        ],
+    });
+    (200, Value::object(doc), None)
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            '\r' => vec!['\\', 'r'],
-            '\t' => vec!['\\', 't'],
-            c if (c as u32) < 0x20 => vec![' '],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// A value of the flat job document.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonVal {
-    Str(String),
-    Num(f64),
-    Bool(bool),
-}
-
-/// Parse a flat JSON object (string/number/bool values, no nesting) into
-/// key/value pairs. Small by design: job documents are flat, and the
-/// workspace is offline (no serde).
-fn parse_flat_json(s: &str) -> Result<Vec<(String, JsonVal)>, String> {
-    let mut out = Vec::new();
-    let mut it = s.chars().peekable();
-    let skip_ws = |it: &mut std::iter::Peekable<std::str::Chars<'_>>| {
-        while matches!(it.peek(), Some(c) if c.is_whitespace()) {
-            it.next();
-        }
-    };
-    skip_ws(&mut it);
-    if it.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        skip_ws(&mut it);
-        match it.peek() {
-            Some('}') => {
-                it.next();
-                return Ok(out);
-            }
-            Some('"') => {}
-            _ => return Err("expected key or '}'".into()),
-        }
-        it.next(); // opening quote
-        let mut key = String::new();
-        loop {
-            match it.next() {
-                Some('"') => break,
-                Some(c) => key.push(c),
-                None => return Err("unterminated key".into()),
-            }
-        }
-        skip_ws(&mut it);
-        if it.next() != Some(':') {
-            return Err(format!("expected ':' after key `{key}`"));
-        }
-        skip_ws(&mut it);
-        let val = match it.peek() {
-            Some('"') => {
-                it.next();
-                let mut v = String::new();
-                loop {
-                    match it.next() {
-                        Some('\\') => match it.next() {
-                            Some('n') => v.push('\n'),
-                            Some('t') => v.push('\t'),
-                            Some(c) => v.push(c),
-                            None => return Err("unterminated string".into()),
-                        },
-                        Some('"') => break,
-                        Some(c) => v.push(c),
-                        None => return Err("unterminated string".into()),
-                    }
-                }
-                JsonVal::Str(v)
-            }
-            Some('t' | 'f') => {
-                let mut word = String::new();
-                while matches!(it.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    word.push(it.next().unwrap());
-                }
-                match word.as_str() {
-                    "true" => JsonVal::Bool(true),
-                    "false" => JsonVal::Bool(false),
-                    w => return Err(format!("bad literal `{w}`")),
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == '-' => {
-                let mut num = String::new();
-                while matches!(it.peek(), Some(c) if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                {
-                    num.push(it.next().unwrap());
-                }
-                JsonVal::Num(num.parse().map_err(|_| format!("bad number `{num}`"))?)
-            }
-            _ => return Err(format!("unsupported value for key `{key}`")),
-        };
-        out.push((key, val));
-        skip_ws(&mut it);
-        match it.next() {
-            Some(',') => {}
-            Some('}') => return Ok(out),
-            _ => return Err("expected ',' or '}'".into()),
-        }
-    }
-}
+/// The keys a job document may carry.
+pub const JOB_KEYS: [&str; 11] = [
+    "scenario",
+    "seed",
+    "sched",
+    "quick",
+    "ticks",
+    "n",
+    "n_cores",
+    "fault",
+    "fault_arg",
+    "fault_core",
+    "fault_at",
+];
 
 /// Validate a job document into a [`JobSpec`].
 pub fn parse_job(body: &str) -> Result<JobSpec, String> {
-    let pairs = parse_flat_json(body)?;
-    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let get_num = |key: &str| -> Result<Option<f64>, String> {
-        match get(key) {
-            None => Ok(None),
-            Some(JsonVal::Num(n)) => Ok(Some(*n)),
-            Some(_) => Err(format!("`{key}` must be a number")),
-        }
+    let doc = json::parse(body).map_err(|e| format!("not JSON: {e}"))?;
+    let Value::Object(members) = &doc else {
+        return Err("a job document is a JSON object".into());
     };
-    let Some(JsonVal::Str(scenario)) = get("scenario") else {
+    for (i, (key, _)) in members.iter().enumerate() {
+        if !JOB_KEYS.contains(&key.as_str()) {
+            return Err(format!("unknown key `{key}`"));
+        }
+        if members[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("repeated key `{key}`"));
+        }
+    }
+    let int = |key: &str, max: u64| -> Result<Option<u64>, String> {
+        doc.get(key)
+            .map(|v| {
+                v.as_u64()
+                    .filter(|&n| n <= max)
+                    .ok_or_else(|| format!("`{key}` must be an integer in 0..={max}, not {v}"))
+            })
+            .transpose()
+    };
+    let u32_field = |key: &str| Ok::<_, String>(int(key, u32::MAX.into())?.map(|n| n as u32));
+    let string = |key: &str| match doc.get(key) {
+        None => Ok(None),
+        Some(Value::Str(s)) => Ok(Some(s.as_str())),
+        Some(v) => Err(format!("`{key}` must be a string, not {v}")),
+    };
+    let Some(scenario) = string("scenario")? else {
         return Err("`scenario` (string) is required".into());
     };
     let Some(sc) = scenario::find(scenario) else {
         return Err(format!("unknown scenario `{scenario}`"));
     };
-    let sched_label = match get("sched") {
-        None => "relaxed",
-        Some(JsonVal::Str(s)) => s.as_str(),
-        Some(_) => return Err("`sched` must be a string".into()),
-    };
+    let sched_label = string("sched")?.unwrap_or("relaxed");
     let Some(spec) = SchedSpec::default_set(0)
         .into_iter()
         .find(|s| s.label == sched_label)
     else {
         return Err(format!("unknown sched label `{sched_label}`"));
     };
-    let quick = match get("quick") {
+    let quick = match doc.get("quick") {
         None => true,
-        Some(JsonVal::Bool(b)) => *b,
-        Some(_) => return Err("`quick` must be a bool".into()),
+        Some(Value::Bool(b)) => *b,
+        Some(v) => return Err(format!("`quick` must be a bool, not {v}")),
     };
     let params = ScenarioParams {
-        seed: get_num("seed")?.map(|n| n as u32),
-        n: get_num("n")?.map(|n| n as usize),
-        ticks: get_num("ticks")?.map(|n| n as u32),
-        n_cores: get_num("n_cores")?.map(|n| n as u32),
+        seed: u32_field("seed")?,
+        n: u32_field("n")?.map(|n| n as usize),
+        ticks: u32_field("ticks")?,
+        n_cores: u32_field("n_cores")?,
         ..Default::default()
     };
     // The shape check the CLI runs: a job the engine cannot build is a
     // 400 here, never a `panic` row from a worker.
     sc.validate(&params, quick)
         .map_err(|e| format!("invalid parameters: {e}"))?;
-    let fault = match get("fault") {
+    let fault = match string("fault")? {
         None => None,
-        Some(JsonVal::Str(kind)) => {
-            let arg = get_num("fault_arg")?;
-            let kind = match kind.as_str() {
+        Some(kind) => {
+            let kind = match kind {
                 "panic" => FaultKind::HostPanic,
                 "trap" => FaultKind::GuestTrap,
-                "stall" => FaultKind::StallMs(arg.map_or(200, |n| n as u64)),
-                "corrupt" => FaultKind::CorruptSpike(arg.map_or(0xDEAD_BEEF, |n| n as u32)),
+                "stall" => FaultKind::StallMs(int("fault_arg", u64::MAX)?.unwrap_or(200)),
+                "corrupt" => {
+                    FaultKind::CorruptSpike(u32_field("fault_arg")?.unwrap_or(0xDEAD_BEEF))
+                }
                 k => return Err(format!("unknown fault kind `{k}`")),
             };
             Some(FaultSpec {
-                core: get_num("fault_core")?.map_or(0, |n| n as u32),
-                at_instret: get_num("fault_at")?.map_or(0, |n| n as u64),
+                core: u32_field("fault_core")?.unwrap_or(0),
+                at_instret: int("fault_at", u64::MAX)?.unwrap_or(0),
                 kind,
             })
         }
-        Some(_) => return Err("`fault` must be a string".into()),
     };
     Ok(JobSpec {
-        scenario: scenario.clone(),
+        scenario: scenario.to_string(),
         params,
         sched: spec.mode,
         sched_label: spec.label,
@@ -793,22 +717,14 @@ pub fn http_request(
     Ok((status, payload))
 }
 
-/// Extract a numeric field from a flat JSON response.
+/// An unsigned integer field of a JSON object document.
 pub fn json_field_u64(body: &str, key: &str) -> Option<u64> {
-    let pairs = parse_flat_json(body).ok()?;
-    pairs.iter().find_map(|(k, v)| match v {
-        JsonVal::Num(n) if k == key => Some(*n as u64),
-        _ => None,
-    })
+    json::parse(body).ok()?.get(key)?.as_u64()
 }
 
-/// Extract a string field from a flat JSON response.
+/// A string field of a JSON object document.
 pub fn json_field_str(body: &str, key: &str) -> Option<String> {
-    let pairs = parse_flat_json(body).ok()?;
-    pairs.iter().find_map(|(k, v)| match v {
-        JsonVal::Str(s) if k == key => Some(s.clone()),
-        _ => None,
-    })
+    Some(json::parse(body).ok()?.get(key)?.as_str()?.to_string())
 }
 
 /// What a load-generation burst observed (the `service` section of a
@@ -930,7 +846,33 @@ pub fn generate_load(
 
 /// A small, fast job document for bursts (quick net8020 at few ticks).
 pub fn tiny_job_body(seed: u32) -> String {
-    format!("{{\"scenario\": \"net8020\", \"seed\": {seed}, \"sched\": \"relaxed\", \"ticks\": 10, \"n\": 60}}")
+    tiny_job(seed, None)
+}
+
+/// [`tiny_job_body`], optionally with an injected fault kind.
+fn tiny_job(seed: u32, fault: Option<&str>) -> String {
+    let mut doc = vec![
+        ("scenario", "net8020".into()),
+        ("seed", seed.into()),
+        ("sched", "relaxed".into()),
+        ("ticks", 10u32.into()),
+        ("n", 60u32.into()),
+    ];
+    doc.extend(fault.map(|f| ("fault", f.into())));
+    Value::object(doc).to_string()
+}
+
+/// `n` tiny job documents; with `faults` (and `n >= 2`) the first two
+/// inject a host panic and a guest trap.
+pub fn burst_bodies(n: u32, faults: bool) -> Vec<String> {
+    let faults = faults && n >= 2;
+    (0..n)
+        .map(|i| match i {
+            0 if faults => tiny_job(5, Some("panic")),
+            1 if faults => tiny_job(6, Some("trap")),
+            seed => tiny_job(seed, None),
+        })
+        .collect()
 }
 
 /// In-process service benchmark: burst `n_jobs` tiny jobs (two of them
@@ -949,15 +891,7 @@ pub fn service_benchmark(n_jobs: usize) -> Result<LoadReport, String> {
     })
     .map_err(|e| e.to_string())?;
     let addr = handle.addr().to_string();
-    let mut bodies: Vec<String> = (0..n_jobs as u32).map(tiny_job_body).collect();
-    if bodies.len() >= 2 {
-        bodies[0] = "{\"scenario\": \"net8020\", \"seed\": 5, \"sched\": \"relaxed\", \
-                     \"ticks\": 10, \"n\": 60, \"fault\": \"panic\"}"
-            .to_string();
-        bodies[1] = "{\"scenario\": \"net8020\", \"seed\": 6, \"sched\": \"relaxed\", \
-                     \"ticks\": 10, \"n\": 60, \"fault\": \"trap\"}"
-            .to_string();
-    }
+    let bodies = burst_bodies(n_jobs as u32, true);
     let report = generate_load(&addr, &bodies, Duration::from_secs(180));
     handle.shutdown_and_join();
     report
@@ -980,18 +914,16 @@ mod tests {
 
     #[test]
     fn flat_json_parses_the_job_shapes() {
-        let pairs = parse_flat_json(
-            "{\"scenario\": \"net8020\", \"seed\": 5, \"quick\": true, \"wall\": 1.5}",
-        )
-        .unwrap();
-        assert_eq!(pairs.len(), 4);
-        assert_eq!(pairs[0].1, JsonVal::Str("net8020".into()));
-        assert_eq!(pairs[1].1, JsonVal::Num(5.0));
-        assert_eq!(pairs[2].1, JsonVal::Bool(true));
-        assert_eq!(pairs[3].1, JsonVal::Num(1.5));
-        assert!(parse_flat_json("{\"k\": }").is_err());
-        assert!(parse_flat_json("not json").is_err());
-        assert!(parse_flat_json("{}").unwrap().is_empty());
+        let doc =
+            json::parse("{\"scenario\": \"net8020\", \"seed\": 5, \"quick\": true, \"wall\": 1.5}")
+                .unwrap();
+        assert_eq!(doc.get("scenario"), Some(&Value::Str("net8020".into())));
+        assert_eq!(doc.get("seed"), Some(&Value::Int(5)));
+        assert_eq!(doc.get("quick"), Some(&Value::Bool(true)));
+        assert_eq!(doc.get("wall"), Some(&Value::Float(1.5)));
+        assert!(json::parse("{\"k\": }").is_err());
+        assert!(json::parse("not json").is_err());
+        assert_eq!(json::parse("{}").unwrap(), Value::Object(Vec::new()));
     }
 
     #[test]
@@ -1012,6 +944,41 @@ mod tests {
     }
 
     #[test]
+    fn job_numbers_must_be_in_range_integers_and_keys_known() {
+        // Negative, fractional, out-of-range, mistyped, unknown and
+        // repeated fields are refused by name, never coerced or ignored.
+        for (field, body) in [
+            ("seed", r#"{"scenario":"net8020","seed":-1}"#),
+            ("ticks", r#"{"scenario":"net8020","ticks":2.9}"#),
+            ("seed", r#"{"scenario":"net8020","seed":1e300}"#),
+            ("seed", r#"{"scenario":"net8020","seed":4294967296}"#),
+            ("seed", r#"{"scenario":"net8020","seed":-0}"#),
+            ("seed", r#"{"scenario":"net8020","seed":"5"}"#),
+            ("sed", r#"{"scenario":"net8020","sed":5}"#),
+            ("seed", r#"{"scenario":"net8020","seed":1,"seed":2}"#),
+            (
+                "fault_arg",
+                r#"{"scenario":"net8020","fault":"corrupt","fault_arg":4294967296}"#,
+            ),
+        ] {
+            let err = parse_job(body).unwrap_err();
+            assert!(err.contains(&format!("`{field}`")), "{body}: {err}");
+        }
+        for body in ["[]", "5", "\"net8020\""] {
+            assert!(parse_job(body).is_err(), "{body}");
+        }
+        // Every key the repo's clients send, at its type's extremes.
+        let job = parse_job(
+            r#"{"scenario":"net8020","seed":4294967295,"sched":"exact","quick":true,"ticks":5,
+                "n":60,"n_cores":1,"fault":"stall","fault_arg":18446744073709551615,
+                "fault_core":0,"fault_at":18446744073709551615}"#,
+        )
+        .unwrap();
+        assert_eq!(job.params.seed, Some(u32::MAX));
+        assert_eq!(job.fault.unwrap().kind, FaultKind::StallMs(u64::MAX));
+    }
+
+    #[test]
     fn job_documents_carry_fault_plans() {
         let job = parse_job(
             "{\"scenario\": \"net8020\", \"fault\": \"stall\", \"fault_core\": 1, \
@@ -1028,6 +995,28 @@ mod tests {
 
     #[test]
     fn json_escaping_is_safe_for_messages() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        // Messages travel in JSON bodies: whatever they contain, the body
+        // parses back to the message.
+        let message = "unknown scenario `a\"b\\c\nd\u{1}é`";
+        let (status, body, _) = error(400, message);
+        assert_eq!(status, 400);
+        let text = body.to_string();
+        assert_eq!(text, r#"{"error": "unknown scenario `a\"b\\c\nd\u0001é`"}"#);
+        assert_eq!(json_field_str(&text, "error").as_deref(), Some(message));
+    }
+
+    #[test]
+    fn json_field_u64_is_exact_past_two_to_the_53() {
+        let big = (1u64 << 53) + 1;
+        assert_eq!(
+            json_field_u64(&format!("{{\"id\": {big}}}"), "id"),
+            Some(big)
+        );
+        assert_eq!(
+            json_field_u64("{\"id\": 18446744073709551615}", "id"),
+            Some(u64::MAX)
+        );
+        assert_eq!(json_field_u64("{\"id\": -1}", "id"), None);
+        assert_eq!(json_field_u64("{\"id\": 1.0}", "id"), None);
     }
 }

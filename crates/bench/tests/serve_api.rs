@@ -5,9 +5,10 @@
 
 use std::time::{Duration, Instant};
 
+use izhi_bench::json::{self, Value};
 use izhi_bench::serve::{
-    failure_isolated, generate_load, http_request, json_field_str, json_field_u64, tiny_job_body,
-    ServeConfig, Server, ServerHandle,
+    burst_bodies, failure_isolated, generate_load, http_request, json_field_str, json_field_u64,
+    tiny_job_body, ServeConfig, Server, ServerHandle,
 };
 use izhi_bench::supervise::SuperviseConfig;
 
@@ -82,16 +83,28 @@ fn bad_requests_are_rejected_not_crashed() {
             "{\"scenario\": \"net8020_large\", \"n_cores\": 1, \"quick\": false}",
             "a shape the engine cannot build",
         ),
+        ("{\"scenario\": \"a\\\"b\"}", "a quote in the echoed name"),
+        (
+            "{\"scenario\": \"net8020\", \"seed\": 2.5}",
+            "a fractional seed",
+        ),
+        ("{\"scenario\": \"net8020\", \"sed\": 5}", "an unknown key"),
     ] {
         let (status, resp) = http_request(&addr, "POST", "/jobs", Some(body)).expect(what);
         assert_eq!(status, 400, "{what}: {resp}");
+        let error = json::parse(&resp).map(|doc| doc.get("error").cloned());
+        assert!(matches!(error, Ok(Some(Value::Str(_)))), "{what}: {resp}");
     }
-    let (status, _) = http_request(&addr, "GET", "/jobs/999", None).expect("unknown id");
-    assert_eq!(status, 404);
-    let (status, _) = http_request(&addr, "GET", "/nope", None).expect("unknown path");
-    assert_eq!(status, 404);
-    let (status, _) = http_request(&addr, "DELETE", "/health", None).expect("bad method");
-    assert_eq!(status, 405);
+    for (method, path, want) in [
+        ("GET", "/jobs/999", 404),
+        ("GET", "/jobs/x", 400),
+        ("GET", "/nope", 404),
+        ("DELETE", "/health", 405),
+    ] {
+        let (status, resp) = http_request(&addr, method, path, None).expect(path);
+        assert_eq!(status, want, "{method} {path}: {resp}");
+        assert!(json::parse(&resp).is_ok(), "{method} {path}: {resp}");
+    }
 
     // The server still works after all of that.
     let (status, _) = http_request(&addr, "GET", "/health", None).expect("health");
@@ -105,14 +118,8 @@ fn a_burst_beyond_capacity_is_backpressured_and_accepted_jobs_complete() {
     // and every accepted job must still complete while health stays up.
     let handle = start(4, 2);
     let addr = handle.addr().to_string();
-    let mut bodies: Vec<String> = (0..50u32).map(tiny_job_body).collect();
     // Two poisoned jobs ride along: a host panic and a guest trap.
-    bodies[0] = "{\"scenario\": \"net8020\", \"seed\": 5, \"ticks\": 10, \"n\": 60, \
-                 \"fault\": \"panic\"}"
-        .to_string();
-    bodies[1] = "{\"scenario\": \"net8020\", \"seed\": 6, \"ticks\": 10, \"n\": 60, \
-                 \"fault\": \"trap\"}"
-        .to_string();
+    let bodies = burst_bodies(50, true);
 
     let report = generate_load(&addr, &bodies, Duration::from_secs(120)).expect("burst");
     assert_eq!(report.submitted, 50);

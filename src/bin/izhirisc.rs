@@ -60,6 +60,7 @@ use std::io::Write as _;
 use std::process::exit;
 
 use izhirisc::bench::battery::{self, BatteryRunner, BatterySpec, SchedSpec};
+use izhirisc::bench::json::Value;
 use izhirisc::bench::serve::{ServeConfig, Server};
 use izhirisc::bench::supervise::{RetryPolicy, SuperviseConfig};
 use izhirisc::isa::{decode, disassemble, Assembler, Reg};
@@ -419,11 +420,11 @@ fn cmd_scenario_list() {
 /// Write battery rows as a standalone JSON document (the CI smoke-job
 /// artifact; same `"battery"` array shape as `perf_baseline`'s output).
 fn write_battery_json(path: &str, rows: &[battery::BatteryRow]) {
-    let json = format!(
-        "{{\n  \"schema\": \"izhirisc-scenario-battery-v1\",\n  \"battery\": {}\n}}\n",
-        battery::rows_json(rows)
-    );
-    fs::write(path, json).unwrap_or_else(|e| {
+    let doc = Value::object([
+        ("schema", "izhirisc-scenario-battery-v1".into()),
+        ("battery", battery::rows_json(rows)),
+    ]);
+    fs::write(path, format!("{doc}\n")).unwrap_or_else(|e| {
         eprintln!("cannot write {path}: {e}");
         exit(1);
     });
