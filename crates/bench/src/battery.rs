@@ -213,19 +213,13 @@ pub struct BatteryRunner {
 }
 
 impl BatteryRunner {
-    /// Resolve the worker count: `IZHI_HOST_THREADS` if set, else the
-    /// host's available parallelism.
+    /// Resolve the worker count the way the parallel scheduler does
+    /// ([`izhi_sim::resolve_host_threads`]): `IZHI_HOST_THREADS` if set,
+    /// else the host's available parallelism.
     pub fn auto() -> Self {
-        let host_threads = std::env::var("IZHI_HOST_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
-        BatteryRunner { host_threads }
+        BatteryRunner {
+            host_threads: izhi_sim::resolve_host_threads(0) as usize,
+        }
     }
 
     /// Run every `(scenario, seed, sched)` row of `specs`, sharded across
@@ -365,28 +359,14 @@ fn run_one(job: &Job<'_>) -> BatteryRow {
         seed: Some(job.seed),
         ..spec.params
     };
-    // Instantiate from the shared template cache when it is enabled:
-    // every row of a (scenario, shape) fan-out then reuses one build
+    // Every row of a (scenario, shape) fan-out reuses one cached build
     // (assembly, memory snapshot, predecode) and only re-patches the
-    // seed-dependent tables. `IZHI_TEMPLATE_CACHE=0` forces the historic
-    // cold build per row.
-    let mut wl: Box<dyn Workload> = if template::cache_enabled() {
-        let tpl = if spec.quick {
-            sc.template_quick(&params)
-        } else {
-            sc.template(&params)
-        };
-        Box::new(tpl.instantiate(job.seed, job.sched.mode))
-    } else if spec.quick {
-        sc.build_quick(&params)
-    } else {
-        sc.build(&params)
-    };
-    wl.cfg_mut().system.sched = job.sched.mode;
+    // seed-dependent tables.
+    let (mut wl, _) = template::instance(sc, &params, spec.quick, job.sched.mode);
     wl.cfg_mut().system.faults = spec.faults.clone();
     let (quantum, host_threads) = job.mode_fields();
     let start = Instant::now();
-    let outcome = supervise::run_supervised(wl.as_mut(), &spec.supervise);
+    let outcome = supervise::run_supervised(&mut wl, &spec.supervise);
     let wall_s = start.elapsed().as_secs_f64();
     match outcome {
         Ok(sup) => BatteryRow {

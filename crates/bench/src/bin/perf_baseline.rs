@@ -313,8 +313,7 @@ fn engine_asm(cfg: &EngineConfig) -> String {
 /// runs:
 ///
 /// * `live` — the headline shipping configuration (superblocks + assembler
-///   relaxation forced on, regardless of `IZHI_SUPERBLOCKS`/`IZHI_RELAX`
-///   in the environment, so the row means the same thing on every host).
+///   relaxation on, set explicitly like every row's configuration).
 /// * `norelax` — relaxation off, superblocks on. Must match the seed
 ///   interpreter bit- and cycle-exactly (cycles, instret, full packed
 ///   spike log): the superblock interpreter alone is semantics- and
@@ -761,9 +760,8 @@ fn battery_throughput() -> Value {
     let (cached_s, ()) = time(|| {
         for sc in registry {
             let over = throughput_params(sc);
-            let seed = over.seed.expect("throughput params pin a seed");
             for _ in 0..THROUGHPUT_REPEATS {
-                let inst = sc.template_quick(&over).instantiate(seed, SchedMode::Exact);
+                let (inst, _) = template::instance(sc, &over, true, SchedMode::Exact);
                 let res = inst.run().expect("cached throughput run");
                 cached_results.push((sc.name, res.raster_hash(), res.cycles, res.instret));
             }

@@ -298,27 +298,8 @@ fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
         let sc = scenario::find(&spec.scenario)?;
         // Identical (scenario, shape) submissions share one cached build
         // through the process-wide template cache; only the
-        // seed-dependent tables are patched per job. With the cache
-        // disabled (`IZHI_TEMPLATE_CACHE=0`) every job builds cold, as
-        // the workers did historically.
-        let (mut wl, template_hit): (Box<dyn Workload>, bool) = if template::cache_enabled() {
-            let merged = if spec.quick {
-                spec.params.merged(sc.quick)
-            } else {
-                spec.params
-            };
-            let (tpl, hit) = template::lookup(sc, merged);
-            let inst = match merged.seed {
-                Some(seed) => tpl.instantiate(seed, spec.sched),
-                None => tpl.instantiate_as_built(spec.sched),
-            };
-            (Box::new(inst), hit)
-        } else if spec.quick {
-            (sc.build_quick(&spec.params), false)
-        } else {
-            (sc.build(&spec.params), false)
-        };
-        wl.cfg_mut().system.sched = spec.sched;
+        // seed-dependent tables are patched per job.
+        let (mut wl, template_hit) = template::instance(sc, &spec.params, spec.quick, spec.sched);
         if let Some(fault) = spec.fault {
             wl.cfg_mut().system.faults = FaultPlan {
                 faults: vec![fault],
@@ -344,7 +325,7 @@ fn run_job(spec: &JobSpec, sup: &SuperviseConfig) -> JobState {
         }
     };
     let start = Instant::now();
-    match run_supervised(wl.as_mut(), sup) {
+    match run_supervised(&mut wl, sup) {
         Ok(sup) => JobState::Done {
             cycles: sup.result.cycles,
             instret: sup.result.instret,

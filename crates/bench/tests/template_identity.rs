@@ -1,13 +1,17 @@
 //! Template-vs-cold acceptance suite: for **every** scenario in the
 //! registry — present and future — a run instantiated from its cached
 //! [`izhi_programs::template::RunTemplate`] must be bit-identical
-//! (raster hash, cycles, instret) to the from-scratch cold build, under
-//! every sched × timing combination the battery exercises. A scenario
-//! added to the registry is picked up here automatically; a template
-//! path that drifts from the cold path cannot land.
+//! (raster hash, cycles, instret, weight hash) to the from-scratch cold
+//! build, under every sched × timing combination the battery exercises.
+//! Each cell also runs with superblocks off and, on the relaxed clocks
+//! (the exact clock never batches), with kernel offload off: both tiers
+//! are dispatch optimisations, so switching one off must change nothing
+//! but wall time. A scenario added to the registry is picked up here
+//! automatically; a template path or execution tier that drifts from the
+//! cold path cannot land.
 
 use izhi_programs::scenario::{self, ScenarioParams, Workload};
-use izhi_programs::WorkloadResult;
+use izhi_programs::{template, WorkloadResult};
 use izhi_sim::{SchedMode, TimingModel};
 
 /// The battery's five sched × timing combinations (2 forced host threads
@@ -44,41 +48,51 @@ fn cold_run(sc: &scenario::Scenario, params: &ScenarioParams, sched: SchedMode) 
         .unwrap_or_else(|e| panic!("{}: cold run failed: {e}", sc.name))
 }
 
+/// Assert a run bit-identical to the cold reference.
+fn assert_same(cell: &str, cold: &WorkloadResult, res: &WorkloadResult) {
+    assert_eq!(
+        cold.raster_hash(),
+        res.raster_hash(),
+        "{cell}: raster drifted from the cold build"
+    );
+    assert_eq!(
+        cold.cycles, res.cycles,
+        "{cell}: cycles drifted from the cold build"
+    );
+    assert_eq!(
+        cold.instret, res.instret,
+        "{cell}: instret drifted from the cold build"
+    );
+    assert_eq!(
+        cold.weight_hash, res.weight_hash,
+        "{cell}: weight state drifted from the cold build"
+    );
+}
+
 #[test]
 fn template_instances_match_cold_runs_for_every_scenario_and_mode() {
     for sc in scenario::registry() {
-        let seed = sc.battery_seeds[0];
-        let params = ScenarioParams::default().with_seed(seed);
-        let tpl = sc.template_quick(&params);
+        let params = ScenarioParams::default().with_seed(sc.battery_seeds[0]);
         for (label, sched) in modes() {
             let cold = cold_run(sc, &params, sched);
-            let inst = tpl.instantiate(seed, sched);
-            let res = inst
-                .run()
-                .unwrap_or_else(|e| panic!("{}/{label}: template run failed: {e}", sc.name));
-            assert_eq!(
-                cold.raster_hash(),
-                res.raster_hash(),
-                "{}/{label}: template raster drifted from cold build",
-                sc.name
-            );
-            assert_eq!(
-                cold.cycles, res.cycles,
-                "{}/{label}: template cycles drifted from cold build",
-                sc.name
-            );
-            assert_eq!(
-                cold.instret, res.instret,
-                "{}/{label}: template instret drifted from cold build",
-                sc.name
-            );
-            assert_eq!(
-                cold.weight_hash, res.weight_hash,
-                "{}/{label}: template weight state drifted from cold build",
-                sc.name
-            );
+            let (mut inst, _) = template::instance(sc, &params, true, sched);
+            let run = |inst: &template::RunInstance, cell: &str| {
+                let res = inst
+                    .run()
+                    .unwrap_or_else(|e| panic!("{cell}: template run failed: {e}"));
+                assert_same(cell, &cold, &res);
+                res
+            };
+            let res = run(&inst, &format!("{}/{label}", sc.name));
             inst.verify(&res)
                 .unwrap_or_else(|e| panic!("{}/{label}: verification failed: {e}", sc.name));
+            if sched != SchedMode::Exact {
+                inst.cfg_mut().system.kernels = false;
+                run(&inst, &format!("{}/{label}/no-kernels", sc.name));
+                inst.cfg_mut().system.kernels = true;
+            }
+            inst.cfg_mut().system.superblocks = false;
+            run(&inst, &format!("{}/{label}/no-superblocks", sc.name));
         }
     }
 }
@@ -96,7 +110,12 @@ fn reseeded_instances_match_cold_runs_at_the_new_seed() {
             .get(1)
             .copied()
             .unwrap_or(built_seed.wrapping_add(1));
-        let tpl = sc.template_quick(&ScenarioParams::default().with_seed(built_seed));
+        let (tpl, _) = template::lookup(
+            sc,
+            ScenarioParams::default()
+                .with_seed(built_seed)
+                .merged(sc.quick),
+        );
         let cold = cold_run(
             sc,
             &ScenarioParams::default().with_seed(other),

@@ -120,6 +120,21 @@ fn csr_by_name(name: &str) -> Option<u16> {
     })
 }
 
+/// A CSR operand: a name [`csr_by_name`] knows, or a 12-bit number.
+fn csr_number(op: &str, line: usize, symbols: &HashMap<String, u32>) -> Result<u16, AsmError> {
+    if let Some(c) = csr_by_name(op) {
+        return Ok(c);
+    }
+    let v = eval_const(op, line, symbols)?;
+    if !(0..0x1000).contains(&v) {
+        return Err(AsmError {
+            line,
+            message: format!("CSR number {v} out of 12-bit range"),
+        });
+    }
+    Ok(v as u16)
+}
+
 /// The two-pass assembler.
 #[derive(Debug, Clone)]
 pub struct Assembler {
@@ -354,7 +369,8 @@ impl Assembler {
 
         for (idx, stmt) in stmts.iter().enumerate() {
             addrs[idx] = cursor(section, text_cursor, data_cursor);
-            match stmt {
+            // Bytes the statement advances the current section by.
+            let (line, bytes) = match stmt {
                 Stmt::Label { line, name } => {
                     if symbols.insert(name.clone(), addrs[idx]).is_some() {
                         return Err(AsmError {
@@ -362,6 +378,7 @@ impl Assembler {
                             message: format!("duplicate label `{name}`"),
                         });
                     }
+                    (*line, 0)
                 }
                 Stmt::SetSection {
                     line,
@@ -369,38 +386,53 @@ impl Assembler {
                     expr,
                 } => {
                     if let Some(e) = expr {
-                        let v = eval_const(e, *line, &symbols)? as u32;
+                        let v = eval_word(e, *line, &symbols, ".text/.data")?;
                         *cursor_mut(*sect, &mut text_cursor, &mut data_cursor) = v;
                     }
                     section = *sect;
+                    (*line, 0)
                 }
                 Stmt::Org { line, expr } => {
-                    let cur = cursor_mut(section, &mut text_cursor, &mut data_cursor);
-                    *cur = eval_const(expr, *line, &symbols)? as u32;
+                    let v = eval_word(expr, *line, &symbols, ".org")?;
+                    *cursor_mut(section, &mut text_cursor, &mut data_cursor) = v;
+                    (*line, 0)
                 }
                 Stmt::Align { line, expr } => {
-                    let n = eval_const(expr, *line, &symbols)? as u32;
-                    let a = 1u32 << n;
-                    let cur = cursor_mut(section, &mut text_cursor, &mut data_cursor);
-                    *cur = (*cur + a - 1) & !(a - 1);
+                    let n = eval_const(expr, *line, &symbols)?;
+                    if !(0..32).contains(&n) {
+                        return Err(AsmError {
+                            line: *line,
+                            message: format!(".align {n} out of range 0..=31"),
+                        });
+                    }
+                    let a = 1u64 << n;
+                    let cur = u64::from(addrs[idx]);
+                    (*line, (a - cur % a) % a)
                 }
                 Stmt::Space { line, expr } => {
-                    let n = eval_const(expr, *line, &symbols)? as u32;
-                    space[idx] = n;
-                    *cursor_mut(section, &mut text_cursor, &mut data_cursor) += n;
+                    let n = eval_const(expr, *line, &symbols)?;
+                    space[idx] = u32::try_from(n).map_err(|_| AsmError {
+                        line: *line,
+                        message: format!(".space {n} out of range 0..2^32"),
+                    })?;
+                    (*line, u64::from(space[idx]))
                 }
                 Stmt::Equ { line, name, expr } => {
-                    let v = eval_const(expr, *line, &symbols)? as u32;
+                    let v = eval_word(expr, *line, &symbols, ".equ")?;
                     symbols.insert(name.clone(), v);
+                    (*line, 0)
                 }
-                Stmt::EmitData { width, exprs, .. } => {
-                    let n = exprs.len() as u32 * width;
-                    *cursor_mut(section, &mut text_cursor, &mut data_cursor) += n;
+                Stmt::EmitData { line, width, exprs } => {
+                    (*line, exprs.len() as u64 * u64::from(*width))
                 }
-                Stmt::Inst { .. } => {
-                    *cursor_mut(section, &mut text_cursor, &mut data_cursor) += 4 * sizes[idx];
-                }
-            }
+                Stmt::Inst { line, .. } => (*line, 4 * u64::from(sizes[idx])),
+            };
+            // No section may run past the end of the 32-bit address space.
+            let cur = cursor_mut(section, &mut text_cursor, &mut data_cursor);
+            *cur = u32::try_from(u64::from(*cur) + bytes).map_err(|_| AsmError {
+                line,
+                message: "section runs past the end of the 32-bit address space".into(),
+            })?;
         }
         Ok(Layout {
             symbols,
@@ -482,8 +514,14 @@ impl Assembler {
                 }
                 Stmt::EmitData { line, width, exprs } => {
                     let mut bytes = Vec::with_capacity(exprs.len() * *width as usize);
+                    let directive = match width {
+                        4 => ".word",
+                        2 => ".half",
+                        _ => ".byte",
+                    };
                     for e in exprs {
-                        let v = eval_const(e, *line, symbols)? as u32;
+                        let v = eval_const(e, *line, symbols)?;
+                        let v = check_width(v, 8 * width, *line, directive)? as u32;
                         bytes.extend_from_slice(&v.to_le_bytes()[..*width as usize]);
                     }
                     image.push((lay.addrs[idx], bytes));
@@ -643,8 +681,12 @@ fn apply_peepholes(stmts: &mut Vec<Stmt>, sizes: &[u32], lay: &Layout) -> bool {
             let empty = HashMap::new();
             let src = operands.first().and_then(|r| Reg::parse(r));
             let dst = next_ops.first().and_then(|r| Reg::parse(r));
-            let st = operands.get(1).and_then(|m| parse_mem(m, 0, &empty).ok());
-            let ld = next_ops.get(1).and_then(|m| parse_mem(m, 0, &empty).ok());
+            let st = operands
+                .get(1)
+                .and_then(|m| parse_mem(m, 0, &empty, "sw").ok());
+            let ld = next_ops
+                .get(1)
+                .and_then(|m| parse_mem(m, 0, &empty, "lw").ok());
             if let (Some(src), Some(dst), Some(st), Some(ld)) = (src, dst, st, ld) {
                 if st == ld && st.0 == Reg(2) {
                     if dst == src || dst == Reg(0) {
@@ -831,10 +873,7 @@ fn is_ident(s: &str) -> bool {
 }
 
 fn split_mnemonic(text: &str) -> (&str, &str) {
-    match text.find(char::is_whitespace) {
-        Some(i) => (&text[..i], &text[i + 1..]),
-        None => (text, ""),
-    }
+    text.split_once(char::is_whitespace).unwrap_or((text, ""))
 }
 
 /// Split an operand list on top-level commas (respecting parentheses).
@@ -950,13 +989,21 @@ impl<'a> ExprParser<'a> {
         let mut v = self.add_expr()?;
         loop {
             if self.eat2(b'<', b'<') {
-                v <<= self.add_expr()?;
+                v <<= self.shift_amount()?;
             } else if self.eat2(b'>', b'>') {
-                v >>= self.add_expr()?;
+                v >>= self.shift_amount()?;
             } else {
                 return Ok(v);
             }
         }
+    }
+
+    fn shift_amount(&mut self) -> Result<u32, AsmError> {
+        let n = self.add_expr()?;
+        if !(0..64).contains(&n) {
+            return Err(self.err(format!("shift amount {n} out of range 0..=63")));
+        }
+        Ok(n as u32)
     }
 
     fn add_expr(&mut self) -> Result<i64, AsmError> {
@@ -1125,29 +1172,31 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, AsmError> {
     })
 }
 
-/// Parse `imm(reg)` or `(reg)` or `imm` (defaulting the base to x0).
+/// Parse `imm(reg)` or `(reg)` or `imm` (defaulting the base to x0); the
+/// offset must fit the 12-bit I/S-type immediate.
 fn parse_mem(
     tok: &str,
     line: usize,
     symbols: &HashMap<String, u32>,
+    mnemonic: &str,
 ) -> Result<(Reg, i32), AsmError> {
     let tok = tok.trim();
-    if let Some(open) = tok.rfind('(') {
-        let close = tok.rfind(')').ok_or_else(|| AsmError {
-            line,
-            message: format!("missing `)` in `{tok}`"),
-        })?;
-        let base = parse_reg(&tok[open + 1..close], line)?;
-        let imm_src = tok[..open].trim();
-        let imm = if imm_src.is_empty() {
-            0
-        } else {
-            eval_const(imm_src, line, symbols)? as i32
-        };
-        Ok((base, imm))
+    let (imm_src, base) = match tok.rfind('(') {
+        Some(open) => {
+            let base = tok[open + 1..].strip_suffix(')').ok_or_else(|| AsmError {
+                line,
+                message: format!("bad memory operand `{tok}` (expected `offset(reg)`)"),
+            })?;
+            (tok[..open].trim(), parse_reg(base, line)?)
+        }
+        None => (tok, Reg::ZERO),
+    };
+    let imm = if imm_src.is_empty() {
+        0
     } else {
-        Ok((Reg::ZERO, eval_const(tok, line, symbols)? as i32))
-    }
+        check_i_imm(eval_const(imm_src, line, symbols)?, line, mnemonic)?
+    };
+    Ok((base, imm))
 }
 
 fn expect_ops(n: usize, operands: &[String], mnemonic: &str, line: usize) -> Result<(), AsmError> {
@@ -1160,6 +1209,29 @@ fn expect_ops(n: usize, operands: &[String], mnemonic: &str, line: usize) -> Res
     Ok(())
 }
 
+/// Check that `v` fits a `bits`-wide field read as signed or unsigned,
+/// `[-2^(bits-1), 2^bits - 1]`: the range `li`, `la`, `.word`, `.half`
+/// and `.byte` take.
+fn check_width(v: i64, bits: u32, line: usize, what: &str) -> Result<i64, AsmError> {
+    if !(-(1i64 << (bits - 1))..1i64 << bits).contains(&v) {
+        return Err(AsmError {
+            line,
+            message: format!("value {v} out of {bits}-bit range for `{what}`"),
+        });
+    }
+    Ok(v)
+}
+
+/// Evaluate an address or symbol value: 32 bits, signed or unsigned.
+fn eval_word(
+    expr: &str,
+    line: usize,
+    symbols: &HashMap<String, u32>,
+    what: &str,
+) -> Result<u32, AsmError> {
+    Ok(check_width(eval_const(expr, line, symbols)?, 32, line, what)? as u32)
+}
+
 fn check_i_imm(imm: i64, line: usize, mnemonic: &str) -> Result<i32, AsmError> {
     if !(-2048..=2047).contains(&imm) {
         return Err(AsmError {
@@ -1170,11 +1242,15 @@ fn check_i_imm(imm: i64, line: usize, mnemonic: &str) -> Result<i32, AsmError> {
     Ok(imm as i32)
 }
 
+/// Resolve a branch or jump target to a pc-relative offset that fits
+/// the instruction's `bits`-wide signed immediate (13 for branches, 21
+/// for `jal`).
 fn branch_target(
     expr: &str,
     pc: u32,
     line: usize,
     symbols: &HashMap<String, u32>,
+    bits: u32,
 ) -> Result<i32, AsmError> {
     let v = eval_const(expr, line, symbols)?;
     // A known symbol (or large value) is absolute; small literals are
@@ -1188,6 +1264,13 @@ fn branch_target(
         return Err(AsmError {
             line,
             message: format!("misaligned branch target {off}"),
+        });
+    }
+    let lim = 1i64 << (bits - 1);
+    if !(-lim..lim).contains(&off) {
+        return Err(AsmError {
+            line,
+            message: format!("branch offset {off} out of {bits}-bit range"),
         });
     }
     Ok(off as i32)
@@ -1238,7 +1321,7 @@ fn encode_mnemonic(
     };
     let load = |op: LoadOp| -> Result<Vec<Inst>, AsmError> {
         expect_ops(2, ops, mnemonic, line)?;
-        let (rs1, imm) = parse_mem(&ops[1], line, symbols)?;
+        let (rs1, imm) = parse_mem(&ops[1], line, symbols, mnemonic)?;
         Ok(vec![Inst::Load {
             op,
             rd: reg(&ops[0])?,
@@ -1248,7 +1331,7 @@ fn encode_mnemonic(
     };
     let store = |op: StoreOp| -> Result<Vec<Inst>, AsmError> {
         expect_ops(2, ops, mnemonic, line)?;
-        let (rs1, imm) = parse_mem(&ops[1], line, symbols)?;
+        let (rs1, imm) = parse_mem(&ops[1], line, symbols, mnemonic)?;
         Ok(vec![Inst::Store {
             op,
             rs1,
@@ -1259,7 +1342,7 @@ fn encode_mnemonic(
     let branch = |op: BranchOp, swap: bool| -> Result<Vec<Inst>, AsmError> {
         expect_ops(3, ops, mnemonic, line)?;
         let (a, b) = if swap { (1, 0) } else { (0, 1) };
-        let imm = branch_target(&ops[2], pc, line, symbols)?;
+        let imm = branch_target(&ops[2], pc, line, symbols, 13)?;
         Ok(vec![Inst::Branch {
             op,
             rs1: reg(&ops[a])?,
@@ -1269,7 +1352,7 @@ fn encode_mnemonic(
     };
     let branch_zero = |op: BranchOp, zero_first: bool| -> Result<Vec<Inst>, AsmError> {
         expect_ops(2, ops, mnemonic, line)?;
-        let imm = branch_target(&ops[1], pc, line, symbols)?;
+        let imm = branch_target(&ops[1], pc, line, symbols, 13)?;
         let r = reg(&ops[0])?;
         let (rs1, rs2) = if zero_first {
             (Reg::ZERO, r)
@@ -1281,12 +1364,16 @@ fn encode_mnemonic(
     let csr_op = |op: CsrOp, imm_form: bool| -> Result<Vec<Inst>, AsmError> {
         expect_ops(3, ops, mnemonic, line)?;
         let rd = reg(&ops[0])?;
-        let csr = match csr_by_name(ops[1].as_str()) {
-            Some(c) => c,
-            None => ev(&ops[1])? as u16,
-        };
+        let csr = csr_number(&ops[1], line, symbols)?;
         if imm_form {
-            let uimm = ev(&ops[2])? as u8;
+            let uimm = ev(&ops[2])?;
+            if !(0..32).contains(&uimm) {
+                return Err(AsmError {
+                    line,
+                    message: format!("immediate {uimm} out of 5-bit range for `{mnemonic}`"),
+                });
+            }
+            let uimm = uimm as u8;
             Ok(vec![Inst::CsrImm { op, rd, uimm, csr }])
         } else {
             Ok(vec![Inst::Csr {
@@ -1311,7 +1398,7 @@ fn encode_mnemonic(
         // --- RV32I ---
         "lui" => {
             expect_ops(2, ops, mnemonic, line)?;
-            let v = ev(&ops[1])?;
+            let v = check_width(ev(&ops[1])?, 32, line, mnemonic)?;
             // Accept either a 20-bit page number or a full 32-bit value.
             let imm = if (0..0x100000).contains(&v) {
                 (v as i32) << 12
@@ -1325,7 +1412,7 @@ fn encode_mnemonic(
         }
         "auipc" => {
             expect_ops(2, ops, mnemonic, line)?;
-            let v = ev(&ops[1])?;
+            let v = check_width(ev(&ops[1])?, 32, line, mnemonic)?;
             let imm = if (0..0x100000).contains(&v) {
                 (v as i32) << 12
             } else {
@@ -1338,11 +1425,11 @@ fn encode_mnemonic(
         }
         "jal" => match ops.len() {
             1 => {
-                let imm = branch_target(&ops[0], pc, line, symbols)?;
+                let imm = branch_target(&ops[0], pc, line, symbols, 21)?;
                 Ok(vec![Inst::Jal { rd: Reg::RA, imm }])
             }
             2 => {
-                let imm = branch_target(&ops[1], pc, line, symbols)?;
+                let imm = branch_target(&ops[1], pc, line, symbols, 21)?;
                 Ok(vec![Inst::Jal {
                     rd: reg(&ops[0])?,
                     imm,
@@ -1360,7 +1447,7 @@ fn encode_mnemonic(
                 imm: 0,
             }]),
             2 => {
-                let (rs1, imm) = parse_mem(&ops[1], line, symbols)?;
+                let (rs1, imm) = parse_mem(&ops[1], line, symbols, mnemonic)?;
                 Ok(vec![Inst::Jalr {
                     rd: reg(&ops[0])?,
                     rs1,
@@ -1457,7 +1544,7 @@ fn encode_mnemonic(
         "li" | "la" => {
             expect_ops(2, ops, mnemonic, line)?;
             let rd = reg(&ops[0])?;
-            let v = ev(&ops[1])? as i32;
+            let v = check_width(ev(&ops[1])?, 32, line, mnemonic)? as i32;
             if words == 1 {
                 if (-2048..=2047).contains(&v) {
                     Ok(vec![Inst::OpImm {
@@ -1525,7 +1612,7 @@ fn encode_mnemonic(
         }
         "j" => {
             expect_ops(1, ops, mnemonic, line)?;
-            let imm = branch_target(&ops[0], pc, line, symbols)?;
+            let imm = branch_target(&ops[0], pc, line, symbols, 21)?;
             Ok(vec![Inst::Jal { rd: Reg::ZERO, imm }])
         }
         "jr" => {
@@ -1543,20 +1630,17 @@ fn encode_mnemonic(
         }]),
         "call" => {
             expect_ops(1, ops, mnemonic, line)?;
-            let imm = branch_target(&ops[0], pc, line, symbols)?;
+            let imm = branch_target(&ops[0], pc, line, symbols, 21)?;
             Ok(vec![Inst::Jal { rd: Reg::RA, imm }])
         }
         "tail" => {
             expect_ops(1, ops, mnemonic, line)?;
-            let imm = branch_target(&ops[0], pc, line, symbols)?;
+            let imm = branch_target(&ops[0], pc, line, symbols, 21)?;
             Ok(vec![Inst::Jal { rd: Reg::ZERO, imm }])
         }
         "csrr" => {
             expect_ops(2, ops, mnemonic, line)?;
-            let csr = match csr_by_name(ops[1].as_str()) {
-                Some(c) => c,
-                None => ev(&ops[1])? as u16,
-            };
+            let csr = csr_number(&ops[1], line, symbols)?;
             Ok(vec![Inst::Csr {
                 op: CsrOp::Rs,
                 rd: reg(&ops[0])?,
@@ -1566,10 +1650,7 @@ fn encode_mnemonic(
         }
         "csrw" => {
             expect_ops(2, ops, mnemonic, line)?;
-            let csr = match csr_by_name(ops[0].as_str()) {
-                Some(c) => c,
-                None => ev(&ops[0])? as u16,
-            };
+            let csr = csr_number(&ops[0], line, symbols)?;
             Ok(vec![Inst::Csr {
                 op: CsrOp::Rw,
                 rd: Reg::ZERO,
@@ -1821,6 +1902,76 @@ mod tests {
 
         let e = Assembler::new().assemble("x: nop\nx: nop").unwrap_err();
         assert!(e.message.contains("duplicate label"));
+    }
+
+    /// Each source must fail on `line` with a message containing `what`.
+    fn rejects(cases: &[(&str, usize, &str)]) {
+        for relax in [false, true] {
+            for &(src, line, what) in cases {
+                let e = Assembler::new().relax(relax).assemble(src).expect_err(src);
+                assert_eq!(e.line, line, "{src}: {e}");
+                assert!(e.message.contains(what), "{src}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_memory_operands_are_errors_not_panics() {
+        rejects(&[
+            ("nop\nlw a0, )(", 2, "bad memory operand"),
+            ("sw a0, 4(sp", 1, "bad memory operand"),
+            ("lw a0, 4(sp)x", 1, "bad memory operand"),
+            ("jalr x0, )(a0", 1, "bad memory operand"),
+        ]);
+    }
+
+    #[test]
+    fn out_of_range_offsets_and_values_are_errors_not_truncations() {
+        rejects(&[
+            ("lw a0, 5000(sp)", 1, "out of 12-bit range for `lw`"),
+            ("nop\nsw a0, 5000(sp)", 2, "out of 12-bit range for `sw`"),
+            ("jalr x0, 5000(a0)", 1, "out of 12-bit range for `jalr`"),
+            ("lw a0, 4294967300(sp)", 1, "out of 12-bit range"),
+            ("lw a0, -2049(sp)", 1, "out of 12-bit range"),
+            ("li a1, 0x1ffffffff", 1, "out of 32-bit range for `li`"),
+            ("li a1, -2147483649", 1, "out of 32-bit range for `li`"),
+            ("nop\nla a1, 0x100000000", 2, "out of 32-bit range for `la`"),
+            (".word 0x1ffffffff", 1, "out of 32-bit range for `.word`"),
+            (".half 70000", 1, "out of 16-bit range for `.half`"),
+            (".half -32769", 1, "out of 16-bit range for `.half`"),
+            (".byte 300", 1, "out of 8-bit range for `.byte`"),
+            (".byte -129", 1, "out of 8-bit range for `.byte`"),
+            (".equ X, 0x1ffffffff", 1, "out of 32-bit range for `.equ`"),
+            ("lui a0, 0x100000000", 1, "out of 32-bit range for `lui`"),
+            ("csrr a0, 0x1000", 1, "CSR number"),
+            ("csrrwi a0, mcycle, 32", 1, "5-bit range"),
+            ("beq a0, a1, 4096", 1, "13-bit range"),
+            ("j 0x100000", 1, "21-bit range"),
+            ("li a0, 1 << 64", 1, "shift amount"),
+            ("li a0, 1 >> -1", 1, "shift amount"),
+            (".align 32", 1, ".align 32"),
+            (".space -1", 1, ".space -1"),
+            (".org 0xfffffffc\n.word 1, 2", 2, "32-bit address space"),
+            (".org 0xfffffff0\nnop\n.space 16", 3, "32-bit address space"),
+        ]);
+    }
+
+    #[test]
+    fn range_boundaries_still_assemble() {
+        let p = asm("
+            lw a0, 2047(sp)
+            sw a0, -2048(sp)
+            li a1, 0xffffffff
+            li a2, -2147483648
+            beq a0, a1, -4096
+        ");
+        // `li 0xffffffff` is `li -1`: one `addi`; `li -2^31` a `lui`+`addi`.
+        assert_eq!(p.words().len(), 6);
+        let d = asm(".data\n.word 0xffffffff, -2147483648\n.half 65535, -32768\n.byte 255, -128\n");
+        assert_eq!(
+            d.segments[0].data,
+            [0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0x80, 0xff, 0xff, 0, 0x80, 0xff, 0x80]
+        );
     }
 
     #[test]

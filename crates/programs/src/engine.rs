@@ -1612,10 +1612,21 @@ pub(crate) fn assert_run_shape(cfg: &EngineConfig, image: &GuestImage) {
         image.noise_q.len() >= lay.noise_rows(cfg.n, cfg.ticks) as usize * cfg.n,
         "image noise table shorter than the run's noise window"
     );
-    if cfg.variant == Variant::SoftFloat {
+}
+
+/// Refuse a load whose written spans overlap: the later table would
+/// have silently overwritten part of the earlier one. Together the
+/// program's and the image's patch maps name every byte a load writes.
+fn assert_disjoint(maps: [&PatchMap; 2]) {
+    let mut spans: Vec<(u32, u32)> = maps.iter().flat_map(|m| m.spans()).copied().collect();
+    spans.sort_unstable();
+    for w in spans.windows(2) {
+        let ((a, len), (b, _)) = (w[0], w[1]);
         assert!(
-            layout::NOISE_F32 + 4 * (cfg.n as u32) * image.ticks <= layout::ROWPTR,
-            "f32 noise mirror overflows its window — use fewer ticks for soft-float runs"
+            u64::from(a) + u64::from(len) <= u64::from(b),
+            "guest-memory spans overlap: [{a:#x}, {:#x}) runs into {b:#x} — \
+             Scenario::validate must reject this shape",
+            u64::from(a) + u64::from(len)
         );
     }
 }
@@ -1660,6 +1671,7 @@ pub fn prepare_run(cfg: &EngineConfig, image: &GuestImage) -> PreparedRun {
     }
     let mut image_spans = PatchMap::default();
     image.load_into_mem(&mut mem, cfg, &mut image_spans);
+    assert_disjoint([&prog_spans, &image_spans]);
     PreparedRun {
         mem,
         code,
@@ -1789,8 +1801,19 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Workload;
     use izhi_core::params::IzhParams;
     use izhi_snn::network::Network;
+
+    #[test]
+    #[should_panic(expected = "guest-memory spans overlap")]
+    fn prepare_run_refuses_overlapping_tables() {
+        // Past 2048 neurons the dense Q7.8 table runs into the noise
+        // table. `Scenario::validate` rejects the shape; a caller that
+        // skips validation still gets a refusal, not a corrupted image.
+        let wl = crate::net8020::Net8020Workload::sized(1680, 420, 1, 4, 5, Variant::Npu);
+        let _ = prepare_run(wl.cfg(), wl.image());
+    }
 
     fn tiny_net(n: usize) -> Network {
         // A ring of RS neurons with modest excitatory coupling.

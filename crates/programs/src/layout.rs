@@ -62,6 +62,20 @@ pub fn noise_period_f32(n: usize, ticks: u32) -> u32 {
     ticks.min(cap).max(1)
 }
 
+/// Largest population whose dense weight tables fit the standard map.
+/// Every dense image writes its Q7.8 matrix (2 B per weight) at
+/// [`WEIGHTS`]; the soft-float variant adds the f32 mirror (4 B per
+/// weight) at [`WEIGHTS_F32`]. Each table must end where the next
+/// written region starts: the mirror if there is one, else [`NOISE`].
+pub fn max_dense_n(soft_float: bool) -> usize {
+    let fit = |base: u32, end: u32, bytes: u32| (((end - base) / bytes) as usize).isqrt();
+    if soft_float {
+        fit(WEIGHTS, WEIGHTS_F32, 2).min(fit(WEIGHTS_F32, NOISE, 4))
+    } else {
+        fit(WEIGHTS, NOISE, 2)
+    }
+}
+
 /// MMIO block base and registers (mirrors `izhi_sim::mem::layout`).
 pub const MMIO: u32 = 0xF000_0000;
 /// Core-id register.

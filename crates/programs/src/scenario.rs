@@ -3,8 +3,8 @@
 //! under any [`SchedMode`](izhi_sim::SchedMode), and verifies the result.
 //!
 //! The registry exists so that the CLI (`izhirisc scenario list|run`), the
-//! perf baseline, the paper-table generators, the criterion benches and
-//! the differential test suites all drive workloads through **one**
+//! perf baseline, the paper-table generators, the service and the
+//! differential test suites all drive workloads through **one**
 //! definition per scenario instead of six hand-rolled call sites. Adding a
 //! scenario means adding one [`Scenario`] entry (plus, usually, a
 //! constructor in the workload module it describes) — every consumer picks
@@ -27,6 +27,7 @@ use izhi_sim::SimError;
 use izhi_snn::sudoku::{hard_puzzle, SudokuGrid};
 
 use crate::engine::{run_workload, EngineConfig, GuestImage, Variant, WorkloadResult};
+use crate::layout;
 use crate::net8020::Net8020Workload;
 use crate::sudoku_prog::SudokuWorkload;
 use crate::sweep::{Net8020SweepWorkload, SweepPoint};
@@ -338,8 +339,8 @@ impl Scenario {
                 return Err(format!("stim_rate = {r} outside 1..=4096 events per tick"));
             }
         }
-        // Standard-map scenarios: the dense/fixed regions also bound the
-        // total population and the per-core chunk.
+        // Standard-map scenarios: the spike segments bound the per-core
+        // chunk, and the dense weight image bounds the total population.
         if !scale_out && !sudoku {
             if let (Some(n), Some(c)) = (p.n, p.n_cores) {
                 let (total, per) = if per_core_n {
@@ -347,17 +348,23 @@ impl Scenario {
                 } else {
                     (n, n.div_ceil(c as usize))
                 };
-                if total > 4096 {
-                    return Err(format!(
-                        "{}: {total} total neurons exceed the standard memory map's 4096 \
-                         (use net8020_sharded for larger populations)",
-                        self.name
-                    ));
-                }
                 if per > 1024 {
                     return Err(format!(
                         "{}: per-core chunk {per} exceeds the standard map's 1024-slot \
                          spike segment — use more cores or the scale-out scenarios",
+                        self.name
+                    ));
+                }
+                let max = layout::max_dense_n(self.name == "net8020_softfloat");
+                if total > max {
+                    let shape = if per_core_n {
+                        format!("n = {n} per core x cores = {c} = {total} neurons")
+                    } else {
+                        format!("n = {n}")
+                    };
+                    return Err(format!(
+                        "{}: {shape} exceeds the {max} neurons whose dense weight tables \
+                         fit the standard memory map (use net8020_sharded for larger populations)",
                         self.name
                     ));
                 }
@@ -625,7 +632,7 @@ static REGISTRY: [Scenario; 11] = [
             ParamSpec {
                 name: "ticks",
                 default: "300",
-                help: "simulated 1 ms steps (f32 noise mirror bounds n*ticks)",
+                help: "simulated 1 ms steps (long runs cycle the f32 noise window)",
             },
             ParamSpec {
                 name: "cores",
@@ -870,9 +877,9 @@ fn build_net8020_basefixed(p: &ScenarioParams) -> Box<dyn Workload> {
 }
 
 fn build_net8020_softfloat(p: &ScenarioParams) -> Box<dyn Workload> {
-    // The f32 noise mirror lives in a fixed SDRAM window, so the default
-    // scale is kept modest (see the schema); `run_workload` asserts the
-    // window bound for custom parameters.
+    // The f32 weight mirror bounds the population (`Scenario::validate`);
+    // the f32 noise mirror holds as many ticks as its SDRAM window fits,
+    // and longer runs cycle it.
     let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sized(
         n_exc,
@@ -1353,7 +1360,7 @@ mod tests {
             s.validate(&ScenarioParams::default().with_ease(true), false)
                 .unwrap();
         }
-        // Standard-map scenarios cannot cross the 8-core / 4096-neuron /
+        // Standard-map scenarios cannot cross the 8-core / dense-table /
         // 1024-chunk bounds.
         let err = dense
             .validate(&ScenarioParams::default().with_cores(16), false)
@@ -1386,6 +1393,94 @@ mod tests {
         ] {
             let err = sc.validate(&p, quick).unwrap_err();
             assert!(err.contains("per-core chunk"), "{}: {err}", sc.name);
+        }
+        // Shapes whose dense weight tables would overrun the next written
+        // region: rejected, and the error names `n`.
+        let shape = |n: usize, cores: u32, ticks: u32| {
+            ScenarioParams::default()
+                .with_n(n)
+                .with_cores(cores)
+                .with_ticks(ticks)
+        };
+        for (name, p) in [
+            ("net8020", shape(4096, 8, 1)),
+            ("net8020_sweep", shape(512, 8, 2)),
+            ("net8020", shape(3000, 4, 20)),
+            ("net8020_softfloat", shape(1100, 2, 5)),
+        ] {
+            let err = find(name).unwrap().validate(&p, false).unwrap_err();
+            assert!(
+                err.contains(&format!("n = {}", p.n.unwrap())) && err.contains("dense weight"),
+                "{name}: {err}"
+            );
+        }
+        // A soft-float run longer than its f32 noise window is valid: the
+        // mirror and the guest's NOISE_TICKS_F32 both stop at the window.
+        let soft = find("net8020_softfloat").unwrap();
+        let long = ScenarioParams::default().with_ticks(4000);
+        soft.validate(&long, false).unwrap();
+        let wl = assert_prepares_disjoint(soft, &long);
+        assert!(matches!(
+            wl.run_budgeted(100_000),
+            Err(izhi_sim::SimError::Timeout { .. })
+        ));
+    }
+
+    /// Build `p` and lay it out with `prepare_run`, which refuses
+    /// overlapping spans; check here too that every span written is
+    /// disjoint from the next.
+    fn assert_prepares_disjoint(sc: &Scenario, p: &ScenarioParams) -> Box<dyn Workload> {
+        let wl = sc.build(p);
+        let prep = crate::engine::prepare_run(wl.cfg(), wl.image());
+        let mut spans: Vec<(u32, u32)> = prep.prog_spans.spans().to_vec();
+        spans.extend_from_slice(prep.image_spans.spans());
+        spans.sort_unstable();
+        for w in spans.windows(2) {
+            assert!(
+                u64::from(w[0].0) + u64::from(w[0].1) <= u64::from(w[1].0),
+                "{}: span {:#x?} overlaps {:#x?}",
+                sc.name,
+                w[0],
+                w[1]
+            );
+        }
+        wl
+    }
+
+    #[test]
+    fn dense_population_bounds_are_the_layout_windows() {
+        // The Q7.8 table (2 B per weight at WEIGHTS) ends exactly at
+        // NOISE for n = 2048; soft-float's f32 mirror (4 B per weight at
+        // WEIGHTS_F32) ends exactly at NOISE for n = 1024.
+        let at = |n: usize, cores: u32| {
+            ScenarioParams::default()
+                .with_n(n)
+                .with_cores(cores)
+                .with_ticks(1)
+        };
+        for (name, max, cores) in [
+            ("net8020", 2048, 4),
+            ("net8020_basefixed", 2048, 4),
+            ("net8020_large", 2048, 4),
+            ("net8020_softfloat", 1024, 2),
+            // Per-core populations: the bound is on n × cores.
+            ("net8020_sweep", 512, 4),
+            ("net8020_points", 512, 4),
+        ] {
+            let sc = find(name).unwrap();
+            sc.validate(&at(max, cores), false)
+                .unwrap_or_else(|e| panic!("{name} at n = {max}: {e}"));
+            let err = sc.validate(&at(max + 1, cores), false).unwrap_err();
+            assert!(err.contains(&format!("n = {}", max + 1)), "{name}: {err}");
+        }
+        // Accepted at the bound means laid out with disjoint spans.
+        for (name, max, cores) in [
+            ("net8020", 2048, 4),
+            ("net8020_large", 2048, 4),
+            ("net8020_softfloat", 1024, 2),
+            ("net8020_sweep", 512, 4),
+        ] {
+            assert_prepares_disjoint(find(name).unwrap(), &at(max, cores));
         }
     }
 

@@ -10,9 +10,8 @@
 //! * [`RunTemplate`] is an immutable snapshot of a fully built run —
 //!   loaded memory, predecoded micro-op stream, entry point, and the
 //!   [`PatchMap`]s naming which memory spans hold the program versus the
-//!   guest image. Templates are built through [`Scenario::template`] /
-//!   [`Scenario::template_quick`] and cached in a keyed,
-//!   capacity-bounded, process-wide cache (LRU eviction).
+//!   guest image. Templates are built through [`lookup`] and cached in
+//!   a keyed, capacity-bounded, process-wide cache (LRU eviction).
 //! * [`RunTemplate::instantiate`] stamps out a [`RunInstance`]: a
 //!   [`Workload`] whose runs start from bulk copies of the snapshot
 //!   spans instead of a fresh build. The template itself is **never
@@ -30,12 +29,12 @@
 //! predecode, no fresh `System` plumbing) and patches exactly the spans
 //! in the template's [`PatchMap`] over a fresh memory.
 //!
-//! ## Bypass
+//! ## One construction path
 //!
-//! Setting `IZHI_TEMPLATE_CACHE=0` disables the process-wide cache: the
-//! battery runner, the service and the CLI then build every run cold
-//! (CI keeps that path exercised). Templates built explicitly while the
-//! cache is disabled still work — they are just not shared.
+//! The CLI, the battery runner and the service get every workload from
+//! [`instance`]. The cold path, [`Scenario::build`] followed by
+//! [`Workload::run_cold`], stays the from-scratch reference the
+//! differential suites compare instances against.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -387,17 +386,6 @@ fn lock_cache() -> std::sync::MutexGuard<'static, CacheInner> {
     cache().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn enabled_from(value: Option<&str>) -> bool {
-    value != Some("0")
-}
-
-/// Whether the process-wide cache is enabled (`IZHI_TEMPLATE_CACHE=0`
-/// disables it; anything else, including unset, enables it). Bulk
-/// runners consult this to choose between the template and cold paths.
-pub fn cache_enabled() -> bool {
-    enabled_from(std::env::var("IZHI_TEMPLATE_CACHE").ok().as_deref())
-}
-
 /// Current hit/miss counters and occupancy of the process-wide cache.
 pub fn cache_stats() -> CacheStats {
     let c = lock_cache();
@@ -419,29 +407,32 @@ pub fn clear_cache() {
 }
 
 /// Look up or build the template for fully merged parameters, reporting
-/// whether it was a cache hit (the service records this per job). With
-/// the cache disabled this always builds fresh and reports a miss.
+/// whether it was a cache hit (the service records this per job).
 pub fn lookup(scenario: &'static Scenario, merged: ScenarioParams) -> (Arc<RunTemplate>, bool) {
-    if !cache_enabled() {
-        return (Arc::new(RunTemplate::build(scenario, merged)), false);
-    }
     lock_cache().get_or_build(scenario, merged)
 }
 
-impl Scenario {
-    /// The cached build template at full-scale defaults ([`lookup`] with
-    /// `params` taken as already merged — `None` fields mean the
-    /// builder's own defaults, exactly as [`Scenario::build`]).
-    pub fn template(&'static self, params: &ScenarioParams) -> Arc<RunTemplate> {
-        lookup(self, *params).0
-    }
-
-    /// The cached build template at the CI-sized quick shape, with
-    /// `over` layered on top (the template analogue of
-    /// [`Scenario::build_quick`]).
-    pub fn template_quick(&'static self, over: &ScenarioParams) -> Arc<RunTemplate> {
-        lookup(self, over.merged(self.quick)).0
-    }
+/// The workload a job runs: `params` layered over the scenario's quick
+/// shape when `quick` is set, the cached template for that shape, and an
+/// instance at `params`' seed (or as built when it names none) under
+/// `sched`. Reports whether the template was a cache hit.
+pub fn instance(
+    scenario: &'static Scenario,
+    params: &ScenarioParams,
+    quick: bool,
+    sched: SchedMode,
+) -> (RunInstance, bool) {
+    let merged = if quick {
+        params.merged(scenario.quick)
+    } else {
+        *params
+    };
+    let (tpl, hit) = lookup(scenario, merged);
+    let inst = match merged.seed {
+        Some(seed) => tpl.instantiate(seed, sched),
+        None => tpl.instantiate_as_built(sched),
+    };
+    (inst, hit)
 }
 
 #[cfg(test)]
@@ -453,14 +444,6 @@ mod tests {
         let sc = scenario::find(name).expect("registered");
         let params = ScenarioParams::default().with_seed(seed).merged(sc.quick);
         (sc, params)
-    }
-
-    #[test]
-    fn bypass_env_parsing() {
-        assert!(enabled_from(None));
-        assert!(enabled_from(Some("1")));
-        assert!(enabled_from(Some("")));
-        assert!(!enabled_from(Some("0")));
     }
 
     #[test]

@@ -136,15 +136,15 @@ pub(crate) trait ExecCtx {
     fn div_latency(&self) -> u64;
     /// Whether the CSR-writeback hazard fix is modelled.
     fn csr_writeback(&self) -> bool;
-    /// Whether superblock execution is enabled for this run (the
-    /// `IZHI_SUPERBLOCKS` / `--no-superblocks` escape hatch).
+    /// Whether superblock execution is enabled for this run
+    /// ([`crate::SystemConfig::superblocks`]).
     fn superblocks_enabled(&self) -> bool;
     /// Look up (forming on first use) the fused superblock starting at
     /// `pc`; see [`crate::predecode::CodeTable::superblock`].
     fn superblock(&mut self, pc: u32, buf: &mut [PreInst; MAX_SB]) -> (u32, u32);
-    /// Whether kernel-span batch execution is enabled for this run *and*
-    /// any span is registered (the `IZHI_KERNELS` / `--no-kernels` escape
-    /// hatch; runs without registered spans pay nothing either way).
+    /// Whether kernel-span batch execution is enabled for this run
+    /// ([`crate::SystemConfig::kernels`]) *and* any span is registered
+    /// (runs without registered spans pay nothing either way).
     fn kernels_enabled(&self) -> bool;
     /// Header of the kernel span whose entry is exactly `pc`, if any.
     fn kernel_match(&self, pc: u32) -> Option<KernelHeader>;

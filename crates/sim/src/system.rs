@@ -195,29 +195,24 @@ pub struct SystemConfig {
     pub stim: StimPlan,
     /// Superblock execution: fuse straight-line predecoded runs and
     /// dispatch them as one batch (see [`crate::predecode`]). On by
-    /// default; `IZHI_SUPERBLOCKS=0` (or the `--no-superblocks` CLI flag)
-    /// turns it off for bisection. Results are bit-identical either way —
-    /// the exactness suite pins it — so this is purely a perf escape
-    /// hatch.
+    /// default. Results are bit-identical either way (the exactness and
+    /// template-identity suites pin it); `perf_baseline`'s `_nosb` rows
+    /// turn it off to measure the tier's win.
     pub superblocks: bool,
     /// Kernel-span batch execution: run the engine's registered hot loops
     /// as host-native batches under the relaxed clocks (see
     /// [`crate::kernel`]; exact scheduling always interprets). On by
-    /// default; `IZHI_KERNELS=0` (or the `--no-kernels` CLI flag) turns it
-    /// off for bisection. Results are bit-identical either way — the
-    /// exactness suites pin it — so this is purely a perf escape hatch.
+    /// default. Results are bit-identical either way (the exactness and
+    /// template-identity suites pin it); `perf_baseline`'s `_nokernel`
+    /// rows turn it off to measure the tier's win.
     pub kernels: bool,
     /// Assembler relaxation + peephole pass for engine-emitted guest code
-    /// (see [`izhi_isa::asm::Assembler::relax`]). On by default;
-    /// `IZHI_RELAX=0` turns it off. Architectural results are unchanged;
-    /// instret strictly drops (the relaxation-soundness suite pins both).
+    /// (see [`izhi_isa::asm::Assembler::relax`]). On by default.
+    /// Architectural results are unchanged; instret strictly drops (the
+    /// relaxation-soundness suite pins both). `perf_baseline`'s
+    /// `_norelax` rows turn it off to run the seed's exact instruction
+    /// stream.
     pub asm_relax: bool,
-}
-
-/// `true` unless the environment variable `name` is set to exactly `"0"`
-/// (the opt-out convention all runtime escape hatches share).
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).map_or(true, |v| v != "0")
 }
 
 impl Default for SystemConfig {
@@ -242,9 +237,9 @@ impl Default for SystemConfig {
             wall_limit: None,
             faults: FaultPlan::default(),
             stim: StimPlan::default(),
-            superblocks: env_flag("IZHI_SUPERBLOCKS"),
-            kernels: env_flag("IZHI_KERNELS"),
-            asm_relax: env_flag("IZHI_RELAX"),
+            superblocks: true,
+            kernels: true,
+            asm_relax: true,
         }
     }
 }
@@ -740,56 +735,17 @@ impl System {
                     wd,
                 )?,
             },
-            SchedMode::Exact => match self.cores.len() {
-                1 => self.run_single(max_cycles, wd)?,
-                2 => self.run_exact_fused(max_cycles, wd)?,
-                _ => self.run_exact_scan(max_cycles, wd)?,
-            },
+            SchedMode::Exact => {
+                if self.cores.len() == 2 {
+                    self.run_exact_fused(max_cycles, wd)?;
+                }
+                self.run_exact_scan(max_cycles, wd)?;
+            }
         }
         Ok(RunExit {
             cycles: self.cores.iter().map(|c| c.time).max().unwrap_or(0),
             instret: self.cores.iter().map(|c| c.counters.instret).sum(),
         })
-    }
-
-    /// Run one core until it halts, traps or exhausts a budget. With no
-    /// wall-clock deadline armed this is the historical single batched
-    /// `run_while` (the `u64::MAX` bound never returns
-    /// [`RunStop::Bound`]); with one, the run is sliced into bounded
-    /// batches with a clock check between — bound resumption is
-    /// exactness-preserving, so the schedule is unchanged either way.
-    fn run_core_to_halt(
-        core: &mut Core,
-        shared: &mut Shared,
-        id: u32,
-        max_cycles: u64,
-        wd: &mut Watchdog,
-    ) -> Result<(), SimError> {
-        const SLICE: u64 = 8_000_000;
-        loop {
-            wd.check()?;
-            let bound = if wd.armed() {
-                core.time.saturating_add(SLICE)
-            } else {
-                u64::MAX
-            };
-            match core
-                .run_while::<ExactTiming, _>(shared, bound, max_cycles)
-                .map_err(|cause| SimError::Trap { core: id, cause })?
-            {
-                RunStop::Budget => return Err(SimError::Timeout { max_cycles }),
-                RunStop::Bound => {}
-                _ => {
-                    debug_assert!(core.halted());
-                    return Ok(());
-                }
-            }
-        }
-    }
-
-    /// Single core: no scheduler at all, one batched run to completion.
-    fn run_single(&mut self, max_cycles: u64, wd: &mut Watchdog) -> Result<(), SimError> {
-        Self::run_core_to_halt(&mut self.cores[0], &mut self.shared, 0, max_cycles, wd)
     }
 
     /// Fused two-core inner loop: both cores stay register-resident in one
@@ -798,33 +754,25 @@ impl System {
     /// while both cores are live. The pick rule is the event-driven
     /// schedule verbatim, which keeps the loop instruction-for-instruction
     /// identical to [`System::step_core`] single-stepping (the exactness
-    /// suite pins this). Once one core halts, the survivor finishes in a
-    /// single batched run.
+    /// suite pins this). It returns once one core halts; the survivor
+    /// then finishes under [`System::run_exact_scan`].
     fn run_exact_fused(&mut self, max_cycles: u64, wd: &mut Watchdog) -> Result<(), SimError> {
         let (head, tail) = self.cores.split_at_mut(1);
         let (c0, c1) = (&mut head[0], &mut tail[0]);
-        let shared = &mut self.shared;
-        if !c0.halted() && !c1.halted() {
-            // One dispatch selects the profiled or plain monomorphisation
-            // of the fused loop (see `Core::exec_op` on why the check
-            // cannot live on the per-op path).
-            let fused = if c0.profile {
-                Self::fused_exact_loop::<true>(c0, c1, shared, wd, max_cycles)
-            } else {
-                Self::fused_exact_loop::<false>(c0, c1, shared, wd, max_cycles)
-            };
-            c0.sync_counters();
-            c1.sync_counters();
-            fused?;
+        if c0.halted() || c1.halted() {
+            return Ok(());
         }
-        // At most one survivor left: run it to completion batched.
-        for (id, c) in [c0, c1].into_iter().enumerate() {
-            if c.halted() {
-                continue;
-            }
-            Self::run_core_to_halt(c, shared, id as u32, max_cycles, wd)?;
-        }
-        Ok(())
+        // One dispatch selects the profiled or plain monomorphisation of
+        // the fused loop (see `Core::exec_op` on why the check cannot live
+        // on the per-op path).
+        let fused = if c0.profile {
+            Self::fused_exact_loop::<true>(c0, c1, &mut self.shared, wd, max_cycles)
+        } else {
+            Self::fused_exact_loop::<false>(c0, c1, &mut self.shared, wd, max_cycles)
+        };
+        c0.sync_counters();
+        c1.sync_counters();
+        fused
     }
 
     /// The fused two-core pick-and-step loop of
@@ -862,8 +810,10 @@ impl System {
         }
     }
 
-    /// General exact scheduler (3+ cores): scan for the pick and its
-    /// runner-up bound, then batch the pick up to that bound.
+    /// General exact scheduler: scan for the pick and its runner-up
+    /// bound, then batch the pick up to that bound. With one live core
+    /// there is no runner-up, so the pick runs to completion in one
+    /// batch (sliced only when a wall-clock deadline is armed).
     fn run_exact_scan(&mut self, max_cycles: u64, wd: &mut Watchdog) -> Result<(), SimError> {
         // Wall-clock checks are paced by *simulated* time: picks can batch
         // millions of cycles or a single instruction, so neither per-pick

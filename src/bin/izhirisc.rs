@@ -11,22 +11,15 @@
 //!                      1 cycle per instruction, blocking barriers;
 //!                      parallel = relaxed quanta on host worker threads,
 //!                      bit-identical to relaxed at any thread count)
-//!     --relaxed        alias for --sched relaxed
 //!     --quantum N      relaxed/parallel scheduling quantum (default 50000)
-//!     --host-threads N worker threads for --sched parallel (implies it;
-//!                      0 = auto via IZHI_HOST_THREADS / host CPUs)
+//!     --host-threads N worker threads for --sched parallel
+//!                      (0 = auto via IZHI_HOST_THREADS / host CPUs)
 //!     --timing T       clock: exact (the exact scheduler's cycle-accurate
 //!                      model), unit (1 cycle/instruction) or estimated
-//!                      (static per-op-class costs); unit/estimated imply
-//!                      --sched relaxed when no scheduler flag is given
+//!                      (static per-op-class costs); unit and estimated
+//!                      need --sched relaxed|parallel
 //!     --trace          print every retired instruction (core 0)
 //!     --regs           dump the register file at exit
-//!     --no-superblocks single-step every micro-op instead of fusing
-//!                      straight-line runs into superblocks (also
-//!                      IZHI_SUPERBLOCKS=0; bit-identical, for A/B checks)
-//!     --no-kernels     interpret registered loop spans op by op instead
-//!                      of batch-executing them host-natively (also
-//!                      IZHI_KERNELS=0; bit-identical, for A/B checks)
 //! izhirisc scenario list                     list registered scenarios
 //! izhirisc scenario run <name> [options]     build + run a scenario
 //!     --sched MODE --quantum N --host-threads N --timing T    as above
@@ -37,8 +30,7 @@
 //!     --battery        fan the scenario's battery (seeds x sched x timing)
 //!                      across host threads, verify cross-mode identity
 //!     --json PATH      write battery rows as JSON (with --battery)
-//!     --no-superblocks / --no-kernels   as under `run`
-//! izhirisc scenario battery [--timing T] [--json PATH] [--no-superblocks] [--no-kernels]
+//! izhirisc scenario battery [--timing T] [--json PATH]
 //!                                            quick battery of EVERY scenario
 //!                                            (--timing: only that clock's rows)
 //! izhirisc serve [options]                   scenario service (HTTP/1.1 JSON)
@@ -53,7 +45,8 @@
 //!
 //! Flag parsing is strict: unknown flags are rejected, and a flag that
 //! needs a value refuses to swallow the next flag (`--quantum --trace`
-//! is an error, not quantum = "--trace").
+//! is an error, not quantum = "--trace"). Each setting has one spelling:
+//! `--sched` alone selects the scheduler, and no other flag implies one.
 
 use std::fs;
 use std::io::Write as _;
@@ -68,29 +61,9 @@ use izhirisc::programs::scenario::{self, ScenarioParams, Workload};
 use izhirisc::programs::template;
 use izhirisc::sim::{SchedMode, System, SystemConfig, TimingModel};
 
-/// Consume a `--no-superblocks` switch. The flag rides the existing
-/// `IZHI_SUPERBLOCKS` environment plumbing (set before any system or
-/// battery workload is built), so every execution path — single runs,
-/// templates, battery rows, supervised jobs — sees the same setting.
-fn take_no_superblocks(args: &mut Args) {
-    if args.switch("--no-superblocks") {
-        std::env::set_var("IZHI_SUPERBLOCKS", "0");
-    }
-}
-
-/// Consume a `--no-kernels` switch — the batch-kernel analogue of
-/// `--no-superblocks`, riding `IZHI_KERNELS` the same way. Relaxed
-/// schedules then interpret the registered loop spans op by op
-/// (bit-identical; for A/B checks and perf bisection).
-fn take_no_kernels(args: &mut Args) {
-    if args.switch("--no-kernels") {
-        std::env::set_var("IZHI_KERNELS", "0");
-    }
-}
-
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--relaxed] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs] [--no-superblocks] [--no-kernels]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--shards N] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH] [--no-superblocks] [--no-kernels]\n  izhirisc scenario battery [--timing T] [--json PATH] [--no-superblocks] [--no-kernels]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
+        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--shards N] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH]\n  izhirisc scenario battery [--timing T] [--json PATH]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
     );
     exit(2);
 }
@@ -165,15 +138,13 @@ fn parse_u32(s: &str) -> u32 {
 }
 
 /// Scheduling-mode selection shared by `run` and `scenario run`:
-/// `--sched exact|relaxed|parallel` is canonical; `--relaxed` and
-/// `--host-threads N` are kept as aliases of the modes they imply.
+/// `--sched exact|relaxed|parallel` picks the scheduler (default exact).
 /// `--timing exact|unit|estimated` picks the clock: `exact` is the exact
 /// scheduler's cycle-accurate model, `unit`/`estimated` are the relaxed
-/// clocks (and imply the sequential relaxed scheduler when no scheduler
-/// flag is given).
+/// clocks. `--quantum`, `--host-threads` and a relaxed clock each need a
+/// scheduler that uses them.
 fn parse_sched(args: &mut Args) -> SchedMode {
     let sched = args.value("--sched");
-    let relaxed_alias = args.switch("--relaxed");
     let host_threads = args.value("--host-threads").map(|s| parse_u32(&s));
     let quantum = args.value("--quantum").map(|s| u64::from(parse_u32(&s)));
     let timing_arg = args.value("--timing");
@@ -184,21 +155,13 @@ fn parse_sched(args: &mut Args) -> SchedMode {
         }
     }
     let mode = match sched.as_deref() {
-        Some("exact") => "exact",
+        None | Some("exact") => "exact",
         Some("relaxed") => "relaxed",
         Some("parallel") => "parallel",
         Some(other) => {
             eprintln!("unknown --sched mode `{other}` (use exact, relaxed or parallel)");
             exit(2);
         }
-        // Aliases: --host-threads implies the parallel scheduler (it
-        // parallelises the relaxed quantum structure), --relaxed the
-        // sequential relaxed one, and a relaxed clock (--timing
-        // unit|estimated) the sequential relaxed one too.
-        None if host_threads.is_some() => "parallel",
-        None if relaxed_alias => "relaxed",
-        None if matches!(timing_arg.as_deref(), Some("unit" | "estimated")) => "relaxed",
-        None => "exact",
     };
     if mode == "exact" && quantum.is_some() {
         eprintln!("--quantum only applies to relaxed/parallel scheduling");
@@ -216,7 +179,7 @@ fn parse_sched(args: &mut Args) -> SchedMode {
             exit(2);
         }
         (_, Some("exact")) => {
-            eprintln!("--timing exact is the exact scheduler's clock; drop --sched/--relaxed/--host-threads");
+            eprintln!("--timing exact is the exact scheduler's clock; drop --sched");
             exit(2);
         }
         (_, None | Some("unit")) => TimingModel::Unit,
@@ -313,15 +276,13 @@ fn cmd_run(args: &[String]) {
         .unwrap_or(100_000_000);
     let trace = args.switch("--trace");
     let dump_regs = args.switch("--regs");
-    take_no_superblocks(&mut args);
-    take_no_kernels(&mut args);
     let sched = parse_sched(&mut args);
     let positionals = args.positionals();
     let Some(path) = positionals.first() else {
         usage()
     };
     if trace && sched != SchedMode::Exact {
-        eprintln!("--trace single-steps the exact schedule; drop --sched/--relaxed/--host-threads");
+        eprintln!("--trace single-steps the exact schedule; drop --sched");
         exit(2);
     }
     let src = fs::read_to_string(path).unwrap_or_else(|e| {
@@ -458,6 +419,19 @@ fn run_battery(specs: &[BatterySpec], json: Option<String>) {
     }
 }
 
+/// A battery's mode set: every sched × timing combination, or only the
+/// rows on the `--timing` clock when one is given.
+fn battery_scheds(timing: Option<&str>) -> Vec<SchedSpec> {
+    match timing {
+        None => SchedSpec::default_set(2),
+        Some(t @ ("exact" | "unit" | "estimated")) => SchedSpec::timing_set(2, t),
+        Some(other) => {
+            eprintln!("unknown --timing `{other}` (use exact, unit or estimated)");
+            exit(2);
+        }
+    }
+}
+
 fn cmd_scenario_run(args: &[String]) {
     let mut args = Args::new(args);
     let params = ScenarioParams {
@@ -478,17 +452,16 @@ fn cmd_scenario_run(args: &[String]) {
     };
     let quick = args.switch("--quick");
     let battery_mode = args.switch("--battery");
-    take_no_superblocks(&mut args);
-    take_no_kernels(&mut args);
     let json = args.value("--json");
-    // Remember whether the user restricted the schedule or the clock
-    // before parse_sched consumes the flags: a --battery run honours an
-    // explicit mode (one row set) or an explicit --timing (that clock's
-    // row subset) instead of silently fanning over every combination.
-    let sched_given = ["--sched", "--relaxed", "--host-threads", "--quantum"]
-        .iter()
-        .any(|f| args.rest.iter().any(|a| a == f));
-    let timing_given = args.rest.iter().any(|a| a == "--timing");
+    // A --battery run honours an explicit --sched (one row set) or a
+    // bare --timing (that clock's row subset, as under `scenario
+    // battery`) instead of silently fanning over every combination.
+    let sched_given = args.rest.iter().any(|a| a == "--sched");
+    let timing_filter = if battery_mode && !sched_given {
+        args.value("--timing")
+    } else {
+        None
+    };
     let sched = parse_sched(&mut args);
     let positionals = args.positionals();
     let Some(name) = positionals.first() else {
@@ -523,16 +496,10 @@ fn cmd_scenario_run(args: &[String]) {
             Some(seed) => vec![seed],
             None => sc.battery_seeds.to_vec(),
         };
-        // An explicit --sched/--quantum/--host-threads restricts the
-        // battery to that one mode; a bare --timing restricts it to that
-        // clock's row subset; otherwise fan over every sched × timing
-        // combination.
         let scheds = if sched_given {
             vec![SchedSpec::of(sched)]
-        } else if timing_given {
-            SchedSpec::timing_set(2, sched.timing_label())
         } else {
-            SchedSpec::default_set(2)
+            battery_scheds(timing_filter.as_deref())
         };
         let spec = BatterySpec {
             scenario: sc.name,
@@ -550,24 +517,8 @@ fn cmd_scenario_run(args: &[String]) {
     }
 
     // Single runs go through the template cache too: a repeated
-    // `scenario run` of the same shape reuses the assembled snapshot, and
-    // `IZHI_TEMPLATE_CACHE=0` restores the cold build for A/B checks.
-    let mut wl: Box<dyn Workload> = if template::cache_enabled() {
-        let tpl = if quick {
-            sc.template_quick(&params)
-        } else {
-            sc.template(&params)
-        };
-        match params.seed {
-            Some(seed) => Box::new(tpl.instantiate(seed, sched)),
-            None => Box::new(tpl.instantiate_as_built(sched)),
-        }
-    } else if quick {
-        sc.build_quick(&params)
-    } else {
-        sc.build(&params)
-    };
-    wl.cfg_mut().system.sched = sched;
+    // `scenario run` of the same shape reuses the assembled snapshot.
+    let (wl, _) = template::instance(sc, &params, quick, sched);
     let start = std::time::Instant::now();
     let res = wl.run().unwrap_or_else(|e| {
         eprintln!("{name}: simulation failed: {e}");
@@ -608,8 +559,6 @@ fn cmd_scenario_run(args: &[String]) {
 
 fn cmd_scenario_battery(args: &[String]) {
     let mut args = Args::new(args);
-    take_no_superblocks(&mut args);
-    take_no_kernels(&mut args);
     let json = args.value("--json");
     let timing = args.value("--timing");
     let positionals = args.positionals();
@@ -617,14 +566,7 @@ fn cmd_scenario_battery(args: &[String]) {
         eprintln!("scenario battery takes no scenario names (it runs every registered scenario); use `scenario run <name> --battery` for one");
         exit(2);
     }
-    let scheds = match timing.as_deref() {
-        None => SchedSpec::default_set(2),
-        Some(t @ ("exact" | "unit" | "estimated")) => SchedSpec::timing_set(2, t),
-        Some(other) => {
-            eprintln!("unknown --timing `{other}` (use exact, unit or estimated)");
-            exit(2);
-        }
-    };
+    let scheds = battery_scheds(timing.as_deref());
     let specs: Vec<BatterySpec> = scenario::registry()
         .iter()
         .map(|s| BatterySpec {
