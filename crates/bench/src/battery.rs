@@ -446,8 +446,9 @@ pub fn check_rows(rows: &[BatteryRow]) -> Result<(), String> {
     Ok(())
 }
 
-/// The `"battery"` JSON array of a BENCH file. Each entry carries a
-/// stable `key` the CI gate matches committed baselines against.
+/// The `"battery"` JSON array of the CLI's battery artifact (the shape of
+/// the `battery` rows committed in `BENCH_9.json`). Each entry carries a
+/// stable `key` (see [`BatteryRow::key`]).
 pub fn rows_json(rows: &[BatteryRow]) -> Value {
     let row = |r: &BatteryRow| {
         let mut doc = vec![

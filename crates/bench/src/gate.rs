@@ -20,8 +20,8 @@ pub enum Select {
     /// Exactly these keys, each required in the fresh section.
     Keys(&'static [&'static str]),
     /// Every key matching the glob and none of the exclusions. A glob has
-    /// `*` at either end or both (`*_1core*`, `*_relaxed`, `*`). Rules
-    /// bounded by the baseline ([`Rule::Relative`], [`Rule::Band`]) and
+    /// `*` at either end or both (`*_1core*`, `*_relaxed`, `*`).
+    /// [`Rule::Relative`], bounded by the baseline, and
     /// [`Rule::KeysPresent`] select from the baseline section; absolute
     /// rules select from the fresh one.
     Glob(&'static str, &'static [&'static str]),
@@ -34,16 +34,11 @@ pub enum Rule {
     Relative(f64),
     /// At least this value.
     Floor(f64),
-    /// Inside `[lo, hi]`. A key whose baseline value lies outside the band
-    /// must instead stay within [`OUT_OF_BAND_FACTOR`]× of that value.
-    Band(f64, f64),
     /// The key's value over its twin's (the key plus this suffix) is at
     /// least the floor; a missing twin fails.
     Ratio(&'static str, f64),
     /// Present in the fresh section.
     KeysPresent,
-    /// `true`: the value itself, or its named field for records.
-    AllTrue(Option<&'static str>),
 }
 
 impl Rule {
@@ -52,15 +47,13 @@ impl Rule {
         match self {
             Rule::Relative(_) => "relative",
             Rule::Floor(_) => "floor",
-            Rule::Band(..) => "band",
             Rule::Ratio(..) => "ratio",
             Rule::KeysPresent => "keys_present",
-            Rule::AllTrue(_) => "all_true",
         }
     }
 
     fn selects_from_baseline(&self) -> bool {
-        matches!(self, Rule::Relative(_) | Rule::Band(..) | Rule::KeysPresent)
+        matches!(self, Rule::Relative(_) | Rule::KeysPresent)
     }
 }
 
@@ -74,13 +67,6 @@ pub struct Check {
     /// What each must satisfy.
     pub rule: Rule,
 }
-
-/// Factor within which a scenario whose committed estimated/exact ratio
-/// already lies outside the accuracy band must stay. Barrier-dominated
-/// scale-out shapes (the 16-core sharded net) sit there structurally: the
-/// exact clock is mostly simulated barrier spin-wait, which the relaxed
-/// schedulers deschedule.
-pub const OUT_OF_BAND_FACTOR: f64 = 2.0;
 
 const fn check(section: &'static str, select: Select, rule: Rule) -> Check {
     Check {
@@ -126,21 +112,6 @@ pub const RULES: &[Check] = &[
         Keys(&["net8020_quick_1core"]),
         Floor(0.03),
     ),
-    check("battery", Glob("*", &[]), KeysPresent),
-    check("battery", Glob("*", &[]), AllTrue(Some("verified"))),
-    // Estimated-vs-exact simulated cycles: generous until the cost table
-    // is calibrated.
-    check("estimated_accuracy", Glob("*", &[]), Band(0.5, 2.0)),
-    // The service burst makes progress and keeps its guarantees; its
-    // jobs/s is host speed, so only positivity is gated (rates are
-    // written to two decimals, so 0.01 is the least positive value).
-    check("service", Keys(&["completed"]), Floor(1.0)),
-    check("service", Keys(&["throughput_jobs_per_s"]), Floor(0.01)),
-    check(
-        "service",
-        Keys(&["health_ok", "backpressure_hinted", "failure_isolated"]),
-        AllTrue(None),
-    ),
     // Instantiating a cached template never costs much more than a cold
     // build. A cold quick build costs about as much as an instantiation,
     // so no speedup is claimed.
@@ -153,16 +124,13 @@ pub const RULES: &[Check] = &[
     check("battery_throughput", Keys(&["speedup"]), Floor(0.75)),
 ];
 
-/// The sections `BENCH_CMP_ONLY` runs measure and gate.
-pub const CMP_ONLY_SECTIONS: &[&str] = &["speedup_vs_seed", "instret_reduction"];
-
 /// The verdict on one gated key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Outcome {
     /// Rule name.
     pub rule: &'static str,
-    /// JSON path of the gated value (`section.key[.field]`), or the
-    /// section and selector when nothing was gated.
+    /// JSON path of the gated value (`section.key`), or the section and
+    /// selector when nothing was gated.
     pub path: String,
     /// The fresh value as written, `missing`, or `nothing gated`.
     pub fresh: String,
@@ -197,15 +165,10 @@ pub fn evaluate<'a>(
     out
 }
 
-/// The named entries of a section: an object's members, or an array's
-/// records under their `key` field.
+/// The members of an object section.
 fn entries<'a>(doc: &'a Value, section: &str) -> Vec<(&'a str, &'a Value)> {
     match doc.get(section) {
         Some(Value::Object(members)) => members.iter().map(|(k, v)| (k.as_str(), v)).collect(),
-        Some(Value::Array(rows)) => rows
-            .iter()
-            .filter_map(|r| Some((r.get("key")?.as_str()?, r)))
-            .collect(),
         _ => Vec::new(),
     }
 }
@@ -299,18 +262,6 @@ impl Check {
                 let passed = v.is_some_and(|v| v >= x);
                 self.outcome(path, value.to_string(), format!(">= {x}"), passed)
             }
-            Band(lo, hi) => {
-                let in_band = |x: f64| (lo..=hi).contains(&x);
-                let (bound, passed) = match base.filter(|&b| b > 0.0 && !in_band(b)) {
-                    None => (format!("in [{lo}, {hi}]"), v.is_some_and(in_band)),
-                    Some(b) => {
-                        let f = OUT_OF_BAND_FACTOR;
-                        let near = |v: f64| (1.0 / f..=f).contains(&(v / b));
-                        (format!("within {f}x of {b}"), v.is_some_and(near))
-                    }
-                };
-                self.outcome(path, value.to_string(), bound, passed)
-            }
             Ratio(suffix, floor) => {
                 let twin = format!("{key}{suffix}");
                 let Some(off) = find(fresh_entries, &twin) else {
@@ -328,14 +279,6 @@ impl Check {
                 self.outcome(path, shown, bound, ratio.is_some_and(|r| r >= floor))
             }
             KeysPresent => self.outcome(path, "present", "present", true),
-            AllTrue(field) => {
-                let (path, value) = match field {
-                    Some(f) => (format!("{path}.{f}"), value.get(f)),
-                    None => (path, Some(value)),
-                };
-                let shown = value.map_or("missing".into(), Value::to_string);
-                self.outcome(path, shown, "true", value == Some(&Value::Bool(true)))
-            }
         }
     }
 }
@@ -456,216 +399,6 @@ mod tests {
         let outcomes = gate(&f, multi_only, "speedup_vs_seed", "relative");
         assert_eq!(failures(&outcomes).len(), 1);
         assert_eq!(outcomes[0].fresh, "nothing gated");
-    }
-
-    const BATTERY_BASELINE: &str = r#"{
-  "battery": [
-    {"key": "net8020:5:exact", "verified": true},
-    {"key": "net8020:5:relaxed-par", "verified": true}
-  ]
-}"#;
-
-    fn battery(rows: &[(&str, bool)]) -> Value {
-        let rows = rows.iter().map(|&(key, verified)| {
-            Value::object([("key", key.into()), ("verified", verified.into())])
-        });
-        Value::object([("battery", Value::Array(rows.collect()))])
-    }
-
-    fn battery_gate(fresh: &Value, baseline: &str) -> Vec<Outcome> {
-        let mut outcomes = gate(fresh, baseline, "battery", "keys_present");
-        outcomes.extend(gate(fresh, baseline, "battery", "all_true"));
-        outcomes
-    }
-
-    #[test]
-    fn battery_gate_passes_when_keys_hold() {
-        let f = battery(&[
-            ("net8020:5:exact", true),
-            ("net8020:5:relaxed-par", true),
-            ("extra:1:exact", true), // extra fresh rows are fine
-        ]);
-        let outcomes = battery_gate(&f, BATTERY_BASELINE);
-        assert_eq!(failures(&outcomes), []);
-        assert_eq!(outcomes.len(), 2 + 3);
-    }
-
-    #[test]
-    fn battery_gate_errors_on_missing_key() {
-        let f = battery(&[("net8020:5:exact", true)]);
-        assert_eq!(
-            failures(&battery_gate(&f, BATTERY_BASELINE)),
-            [("keys_present", "battery.net8020:5:relaxed-par", "missing")]
-        );
-    }
-
-    #[test]
-    fn battery_gate_errors_on_unverified_row() {
-        let f = battery(&[("net8020:5:exact", true), ("net8020:5:relaxed-par", false)]);
-        assert_eq!(
-            failures(&battery_gate(&f, BATTERY_BASELINE)),
-            [(
-                "all_true",
-                "battery.net8020:5:relaxed-par.verified",
-                "false"
-            )]
-        );
-    }
-
-    #[test]
-    fn battery_gate_errors_on_batteryless_baseline() {
-        let f = battery(&[("net8020:5:exact", true)]);
-        let outcomes = gate(&f, BASELINE, "battery", "keys_present");
-        assert_eq!(failures(&outcomes).len(), 1);
-        assert_eq!(outcomes[0].fresh, "nothing gated");
-    }
-
-    const ACCURACY_BASELINE: &str = r#"{
-  "estimated_accuracy": {
-    "net8020": 0.912,
-    "sudoku": 1.104
-  }
-}"#;
-
-    fn accuracy(entries: &[(&str, f64)]) -> Value {
-        let section = entries.iter().map(|&(k, v)| (k, Value::Float(v)));
-        Value::object([("estimated_accuracy", Value::object(section))])
-    }
-
-    #[test]
-    fn accuracy_gate_passes_inside_the_band() {
-        let f = accuracy(&[("net8020", 1.2), ("sudoku", 0.8), ("extra", 9.0)]);
-        let outcomes = gate(&f, ACCURACY_BASELINE, "estimated_accuracy", "band");
-        assert_eq!(failures(&outcomes), []);
-        assert_eq!(outcomes.len(), 2);
-    }
-
-    #[test]
-    fn accuracy_gate_errors_outside_the_band() {
-        let f = accuracy(&[("net8020", 2.5), ("sudoku", 1.0)]);
-        let outcomes = gate(&f, ACCURACY_BASELINE, "estimated_accuracy", "band");
-        assert_eq!(
-            failures(&outcomes),
-            [("band", "estimated_accuracy.net8020", "2.5")]
-        );
-        assert_eq!(outcomes[0].bound, "in [0.5, 2]");
-    }
-
-    #[test]
-    fn accuracy_gate_errors_on_missing_scenario() {
-        let f = accuracy(&[("net8020", 1.0)]);
-        let outcomes = gate(&f, ACCURACY_BASELINE, "estimated_accuracy", "band");
-        assert_eq!(
-            failures(&outcomes),
-            [("band", "estimated_accuracy.sudoku", "missing")]
-        );
-    }
-
-    #[test]
-    fn out_of_band_baselines_are_gated_relative_to_their_committed_ratio() {
-        // A barrier-dominated scale-out scenario commits a ratio below
-        // the absolute band: reproducing it (within the relative factor)
-        // must pass, drifting past the factor must fail, and in-band
-        // scenarios in the same baseline keep the absolute semantics.
-        let baseline = r#"{
-  "estimated_accuracy": {
-    "net8020_sharded": 0.250,
-    "net8020": 1.026
-  }
-}"#;
-        let band = |f: &[(&str, f64)]| gate(&accuracy(f), baseline, "estimated_accuracy", "band");
-        let ok = band(&[("net8020_sharded", 0.26), ("net8020", 1.0)]);
-        assert_eq!(failures(&ok), []);
-        let drifted = band(&[("net8020_sharded", 0.06), ("net8020", 1.0)]);
-        assert_eq!(
-            failures(&drifted),
-            [("band", "estimated_accuracy.net8020_sharded", "0.06")]
-        );
-        // An in-band baseline never unlocks the relative escape hatch:
-        // 2.05 is within 2x of the committed 1.026 but outside the band.
-        let escaped = band(&[("net8020_sharded", 0.25), ("net8020", 2.05)]);
-        assert_eq!(
-            failures(&escaped),
-            [("band", "estimated_accuracy.net8020", "2.05")]
-        );
-    }
-
-    #[test]
-    fn accuracy_gate_detects_the_section() {
-        // The gate finds the section in the baseline; a baseline whose
-        // section is garbled, or absent (an old schema), gates nothing and
-        // fails.
-        let f = accuracy(&[("a", 1.0)]);
-        assert_eq!(
-            failures(&gate(&f, ACCURACY_BASELINE, "estimated_accuracy", "band")).len(),
-            2
-        );
-        for baseline in [r#"{"estimated_accuracy": "zap"}"#, BASELINE] {
-            let outcomes = gate(&f, baseline, "estimated_accuracy", "band");
-            assert_eq!(failures(&outcomes).len(), 1);
-            assert_eq!(outcomes[0].fresh, "nothing gated");
-        }
-    }
-
-    const HEALTHY_SERVICE: &str = r#"{
-  "service": {"jobs": 40, "completed": 38, "throughput_jobs_per_s": 350.0, "health_ok": true,
-              "backpressure_hinted": true, "failure_isolated": true}
-}"#;
-
-    const SERVICE_BASELINE: &str = r#"{
-  "service": {"jobs": 40, "completed": 38, "throughput_jobs_per_s": 410.5, "health_ok": true}
-}"#;
-
-    fn service_gate(fresh: &Value, baseline: &str) -> Vec<Outcome> {
-        let checks = RULES.iter().filter(|c| c.section == "service");
-        evaluate(fresh, &doc(baseline), checks)
-    }
-
-    #[test]
-    fn service_gate_passes_when_guarantees_hold() {
-        let outcomes = service_gate(&doc(HEALTHY_SERVICE), SERVICE_BASELINE);
-        assert_eq!(failures(&outcomes), []);
-        assert_eq!(outcomes.len(), 5);
-    }
-
-    #[test]
-    fn service_gate_errors_on_each_broken_guarantee() {
-        for (key, value) in [
-            ("completed", Value::Int(0)),
-            ("throughput_jobs_per_s", Value::Float(0.0)),
-            ("throughput_jobs_per_s", Value::Null),
-            ("health_ok", Value::Bool(false)),
-            ("backpressure_hinted", Value::Bool(false)),
-            ("failure_isolated", Value::Bool(false)),
-        ] {
-            let mut f = doc(HEALTHY_SERVICE);
-            set(&mut f, "service", key, Some(value));
-            let outcomes = service_gate(&f, SERVICE_BASELINE);
-            let path = format!("service.{key}");
-            assert!(
-                matches!(&failures(&outcomes)[..], [(_, p, _)] if *p == path),
-                "expected one failure at {path}, got {outcomes:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn service_gate_errors_when_fresh_run_has_no_burst() {
-        // The gate requires a service section; a fresh run without one
-        // must fail rather than silently skipping its own gate.
-        let outcomes = service_gate(&doc(BASELINE), SERVICE_BASELINE);
-        assert_eq!(failures(&outcomes).len(), 5);
-        assert!(outcomes.iter().all(|o| o.fresh == "missing"));
-    }
-
-    #[test]
-    fn service_section_detection_and_skip_case() {
-        // A baseline without a service section (an old schema) does not
-        // disable the service gate: the fresh burst is gated regardless.
-        let outcomes = service_gate(&doc(HEALTHY_SERVICE), BASELINE);
-        assert_eq!((outcomes.len(), failures(&outcomes).len()), (5, 0));
-        let outcomes = service_gate(&doc(BASELINE), BASELINE);
-        assert_eq!(failures(&outcomes).len(), 5);
     }
 
     const HEALTHY_THROUGHPUT: &str = r#"{
@@ -942,14 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn cmp_only_sections_are_the_seed_comparison() {
-        // BENCH_CMP_ONLY runs measure only the seed-vs-live rows: their
-        // gate is every speedup and instret rule and nothing else.
-        let gated: Vec<_> = RULES
-            .iter()
-            .filter(|c| CMP_ONLY_SECTIONS.contains(&c.section))
-            .map(|c| (c.section, c.rule.name()))
-            .collect();
+    fn rules_gate_only_the_timed_sections() {
+        // perf_baseline only times: its gate is the seed-comparison
+        // speedup and instret rules and the template-throughput floors.
+        let gated: Vec<_> = RULES.iter().map(|c| (c.section, c.rule.name())).collect();
         assert_eq!(
             gated,
             [
@@ -959,6 +688,9 @@ mod tests {
                 ("speedup_vs_seed", "ratio"),
                 ("instret_reduction", "keys_present"),
                 ("instret_reduction", "floor"),
+                ("battery_throughput", "floor"),
+                ("battery_throughput", "floor"),
+                ("battery_throughput", "floor"),
             ]
         );
     }
@@ -966,31 +698,12 @@ mod tests {
     /// The committed baseline CI gates against.
     const BENCH_9: &str = include_str!("../../../BENCH_9.json");
 
-    /// The battery record under `key`.
-    fn battery_row<'a>(doc: &'a mut Value, key: &str) -> &'a mut Vec<(String, Value)> {
-        let Some((_, Value::Array(rows))) = members(doc).iter_mut().find(|(k, _)| k == "battery")
-        else {
-            panic!("no battery section")
-        };
-        let row = rows
-            .iter_mut()
-            .find(|r| r.get("key").and_then(Value::as_str) == Some(key))
-            .expect(key);
-        members(row)
-    }
-
     #[test]
     fn bench9_passes_against_itself_and_each_mutation_fails_by_name() {
         let bench9 = doc(BENCH_9);
         let outcomes = evaluate(&bench9, &bench9, RULES);
         assert_eq!(failures(&outcomes), []);
-        assert_eq!(
-            outcomes
-                .iter()
-                .filter(|o| o.path.starts_with("battery."))
-                .count(),
-            220
-        );
+        assert_eq!(outcomes.len(), 24);
 
         type Mutation = Box<dyn Fn(&mut Value)>;
         let setf = |s: &'static str, k: &'static str, v: Value| -> Mutation {
@@ -998,7 +711,6 @@ mod tests {
         };
         let speed = |k: &'static str, v: f64| setf("speedup_vs_seed", k, Value::Float(v));
         let quick = "net8020_quick_1core";
-        let row = "net8020:5:exact";
         let cases: Vec<(Mutation, (&str, &str, &str))> = vec![
             (
                 Box::new(|d| set(d, "speedup_vs_seed", "net8020_paper_1core_100ms_nosb", None)),
@@ -1059,54 +771,6 @@ mod tests {
                 ("floor", "instret_reduction.net8020_quick_1core", "0.02"),
             ),
             (
-                Box::new(move |d| {
-                    let Some((_, Value::Array(rows))) =
-                        members(d).iter_mut().find(|(k, _)| k == "battery")
-                    else {
-                        panic!("no battery")
-                    };
-                    rows.retain(|r| r.get("key").and_then(Value::as_str) != Some(row));
-                }),
-                ("keys_present", "battery.net8020:5:exact", "missing"),
-            ),
-            (
-                Box::new(move |d| {
-                    let verified = battery_row(d, row)
-                        .iter_mut()
-                        .find(|(k, _)| k == "verified");
-                    verified.unwrap().1 = Value::Bool(false);
-                }),
-                ("all_true", "battery.net8020:5:exact.verified", "false"),
-            ),
-            (
-                setf("estimated_accuracy", "net8020", Value::Float(2.5)),
-                ("band", "estimated_accuracy.net8020", "2.5"),
-            ),
-            (
-                setf("estimated_accuracy", "net8020_sharded", Value::Float(0.06)),
-                ("band", "estimated_accuracy.net8020_sharded", "0.06"),
-            ),
-            (
-                setf("service", "health_ok", Value::Bool(false)),
-                ("all_true", "service.health_ok", "false"),
-            ),
-            (
-                setf("service", "backpressure_hinted", Value::Bool(false)),
-                ("all_true", "service.backpressure_hinted", "false"),
-            ),
-            (
-                setf("service", "failure_isolated", Value::Bool(false)),
-                ("all_true", "service.failure_isolated", "false"),
-            ),
-            (
-                setf("service", "completed", Value::Int(0)),
-                ("floor", "service.completed", "0"),
-            ),
-            (
-                setf("service", "throughput_jobs_per_s", Value::Null),
-                ("floor", "service.throughput_jobs_per_s", "null"),
-            ),
-            (
                 setf("battery_throughput", "speedup", Value::Float(0.7)),
                 ("floor", "battery_throughput.speedup", "0.7"),
             ),
@@ -1128,12 +792,6 @@ mod tests {
                     "missing",
                 ),
             ),
-            ("battery", ("all_true", "battery[", "nothing gated")),
-            (
-                "estimated_accuracy",
-                ("band", "estimated_accuracy.net8020", "missing"),
-            ),
-            ("service", ("all_true", "service.health_ok", "missing")),
             (
                 "battery_throughput",
                 ("floor", "battery_throughput.speedup", "missing"),
@@ -1155,15 +813,5 @@ mod tests {
                 failures(&outcomes)
             );
         }
-
-        // A committed-out-of-band scenario that reproduces its ratio passes.
-        let mut f = bench9.clone();
-        set(
-            &mut f,
-            "estimated_accuracy",
-            "net8020_sharded",
-            Some(Value::Float(0.26)),
-        );
-        assert_eq!(failures(&evaluate(&f, &bench9, RULES)), []);
     }
 }

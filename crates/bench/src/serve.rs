@@ -708,8 +708,8 @@ pub fn json_field_str(body: &str, key: &str) -> Option<String> {
     Some(json::parse(body).ok()?.get(key)?.as_str()?.to_string())
 }
 
-/// What a load-generation burst observed (the `service` section of a
-/// BENCH file, and the CI smoke assertions, come from this).
+/// What a load-generation burst observed (the `serve_api` suite's and
+/// the CI smoke job's assertions come from this).
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Jobs submitted.
@@ -854,28 +854,6 @@ pub fn burst_bodies(n: u32, faults: bool) -> Vec<String> {
             seed => tiny_job(seed, None),
         })
         .collect()
-}
-
-/// In-process service benchmark: burst `n_jobs` tiny jobs (two of them
-/// deliberately faulty — a host panic and a guest trap) through a small
-/// queue, and report throughput plus failure isolation. This is what the
-/// perf baseline records into the BENCH `service` section.
-pub fn service_benchmark(n_jobs: usize) -> Result<LoadReport, String> {
-    let handle = Server::start(ServeConfig {
-        addr: "127.0.0.1:0".to_string(),
-        queue_cap: 8,
-        workers: 2,
-        supervise: SuperviseConfig {
-            wall_limit: Some(Duration::from_secs(30)),
-            ..Default::default()
-        },
-    })
-    .map_err(|e| e.to_string())?;
-    let addr = handle.addr().to_string();
-    let bodies = burst_bodies(n_jobs as u32, true);
-    let report = generate_load(&addr, &bodies, Duration::from_secs(180));
-    handle.shutdown_and_join();
-    report
 }
 
 /// Whether a load report demonstrates failure isolation: the injected

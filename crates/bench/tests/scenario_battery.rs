@@ -2,13 +2,30 @@
 //! registry — present and future — must be deterministic and
 //! raster-identical across `Exact`, `Relaxed` and `RelaxedParallel`,
 //! under both relaxed clocks (`Unit` and `Estimated` timing), at
-//! host_threads {1, 2}. A scenario added to the registry is picked up
-//! here automatically; one that breaks the cross-mode contract cannot
-//! land.
+//! host_threads {1, 2}, and its estimated clock must stay within the
+//! accuracy band of the exact one. A scenario added to the registry is
+//! picked up here automatically; one that breaks the cross-mode contract
+//! cannot land.
 
-use izhi_bench::battery::{self, BatteryRunner, BatterySpec};
+use std::ops::RangeInclusive;
+
+use izhi_bench::battery::{self, BatteryRunner, BatterySpec, SchedSpec};
+use izhi_bench::json::{self, Value};
 use izhi_programs::scenario::{self, ScenarioParams};
 use izhi_sim::{SchedMode, TimingModel};
+
+/// Estimated-vs-exact simulated cycles: generous until the cost table is
+/// calibrated.
+const ACCURACY_BAND: RangeInclusive<f64> = 0.5..=2.0;
+
+/// The one scenario outside [`ACCURACY_BAND`], until the relaxed clock
+/// charges barrier waits: on the 16-core sharded net the exact clock is
+/// mostly simulated barrier spin-wait, which the relaxed schedulers
+/// deschedule. Its ratio must stay within [`BAND_EXCEPTION_FACTOR`]× of
+/// the committed one (`BENCH_9.json`'s `estimated_accuracy`).
+const BAND_EXCEPTION: (&str, f64) = ("net8020_sharded", 0.24);
+/// See [`BAND_EXCEPTION`].
+const BAND_EXCEPTION_FACTOR: f64 = 2.0;
 
 fn run_quick(sc: &scenario::Scenario, sched: SchedMode) -> izhi_programs::WorkloadResult {
     let mut wl = sc.build_quick(&ScenarioParams::default());
@@ -77,6 +94,21 @@ fn every_scenario_is_deterministic_and_sched_identical() {
             sc.name,
             est.cycles,
             relaxed.cycles
+        );
+        // The estimated clock tracks the exact one: the ratio of their
+        // simulated cycles lies in the band, or near the committed ratio
+        // for the one scenario that sits outside it.
+        let ratio = est.cycles as f64 / exact.cycles as f64;
+        let band = match BAND_EXCEPTION {
+            (name, committed) if name == sc.name => {
+                committed / BAND_EXCEPTION_FACTOR..=committed * BAND_EXCEPTION_FACTOR
+            }
+            _ => ACCURACY_BAND,
+        };
+        assert!(
+            band.contains(&ratio),
+            "{}: estimated/exact cycles {ratio:.3} outside {band:?}",
+            sc.name
         );
 
         // Host-parallel relaxed must be bit-identical to sequential
@@ -205,6 +237,34 @@ fn battery_runner_shards_the_registry_and_checks_identity() {
     );
     let timings: Vec<_> = rows.iter().take(5).map(|r| r.timing).collect();
     assert_eq!(timings, ["exact", "unit", "unit", "estimated", "estimated"]);
+}
+
+#[test]
+fn battery_keys_are_the_committed_baseline_keys() {
+    // Registry x battery seeds x the default mode set, keyed like
+    // `BatteryRow::key`, is exactly the key set of the committed
+    // baseline's battery rows: no scenario, seed or mode can drop out of
+    // the battery (which CI's battery job runs in full) unnoticed.
+    let mut keys = Vec::new();
+    for sc in scenario::registry() {
+        for seed in sc.battery_seeds {
+            for spec in SchedSpec::default_set(2) {
+                keys.push(format!("{}:{seed}:{}", sc.name, spec.label));
+            }
+        }
+    }
+    let bench9 = json::parse(include_str!("../../../BENCH_9.json")).expect("BENCH_9.json parses");
+    let Some(Value::Array(rows)) = bench9.get("battery") else {
+        panic!("BENCH_9.json has no battery rows");
+    };
+    let mut committed: Vec<&str> = rows
+        .iter()
+        .map(|r| r.get("key").and_then(Value::as_str).expect("keyed row"))
+        .collect();
+    keys.sort_unstable();
+    committed.sort_unstable();
+    assert_eq!(committed.len(), 110);
+    assert_eq!(keys, committed);
 }
 
 /// Assembler relaxation soundness, swept over **every** registry

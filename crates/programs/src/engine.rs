@@ -140,6 +140,26 @@ impl EngineConfig {
         let need = (edges_end + 0xF_FFFF) & !0xF_FFFF;
         self.system.sdram_size = self.system.sdram_size.max(need);
     }
+
+    /// Whether `self` and `other` build the same run: every field that
+    /// shapes the image or the generated engine, and the assembler
+    /// relaxation that decides which program is assembled from it. The
+    /// per-run knobs in [`EngineConfig::system`] (scheduler, faults, wall
+    /// limit, …) may differ.
+    pub fn same_build(&self, other: &EngineConfig) -> bool {
+        self.n == other.n
+            && self.ticks == other.ticks
+            && self.n_cores == other.n_cores
+            && self.tau == other.tau
+            && self.pin == other.pin
+            && self.variant == other.variant
+            && self.sparse == other.sparse
+            && self.scheduled == other.scheduled
+            && self.coupled == other.coupled
+            && self.plastic == other.plastic
+            && self.stim == other.stim
+            && self.system.asm_relax == other.system.asm_relax
+    }
 }
 
 /// Stimulus current added per injected event, Q15.16 (64.0 — enough to

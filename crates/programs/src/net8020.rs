@@ -70,7 +70,7 @@ impl Net8020Workload {
     ) -> Self {
         let mut net = Net8020::with_size(n_exc, n_inh, seed);
         let n = net.len();
-        let keep = ((density * n as f64).ceil() as usize).clamp(1, n);
+        let keep = Net8020::sparse_row_len(n, density);
         let mut edges = Vec::with_capacity(keep * n);
         for pre in 0..n {
             let mut row: Vec<(u32, f64)> = net.network.out_edges(pre).collect();

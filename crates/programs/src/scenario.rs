@@ -24,6 +24,7 @@
 use std::any::Any;
 
 use izhi_sim::SimError;
+use izhi_snn::gen8020::Net8020;
 use izhi_snn::sudoku::{hard_puzzle, SudokuGrid};
 
 use crate::engine::{run_workload, EngineConfig, GuestImage, Variant, WorkloadResult};
@@ -255,10 +256,8 @@ impl Scenario {
     /// the engine.
     pub fn validate(&self, p: &ScenarioParams, quick: bool) -> Result<(), String> {
         let p = &self.resolve(p, quick);
-        let scale_out = matches!(
-            self.name,
-            "net8020_sharded" | "net8020_stdp" | "net8020_stream"
-        );
+        let density = scale_out_density(self.name);
+        let scale_out = density.is_some();
         let sudoku = self.name.starts_with("sudoku");
         let per_core_n = matches!(self.name, "net8020_sweep" | "net8020_points");
         if let Some(c) = p.n_cores {
@@ -349,9 +348,14 @@ impl Scenario {
                     (n, n.div_ceil(c as usize))
                 };
                 if per > 1024 {
+                    let shape = if per_core_n {
+                        format!("n = {n} per core")
+                    } else {
+                        format!("n = {n} over cores = {c}")
+                    };
                     return Err(format!(
-                        "{}: per-core chunk {per} exceeds the standard map's 1024-slot \
-                         spike segment — use more cores or the scale-out scenarios",
+                        "{}: {shape} gives a per-core chunk of {per}, beyond the standard \
+                         map's 1024-slot spike segment — use more cores or the scale-out scenarios",
                         self.name
                     ));
                 }
@@ -370,7 +374,57 @@ impl Scenario {
                 }
             }
         }
+        // Scale-out scenarios: the noise table, the row pointers and the
+        // CSR edges the build lays out in SDRAM must end below the
+        // scratchpad (and, on the standard map, inside the edge window).
+        // The generated population's synapse count bounds the edges the
+        // image writes at every seed (it drops weights that quantise to
+        // zero), and it is what the build sizes SDRAM for.
+        if let (Some(d), Some(n), Some(t), Some(c)) =
+            (density, p.n, p.ticks, p.shards.or(p.n_cores))
+        {
+            let edges = n * Net8020::sparse_row_len(n, d);
+            let end = |ticks| {
+                let lay = layout::Layout::for_shape(n, ticks, c, n.div_ceil(c as usize));
+                let limit = lay.edge_cap(layout::SCRATCH);
+                (u64::from(lay.edges) + 4 * edges as u64, u64::from(limit))
+            };
+            let (sdram_end, limit) = end(t);
+            if sdram_end > limit {
+                // A shorter run shrinks only the noise table; name `ticks`
+                // when that alone would make the shape fit.
+                let (shape, fix) = if end(1).0 <= limit {
+                    (format!("n = {n} at ticks = {t}"), "lower n or ticks")
+                } else {
+                    (format!("n = {n}"), "lower n")
+                };
+                return Err(format!(
+                    "{}: {shape}: the noise table and up to {edges} CSR edges (density {d}) \
+                     reach {sdram_end:#x}, past the SDRAM limit {limit:#x} — {fix}",
+                    self.name
+                ));
+            }
+        }
         Ok(())
+    }
+}
+
+/// CSR connection density of `net8020_sharded`'s generated population,
+/// shared by its builder and [`Scenario::validate`].
+pub const SHARDED_DENSITY: f64 = 0.02;
+/// CSR connection density of `net8020_stdp`'s generated population.
+pub const STDP_DENSITY: f64 = 0.1;
+/// CSR connection density of `net8020_stream`'s generated population.
+pub const STREAM_DENSITY: f64 = 0.1;
+
+/// The generated density of a scale-out scenario; `None` for every other
+/// scenario.
+fn scale_out_density(name: &str) -> Option<f64> {
+    match name {
+        "net8020_sharded" => Some(SHARDED_DENSITY),
+        "net8020_stdp" => Some(STDP_DENSITY),
+        "net8020_stream" => Some(STREAM_DENSITY),
+        _ => None,
     }
 }
 
@@ -977,7 +1031,7 @@ fn build_net8020_sharded(p: &ScenarioParams) -> Box<dyn Workload> {
     Box::new(Net8020Workload::sharded(
         n_exc,
         n_inh,
-        0.02,
+        SHARDED_DENSITY,
         req(p.ticks),
         cores,
         req(p.seed),
@@ -990,7 +1044,7 @@ fn build_net8020_stdp(p: &ScenarioParams) -> Box<dyn Workload> {
     Box::new(Net8020Workload::stdp(
         n_exc,
         n_inh,
-        0.1,
+        STDP_DENSITY,
         req(p.ticks),
         cores,
         req(p.seed),
@@ -1003,7 +1057,7 @@ fn build_net8020_stream(p: &ScenarioParams) -> Box<dyn Workload> {
     Box::new(Net8020Workload::stream(
         n_exc,
         n_inh,
-        0.1,
+        STREAM_DENSITY,
         req(p.ticks),
         cores,
         req(p.seed),

@@ -133,19 +133,8 @@ impl RunTemplate {
                 ..self.params
             };
             let workload = self.scenario.build(&reseeded);
-            let (a, b) = (workload.cfg(), self.workload.cfg());
             assert!(
-                a.n == b.n
-                    && a.ticks == b.ticks
-                    && a.n_cores == b.n_cores
-                    && a.tau == b.tau
-                    && a.pin == b.pin
-                    && a.variant == b.variant
-                    && a.sparse == b.sparse
-                    && a.scheduled == b.scheduled
-                    && a.coupled == b.coupled
-                    && a.plastic == b.plastic
-                    && a.stim == b.stim,
+                workload.cfg().same_build(self.workload.cfg()),
                 "{}: re-seeding changed the engine shape — the scenario's \
                  shape must not depend on the seed",
                 self.scenario.name
@@ -240,27 +229,14 @@ impl Workload for RunInstance {
 
     fn run_budgeted(&self, max_cycles: u64) -> Result<WorkloadResult, SimError> {
         let t = &self.template;
-        // The snapshot is only valid for the shape it was built at; the
-        // per-instance knobs (sched, faults, wall limit, clock) live in
-        // cfg.system and are applied below.
-        {
-            let b = t.workload.cfg();
-            assert!(
-                self.cfg.n == b.n
-                    && self.cfg.ticks == b.ticks
-                    && self.cfg.n_cores == b.n_cores
-                    && self.cfg.tau == b.tau
-                    && self.cfg.pin == b.pin
-                    && self.cfg.variant == b.variant
-                    && self.cfg.sparse == b.sparse
-                    && self.cfg.scheduled == b.scheduled
-                    && self.cfg.coupled == b.coupled
-                    && self.cfg.plastic == b.plastic
-                    && self.cfg.stim == b.stim,
-                "RunInstance shape diverged from its template — rebuild \
-                 (or use run_cold()) after mutating shape fields"
-            );
-        }
+        // The snapshot is only valid for the shape and program it was
+        // built with; the per-instance knobs (sched, faults, wall limit,
+        // clock) live in cfg.system and are applied below.
+        assert!(
+            self.cfg.same_build(t.workload.cfg()),
+            "RunInstance shape diverged from its template — rebuild \
+             (or use run_cold()) after mutating shape fields"
+        );
         assert_run_shape(&self.cfg, self.workload.image());
         let mut system_cfg = self.cfg.system.clone();
         system_cfg.n_cores = self.cfg.n_cores;
@@ -500,6 +476,19 @@ mod tests {
         assert_eq!(first.raster_hash(), c.raster_hash());
         assert_eq!(first.cycles, c.cycles);
         assert_eq!(first.instret, c.instret);
+    }
+
+    #[test]
+    #[should_panic(expected = "RunInstance shape diverged from its template")]
+    fn an_instance_cannot_switch_off_assembler_relaxation() {
+        // The snapshot holds the program assembled with relaxation on; an
+        // instance told to run without it must not silently run that
+        // program anyway.
+        let (sc, params) = quick_seeded("net8020", 5);
+        let tpl = Arc::new(RunTemplate::build(sc, params));
+        let mut inst = tpl.instantiate(5, SchedMode::Exact);
+        inst.cfg_mut().system.asm_relax = false;
+        let _ = inst.run();
     }
 
     #[test]

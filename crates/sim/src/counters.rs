@@ -113,8 +113,8 @@ impl OpClass {
 /// the repo's SNN workloads (high cache hit rates, mostly-taken loop
 /// branches, occasional load-use bubbles): they are a first-order static
 /// collapse of the dynamic stall sources, tuned so estimated cycle counts
-/// land within a small factor of exact ones (`perf_baseline` reports the
-/// per-scenario ratio as `estimated_accuracy`; the CI gate bounds it).
+/// land within a small factor of exact ones (the `scenario_battery` suite
+/// bounds every scenario's estimated/exact ratio).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostTable {
     /// Cycles per ALU-class op.

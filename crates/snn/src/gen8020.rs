@@ -63,6 +63,14 @@ impl Net8020 {
         }
     }
 
+    /// Targets per presynaptic row at connection `density`:
+    /// `⌈density·n⌉`, at least one and at most `n`. A
+    /// [`Net8020::sparse_random`] population has exactly `n` times this
+    /// many synapses.
+    pub fn sparse_row_len(n: usize, density: f64) -> usize {
+        ((density * n as f64).ceil() as usize).clamp(1, n)
+    }
+
     /// Generate directly in CSR form at a target connection `density` —
     /// no dense `n²` intermediate, which is what makes 10k+ neuron
     /// populations practical host-side (a dense 10240² f64 matrix is
@@ -82,7 +90,7 @@ impl Net8020 {
         for _ in 0..n_inh {
             params.push(IzhParams::inhibitory_8020(rng.next_f64()));
         }
-        let keep = ((density * n as f64).ceil() as usize).clamp(1, n);
+        let keep = Self::sparse_row_len(n, density);
         let boost = (1000.0 / (density * n as f64)).max(1.0);
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut targets: Vec<u32> = Vec::with_capacity(keep * n);

@@ -379,7 +379,7 @@ fn cmd_scenario_list() {
 }
 
 /// Write battery rows as a standalone JSON document (the CI smoke-job
-/// artifact; same `"battery"` array shape as `perf_baseline`'s output).
+/// artifact; same `"battery"` array shape as `BENCH_9.json`'s rows).
 fn write_battery_json(path: &str, rows: &[battery::BatteryRow]) {
     let doc = Value::object([
         ("schema", "izhirisc-scenario-battery-v1".into()),
