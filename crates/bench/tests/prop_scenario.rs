@@ -47,10 +47,7 @@ fn params() -> impl Strategy<Value = ScenarioParams> {
         field(any::<u32>(), &[0]),
         field(any::<bool>(), &[true]),
         field(1u32..9, &[0, 16, 64, 65]),
-        // 4096 events per tick is valid, but at 65535 ticks it is a
-        // 268M-event stimulus plan: gigabytes of host memory, not a
-        // small shape.
-        field(1u32..17, &[0, 4097]),
+        field(1u32..17, &[0, 4096, 4097]),
     )
         .prop_map(
             |(n, ticks, n_cores, seed, ease, shards, stim_rate)| ScenarioParams {

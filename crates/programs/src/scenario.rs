@@ -337,6 +337,17 @@ impl Scenario {
             if r == 0 || r > 4096 {
                 return Err(format!("stim_rate = {r} outside 1..=4096 events per tick"));
             }
+            // The build materialises one 12-byte plan entry per event, and
+            // every template instance clones the plan.
+            if let Some(t) = p.ticks {
+                let events = u64::from(t) * u64::from(r);
+                if events > MAX_STIM_EVENTS {
+                    return Err(format!(
+                        "ticks = {t} x stim_rate = {r} = {events} stimulus events exceeds \
+                         {MAX_STIM_EVENTS} per run — lower ticks or stim_rate"
+                    ));
+                }
+            }
         }
         // Standard-map scenarios: the spike segments bound the per-core
         // chunk, and the dense weight image bounds the total population.
@@ -408,6 +419,10 @@ impl Scenario {
         Ok(())
     }
 }
+
+/// Most stimulus events one `net8020_stream` run may schedule
+/// (`ticks × stim_rate`): the plan is built up front, about 50 MB here.
+const MAX_STIM_EVENTS: u64 = 1 << 22;
 
 /// CSR connection density of `net8020_sharded`'s generated population,
 /// shared by its builder and [`Scenario::validate`].
@@ -1389,6 +1404,26 @@ mod tests {
         assert!(sharded
             .validate(&ScenarioParams::default().with_stim_rate(4), false)
             .is_err());
+        // A stimulus plan of 268M events (about 3.2 GB) is refused by
+        // both of the parameters that size it; the bound is inclusive.
+        let stream = find("net8020_stream").unwrap();
+        let err = stream
+            .validate(
+                &ScenarioParams::default()
+                    .with_ticks(65535)
+                    .with_stim_rate(4096),
+                false,
+            )
+            .unwrap_err();
+        assert!(
+            err.contains("ticks = 65535") && err.contains("stim_rate = 4096"),
+            "unclear error: {err}"
+        );
+        let at_bound = ScenarioParams::default()
+            .with_ticks(1024)
+            .with_stim_rate(4096);
+        stream.validate(&at_bound, false).unwrap();
+        assert!(stream.validate(&at_bound.with_ticks(1025), false).is_err());
         // shards on a non-scale-out scenario.
         let dense = find("net8020").unwrap();
         assert!(dense

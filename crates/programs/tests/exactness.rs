@@ -1,5 +1,5 @@
 //! Cross-crate exactness regression: the batched predecoded `System::run`
-//! must match manual `step_core` single-stepping on the real guest
+//! must match `System::run_stepped` single-stepping on the real guest
 //! workloads — the ISA self-test battery and a dual-core engine run —
 //! with identical consoles, spike rasters and `PerfCounters`.
 
@@ -9,28 +9,6 @@ use izhi_programs::net8020::Net8020Workload;
 use izhi_programs::scenario::Workload as _;
 use izhi_programs::selftest;
 use izhi_sim::{FaultKind, FaultPlan, SchedMode, System, SystemConfig, TimingModel};
-
-/// Drive `sys` to completion one instruction at a time with the
-/// event-driven schedule (min local time, lowest hart id on ties).
-fn run_by_single_stepping(sys: &mut System, max_steps: u64) {
-    for _ in 0..max_steps {
-        let mut pick: Option<usize> = None;
-        for i in 0..sys.n_cores() {
-            if sys.core(i).halted() {
-                continue;
-            }
-            match pick {
-                Some(j) if sys.core(j).time <= sys.core(i).time => {}
-                _ => pick = Some(i),
-            }
-        }
-        let Some(i) = pick else {
-            return;
-        };
-        sys.step_core(i).expect("reference stepping trapped");
-    }
-    panic!("reference run did not halt within {max_steps} steps");
-}
 
 fn assert_identical(fast: &System, slow: &System) {
     for i in 0..fast.n_cores() {
@@ -66,7 +44,7 @@ fn selftest_battery_run_matches_single_stepping() {
 
     let mut slow = System::new(SystemConfig::default());
     assert!(slow.load_program(&prog));
-    run_by_single_stepping(&mut slow, 50_000_000);
+    slow.run_stepped(50_000_000).expect("reference run");
     assert_identical(&fast, &slow);
 }
 
@@ -100,7 +78,7 @@ fn dual_core_asymmetric_halt_matches_single_stepping() {
 
     let mut slow = System::new(SystemConfig::max10_dual_core());
     assert!(slow.load_program(&prog));
-    run_by_single_stepping(&mut slow, 10_000_000);
+    slow.run_stepped(10_000_000).expect("reference run");
     assert_identical(&fast, &slow);
 }
 
@@ -128,7 +106,7 @@ fn triple_core_engine_run_matches_single_stepping() {
     let mut fast = build();
     fast.run(1_000_000_000).expect("batched run");
     let mut slow = build();
-    run_by_single_stepping(&mut slow, 1_000_000_000);
+    slow.run_stepped(1_000_000_000).expect("reference run");
     assert_identical(&fast, &slow);
 }
 
@@ -162,7 +140,7 @@ fn dual_core_engine_run_matches_single_stepping() {
     );
 
     let mut slow = build(&cfg);
-    run_by_single_stepping(&mut slow, 1_000_000_000);
+    slow.run_stepped(1_000_000_000).expect("reference run");
     assert_identical(&fast, &slow);
 }
 

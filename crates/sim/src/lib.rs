@@ -26,10 +26,18 @@
 //! * a multi-cycle latency for `div`/`rem` (iterative divider).
 //!
 //! Multi-core execution is event-driven by default ([`SchedMode::Exact`]):
-//! the system always steps the core with the smallest local clock (a fused
-//! two-core inner loop re-picks per instruction without scheduler
-//! overhead), and bus transactions reserve global bus time, so contention
-//! between cores emerges naturally. An opt-in relaxed mode
+//! the system always steps the core with the smallest local clock, and bus
+//! transactions reserve global bus time, so contention between cores
+//! emerges naturally. [`System::run_stepped`] is that schedule by
+//! definition, one instruction per pick; [`System::run`] batches it
+//! without changing a single pick. Two cores run a fused inner loop that
+//! re-picks per instruction without scheduler overhead, and each arm of
+//! its pick steps a fixed core through its own inlined copy of the
+//! interpreter, so the binary holds one dispatch per core and each
+//! copy's branches see one core's instruction stream. One copy shared
+//! behind a picked core ran the paper's two-core exact 80-20 network
+//! about 1.3× slower; both copies must stay inlined for the win to
+//! hold. An opt-in relaxed mode
 //! ([`SchedMode::Relaxed`]) trades all of that timing fidelity for
 //! throughput: round-robin quanta, a blocking barrier device, and a
 //! pluggable relaxed clock ([`TimingModel`]) — one cycle per retired

@@ -58,7 +58,7 @@ pub enum SchedMode {
     /// is furthest behind in local time always executes next, ties go to
     /// the lowest hart id, and every timing model (caches, shared bus,
     /// hazards, divider) is charged per instruction. Bit-identical to
-    /// single-stepping that schedule via [`System::step_core`].
+    /// single-stepping that schedule ([`System::run_stepped`]).
     #[default]
     Exact,
     /// Opt-in relaxed interleaving for throughput: cores execute
@@ -700,12 +700,13 @@ impl System {
     /// the core that is furthest behind in local time always executes next
     /// (ties go to the lowest hart id), so shared-resource ordering
     /// approximates real concurrency. The loop is **exactly** equivalent to
-    /// single-stepping that schedule via [`System::step_core`], instruction
+    /// single-stepping that schedule ([`System::run_stepped`]), instruction
     /// by instruction — the two-core case runs a fused inner loop and the
     /// general case batches each pick, but both only ever continue a core
     /// while it would still be the scheduler's pick, so rasters, counters
     /// and cycle counts are bit-identical to the single-stepped reference
-    /// (the predecode regression and exactness suites pin this).
+    /// (the predecode regression and exactness suites and the `prop_exact`
+    /// property pin this).
     ///
     /// Under [`SchedMode::Relaxed`] cores run round-robin in long quanta on
     /// the relaxed clock; see the enum docs for the semantics contract.
@@ -742,10 +743,15 @@ impl System {
                 self.run_exact_scan(max_cycles, wd)?;
             }
         }
-        Ok(RunExit {
+        Ok(self.exit_summary())
+    }
+
+    /// The [`RunExit`] of the cores' current state.
+    fn exit_summary(&self) -> RunExit {
+        RunExit {
             cycles: self.cores.iter().map(|c| c.time).max().unwrap_or(0),
             instret: self.cores.iter().map(|c| c.counters.instret).sum(),
-        })
+        }
     }
 
     /// Fused two-core inner loop: both cores stay register-resident in one
@@ -753,9 +759,16 @@ impl System {
     /// per-pick scan, batch-bound computation or counter mirroring happens
     /// while both cores are live. The pick rule is the event-driven
     /// schedule verbatim, which keeps the loop instruction-for-instruction
-    /// identical to [`System::step_core`] single-stepping (the exactness
-    /// suite pins this). It returns once one core halts; the survivor
-    /// then finishes under [`System::run_exact_scan`].
+    /// identical to [`System::run_stepped`] (the exactness suites and the
+    /// `prop_exact` property pin this). It returns once one core halts;
+    /// the survivor then finishes under [`System::run_exact_scan`].
+    ///
+    /// The loop holds two copies of the interpreter, one per core: each
+    /// arm of the pick inlines [`System::fused_step`] for a fixed core,
+    /// so each copy's dispatch branches train on one core's instruction
+    /// stream. Both copies must stay inlined; stepping a picked
+    /// `&mut Core` through one shared copy ran the paper's two-core exact
+    /// `net8020` about 1.3× slower.
     fn run_exact_fused(&mut self, max_cycles: u64, wd: &mut Watchdog) -> Result<(), SimError> {
         let (head, tail) = self.cores.split_at_mut(1);
         let (c0, c1) = (&mut head[0], &mut tail[0]);
@@ -777,6 +790,9 @@ impl System {
 
     /// The fused two-core pick-and-step loop of
     /// [`System::run_exact_fused`], monomorphised over the profiling flag.
+    ///
+    /// Each arm of the pick steps a fixed core through its own inlined
+    /// copy of [`System::fused_step`] (see [`System::run_exact_fused`]).
     fn fused_exact_loop<const PROF: bool>(
         c0: &mut Core,
         c1: &mut Core,
@@ -789,25 +805,34 @@ impl System {
             // deadline is armed; never perturbs the schedule).
             wd.tick()?;
             // Event-driven pick: minimum local time, tie to hart 0.
-            let pick0 = c0.time <= c1.time;
-            let (c, id) = if pick0 {
-                (&mut *c0, 0u32)
-            } else {
-                (&mut *c1, 1u32)
-            };
-            // Same halt → budget check order as `run_while`, so the
-            // interleaving matches the single-stepped schedule even at
-            // the timeout boundary.
-            if c.time > max_cycles {
-                return Err(SimError::Timeout { max_cycles });
-            }
-            if let Err(cause) = c.exec_one::<ExactTiming, _, PROF>(shared) {
-                return Err(SimError::Trap { core: id, cause });
-            }
-            if c.halted() {
+            if c0.time <= c1.time {
+                if Self::fused_step::<PROF>(c0, 0, shared, max_cycles)? {
+                    return Ok(());
+                }
+            } else if Self::fused_step::<PROF>(c1, 1, shared, max_cycles)? {
                 return Ok(());
             }
         }
+    }
+
+    /// One pick of [`System::fused_exact_loop`]: the budget check, one
+    /// instruction, then whether the core halted — the order of
+    /// `run_while`, so the interleaving matches the single-stepped
+    /// schedule even at the timeout boundary. Always inlined: each call
+    /// site is one per-core copy of the interpreter.
+    #[inline(always)]
+    fn fused_step<const PROF: bool>(
+        c: &mut Core,
+        id: u32,
+        shared: &mut Shared,
+        max_cycles: u64,
+    ) -> Result<bool, SimError> {
+        if c.time > max_cycles {
+            return Err(SimError::Timeout { max_cycles });
+        }
+        c.exec_one::<ExactTiming, _, PROF>(shared)
+            .map_err(|cause| SimError::Trap { core: id, cause })?;
+        Ok(c.halted())
     }
 
     /// General exact scheduler: scan for the pick and its runner-up
@@ -973,6 +998,39 @@ impl System {
     /// the CLI's `--trace` mode uses this).
     pub fn step_core(&mut self, idx: usize) -> Result<(), TrapCause> {
         self.cores[idx].step(&mut self.shared)
+    }
+
+    /// The exact schedule by definition, one instruction per pick: step
+    /// the live core with the smallest local time (lowest hart on ties)
+    /// through [`System::step_core`] until every core halts, with the
+    /// budget check and errors of [`System::run`]. This is the reference
+    /// [`SchedMode::Exact`] runs must equal bit for bit (the exactness
+    /// suites and the `prop_exact` property compare against it); it
+    /// ignores [`SystemConfig::sched`] and
+    /// [`SystemConfig::wall_limit`].
+    pub fn run_stepped(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
+        loop {
+            let mut pick: Option<usize> = None;
+            for (i, c) in self.cores.iter().enumerate() {
+                if c.halted() {
+                    continue;
+                }
+                match pick {
+                    Some(j) if self.cores[j].time <= c.time => {}
+                    _ => pick = Some(i),
+                }
+            }
+            let Some(i) = pick else {
+                return Ok(self.exit_summary());
+            };
+            if self.cores[i].time > max_cycles {
+                return Err(SimError::Timeout { max_cycles });
+            }
+            self.step_core(i).map_err(|cause| SimError::Trap {
+                core: i as u32,
+                cause,
+            })?;
+        }
     }
 }
 

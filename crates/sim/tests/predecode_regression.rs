@@ -5,34 +5,12 @@
 //! `PerfCounters` — on the guest ISA self-test battery and on the
 //! dual-core barrier/mutex programs.
 //!
-//! The reference scheduler here re-implements the documented policy
-//! independently: always step the non-halted core with the smallest local
-//! time, ties to the lowest hart id.
+//! The reference is `System::run_stepped`, the documented policy one
+//! instruction per pick: always step the non-halted core with the
+//! smallest local time, ties to the lowest hart id.
 
 use izhi_isa::asm::Assembler;
 use izhi_sim::{PerfCounters, System, SystemConfig};
-
-/// Drive `sys` to completion one instruction at a time with the
-/// event-driven schedule (min local time, lowest hart id on ties).
-fn run_by_single_stepping(sys: &mut System, max_steps: u64) {
-    for _ in 0..max_steps {
-        let mut pick: Option<usize> = None;
-        for i in 0..sys.n_cores() {
-            if sys.core(i).halted() {
-                continue;
-            }
-            match pick {
-                Some(j) if sys.core(j).time <= sys.core(i).time => {}
-                _ => pick = Some(i),
-            }
-        }
-        let Some(i) = pick else {
-            return; // all halted
-        };
-        sys.step_core(i).expect("reference stepping trapped");
-    }
-    panic!("reference run did not halt within {max_steps} steps");
-}
 
 /// Build two identical systems, run one with `run()` and the other by
 /// single-stepping, and compare all architecturally visible state.
@@ -44,7 +22,7 @@ fn assert_run_matches_stepping(src: &str, cfg: SystemConfig) {
     assert!(slow.load_program(&prog));
 
     let exit = fast.run(1_000_000_000).expect("batched run");
-    run_by_single_stepping(&mut slow, 1_000_000_000);
+    slow.run_stepped(1_000_000_000).expect("reference run");
 
     for i in 0..fast.n_cores() {
         assert_eq!(
