@@ -38,8 +38,7 @@ use izhi_hw::fpga::{FpgaReport, FpgaTarget};
 use izhi_isa::inst::{Inst, NmOp};
 use izhi_isa::Reg;
 use izhi_isa::{disassemble, encode};
-use izhi_programs::engine::GuestImage;
-use izhi_programs::engine::{run_workload, EngineConfig, Variant};
+use izhi_programs::engine::Variant;
 use izhi_programs::net8020::Net8020Workload;
 use izhi_programs::scenario::{self, ScenarioParams, Workload};
 use izhi_programs::sudoku_prog::SudokuWorkload;
@@ -946,22 +945,4 @@ pub fn scaling_study() -> String {
          closing remark that a NoC is required for the 192-core system."
     );
     out
-}
-
-/// A quick self-check run used by the integration tests: a tiny NPU
-/// workload end to end, returning its total spike count.
-pub fn smoke_run() -> usize {
-    let net = izhi_snn::gen8020::Net8020::with_size(40, 10, 7);
-    let n = net.len();
-    let bias = vec![0.0; n];
-    let noise: Vec<f64> = (0..n)
-        .map(|i| if net.is_excitatory(i) { 5.0 } else { 2.0 })
-        .collect();
-    let image = GuestImage::from_network(&net.network, &bias, &noise, 100, 3);
-    let cfg = EngineConfig::new(n, 100, 1, Variant::Npu);
-    run_workload(&cfg, &image, 1_000_000_000)
-        .expect("smoke run failed")
-        .raster
-        .spikes
-        .len()
 }

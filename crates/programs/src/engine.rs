@@ -19,6 +19,8 @@
 //! engine only at start-up. Work is partitioned across cores in
 //! contiguous chunks.
 
+use std::fmt::Write as _;
+
 use izhi_core::dcu::SHIFT_TABLES;
 use izhi_core::params::FixedIzhParams;
 use izhi_fixed::Q7_8;
@@ -1701,37 +1703,44 @@ pub fn prepare_run(cfg: &EngineConfig, image: &GuestImage) -> PreparedRun {
     }
 }
 
-/// `IZHI_PROFILE=1` report: the per-op-class retired-instruction
-/// histogram (summed across cores), the share of retirement that ran
-/// inside kernel-span batches and, for host-parallel runs, where the
-/// scheduler retired it. Printed to stderr so battery JSON on stdout
-/// stays machine-parseable.
-fn print_profile_report(sys: &System, cfg: &EngineConfig, instret: u64, classes: &[u64; 8]) {
+/// The `IZHI_PROFILE` report of a finished run, built from its own cores:
+/// the per-op-class retired-instruction histogram summed across cores,
+/// the share of retirement that ran inside kernel-span batches and, for
+/// host-parallel runs, where the scheduler retired it.
+fn profile_report(sys: &System, instret: u64) -> String {
+    let mut classes = [0u64; OpClass::ALL.len()];
     let mut kernel = 0u64;
-    for i in 0..cfg.n_cores as usize {
-        kernel += sys.core(i).kernel_instret;
+    for i in 0..sys.n_cores() {
+        let core = sys.core(i);
+        for (sum, n) in classes.iter_mut().zip(core.counters.op_classes()) {
+            *sum += n;
+        }
+        kernel += core.kernel_instret;
     }
     let total: u64 = classes.iter().sum();
-    eprintln!("IZHI_PROFILE: {total} instructions retired by class");
+    let mut out = format!("IZHI_PROFILE: {total} instructions retired by class\n");
     for class in OpClass::ALL {
         let v = classes[class as usize];
         if v == 0 {
             continue;
         }
-        eprintln!(
+        let _ = writeln!(
+            out,
             "  {:<6} {:>14}  {:5.1}%",
             class.label(),
             v,
             100.0 * v as f64 / total.max(1) as f64
         );
     }
-    eprintln!(
+    let _ = writeln!(
+        out,
         "  kernel-span coverage: {kernel} of {instret} retired ({:.1}%)",
         100.0 * kernel as f64 / instret.max(1) as f64
     );
     let par = sys.parallel_stats();
     if par.rounds > 0 {
-        eprintln!(
+        let _ = writeln!(
+            out,
             "  host-parallel: {} rounds, {} waves; {} of {instret} retired in waves ({:.1}%), {} in the commit pass",
             par.rounds,
             par.waves,
@@ -1740,6 +1749,7 @@ fn print_profile_report(sys: &System, cfg: &EngineConfig, instret: u64, classes:
             par.commit_instret
         );
     }
+    out
 }
 
 /// Run a fully prepared system and collect the workload result — the
@@ -1750,17 +1760,12 @@ pub fn run_prepared_system(
     cfg: &EngineConfig,
     max_cycles: u64,
 ) -> Result<WorkloadResult, SimError> {
-    // Histogram = delta of the process-global table around this run, so
-    // in-process batteries report per-run figures.
-    let prof_base =
-        izhi_sim::counters::profile_enabled().then(izhi_sim::counters::profile_snapshot);
     let exit = sys.run(max_cycles)?;
-    if let Some(base) = prof_base {
-        let mut classes = izhi_sim::counters::profile_snapshot();
-        for (v, b) in classes.iter_mut().zip(base) {
-            *v -= b;
-        }
-        print_profile_report(sys, cfg, exit.instret, &classes);
+    // `IZHI_PROFILE` set to anything but `0` prints the report: one write
+    // to stderr (battery JSON on stdout stays parseable), so the reports
+    // of concurrent runs never interleave.
+    if std::env::var("IZHI_PROFILE").is_ok_and(|v| v != "0") {
+        eprint!("{}", profile_report(sys, exit.instret));
     }
     let raster = SpikeRaster::from_packed(cfg.n as u32, cfg.ticks, &sys.shared().dev.spike_log);
     let counters: Vec<PerfCounters> = (0..cfg.n_cores as usize)

@@ -159,20 +159,6 @@ impl Cache {
         self.lines[index] & !Self::DIRTY == Self::VALID | tag
     }
 
-    /// Read-probe by a precomputed (set, tag) pair. Equivalent to
-    /// `access(addr, false)` for the address that lowered to this pair.
-    #[inline]
-    pub fn probe_read(&mut self, set: usize, tag: u32) -> bool {
-        if self.lines[set] & !Self::DIRTY == Self::VALID | tag {
-            self.hits += 1;
-            true
-        } else {
-            self.misses += 1;
-            self.lines[set] = Self::VALID | tag;
-            false
-        }
-    }
-
     /// Snapshot (hits, misses) — used for ROI deltas.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)

@@ -1,8 +1,6 @@
 //! Per-core performance counters, the static cost model of the Estimated
 //! timing policy, and the derived metrics of Tables V/VI.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crate::predecode::MicroOp;
 
 /// Coarse operation class of a retired instruction, as the Estimated
@@ -32,7 +30,7 @@ pub enum OpClass {
 
 impl OpClass {
     /// Every class, in declaration order (the index each class occupies in
-    /// the global profile histogram — see [`profile_snapshot`]).
+    /// the histogram of [`PerfCounters::op_classes`]).
     pub const ALL: [OpClass; 8] = [
         OpClass::Alu,
         OpClass::Branch,
@@ -172,6 +170,16 @@ impl CostTable {
 
 /// Raw event counters accumulated by a core. All counts are cumulative;
 /// region-of-interest (ROI) measurement takes deltas between snapshots.
+///
+/// The per-class counts (`loads`, `stores`, `branches`, `muls`, `divs`,
+/// `csr_ops` and the four nm counts) are bumped in the op's own arm of
+/// the interpreter, or in bulk by the native kernel tier, so every tier
+/// and scheduler counts them identically; [`PerfCounters::op_classes`]
+/// derives the [`OpClass`] histogram from them. Counting in the arm
+/// measured within noise: on a shared 2-vCPU Xeon VM, two-core exact
+/// `net8020` ran 0.99-1.09× as long as without the branch, multiply,
+/// divide and CSR counts (medians of six sets of 6-12 interleaved CLI
+/// runs, whose pairs spread by up to ±30 %).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PerfCounters {
     /// Core-local clock (cycles).
@@ -198,8 +206,16 @@ pub struct PerfCounters {
     pub mem_accesses: u64,
     /// Loads retired.
     pub loads: u64,
-    /// Stores retired.
+    /// Stores retired, `nmpn`'s write included.
     pub stores: u64,
+    /// Branches and jumps retired, taken or not.
+    pub branches: u64,
+    /// Multiplies retired (`mul`, `mulh`, `mulhsu`, `mulhu`).
+    pub muls: u64,
+    /// Divides and remainders retired.
+    pub divs: u64,
+    /// CSR reads and environment ops (`ecall`, `ebreak`) retired.
+    pub csr_ops: u64,
     /// `nmpn` instructions retired.
     pub nmpn: u64,
     /// `nmdec` instructions retired.
@@ -227,6 +243,10 @@ impl PerfCounters {
             mem_accesses: self.mem_accesses - base.mem_accesses,
             loads: self.loads - base.loads,
             stores: self.stores - base.stores,
+            branches: self.branches - base.branches,
+            muls: self.muls - base.muls,
+            divs: self.divs - base.divs,
+            csr_ops: self.csr_ops - base.csr_ops,
             nmpn: self.nmpn - base.nmpn,
             nmdec: self.nmdec - base.nmdec,
             nmldl: self.nmldl - base.nmldl,
@@ -239,66 +259,27 @@ impl PerfCounters {
         self.nmpn + self.nmdec + self.nmldl + self.nmldh
     }
 
+    /// Retired instructions by [`OpClass`], indexed in declaration order
+    /// ([`OpClass::ALL`]); the histogram sums to `instret`. `nmpn`'s write
+    /// is counted in `stores`, so it leaves the store class for the NPU
+    /// class, and ALU is the rest of `instret`.
+    pub fn op_classes(&self) -> [u64; OpClass::ALL.len()] {
+        let mut h = [0; OpClass::ALL.len()];
+        h[OpClass::Branch as usize] = self.branches;
+        h[OpClass::Load as usize] = self.loads;
+        h[OpClass::Store as usize] = self.stores - self.nmpn;
+        h[OpClass::Mul as usize] = self.muls;
+        h[OpClass::Div as usize] = self.divs;
+        h[OpClass::Csr as usize] = self.csr_ops;
+        h[OpClass::Npu as usize] = self.nm_total();
+        h[OpClass::Alu as usize] = self.instret - h.iter().sum::<u64>();
+        h
+    }
+
     /// Derive the paper's reported metrics from these counters.
     pub fn metrics(&self, clock_hz: f64) -> Metrics {
         Metrics::from_counters(self, clock_hz)
     }
-}
-
-/// Whether the per-op-class retired-instruction histogram is collected
-/// (`IZHI_PROFILE=1`, following the `IZHI_*` knob conventions: any value
-/// other than unset/`0` enables it). Read once per process — the flag
-/// gates a counter bump on the interpreter's hot path.
-pub fn profile_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var("IZHI_PROFILE").is_ok_and(|v| v != "0"))
-}
-
-/// Process-global per-op-class retired-instruction histogram (indexed by
-/// [`OpClass`] declaration order, see [`OpClass::ALL`]). Deliberately
-/// *not* a [`PerfCounters`] field: bumping a counter through `&mut Core`
-/// from inside the dispatch loop forces the interpreter to assume its
-/// register-held state (pc, clock, hazard tracker) may have been
-/// clobbered, which costs ~10% of single-core throughput even with the
-/// flag off. A free function over an atomic table leaves the loop's
-/// register allocation untouched, and keeps the histogram out of the
-/// cross-mode counter-identity contract. Relaxed ordering: per-class
-/// totals only, no cross-class ordering is ever read.
-static CLASS_PROFILE: [AtomicU64; 8] = [
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-    AtomicU64::new(0),
-];
-
-/// Per-retire histogram bump (`IZHI_PROFILE=1` only). Cold and out of
-/// line so the dispatch loop pays exactly one never-taken branch.
-#[cold]
-#[inline(never)]
-pub fn profile_bump(op: MicroOp) {
-    CLASS_PROFILE[OpClass::of(op) as usize].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Bulk histogram add for kernel batches: `n` retirements of `class`.
-pub fn profile_add(class: OpClass, n: u64) {
-    CLASS_PROFILE[class as usize].fetch_add(n, Ordering::Relaxed);
-}
-
-/// Snapshot of the global histogram. Callers report a run's histogram as
-/// the difference of the snapshots taken around it (the table is never
-/// reset, so in-process batteries don't clobber each other's baselines —
-/// though *concurrent* profiled runs merge, which the opt-in diagnostic
-/// accepts).
-pub fn profile_snapshot() -> [u64; 8] {
-    let mut out = [0u64; 8];
-    for (v, c) in out.iter_mut().zip(CLASS_PROFILE.iter()) {
-        *v = c.load(Ordering::Relaxed);
-    }
-    out
 }
 
 /// Number of equivalent base-ISA operations per full neuron update
@@ -471,6 +452,31 @@ mod tests {
         assert_eq!(d.instret, 300);
         assert_eq!(d.nmpn, 7);
         assert_eq!(d.icache_hits, 0);
+    }
+
+    #[test]
+    fn op_classes_split_instret() {
+        let c = PerfCounters {
+            instret: 100,
+            loads: 20,
+            stores: 15,
+            branches: 12,
+            muls: 3,
+            divs: 2,
+            csr_ops: 1,
+            nmpn: 5,
+            nmdec: 5,
+            nmldl: 1,
+            nmldh: 1,
+            ..Default::default()
+        };
+        let h = c.op_classes();
+        assert_eq!(h.iter().sum::<u64>(), c.instret);
+        // nmpn's write leaves the store class for the NPU class.
+        assert_eq!(h[OpClass::Store as usize], 10);
+        assert_eq!(h[OpClass::Npu as usize], 12);
+        // ALU is the rest: 100 - (12 + 20 + 10 + 3 + 2 + 1 + 12).
+        assert_eq!(h[OpClass::Alu as usize], 40);
     }
 
     #[test]

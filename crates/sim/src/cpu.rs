@@ -15,7 +15,7 @@ use izhi_isa::inst::{LoadOp, StoreOp};
 use izhi_isa::reg::Reg;
 
 use crate::cache::{Access, Cache};
-use crate::counters::{self, CostTable, PerfCounters};
+use crate::counters::{CostTable, PerfCounters};
 use crate::kernel::{KernelHeader, SpanState};
 use crate::mem::layout;
 use crate::mmio::{FaultKind, MmioEffect};
@@ -301,9 +301,6 @@ pub struct Core {
     /// coverage figure, *not* part of [`PerfCounters`]: it necessarily
     /// differs between kernel-on and kernel-off runs).
     pub kernel_instret: u64,
-    /// Whether the per-op-class histogram is collected (latched from
-    /// [`counters::profile_enabled`] at construction).
-    pub(crate) profile: bool,
     roi_active: bool,
     roi_base: PerfCounters,
     roi_final: Option<PerfCounters>,
@@ -351,7 +348,6 @@ impl Core {
             dcache,
             counters: PerfCounters::default(),
             kernel_instret: 0,
-            profile: counters::profile_enabled(),
             roi_active: false,
             roi_base: PerfCounters::default(),
             roi_final: None,
@@ -527,7 +523,6 @@ impl Core {
         // disjoint paths (scratchpad / cached SDRAM / MMIO) ordered by
         // access frequency, each indexing its backing slice directly.
         let (value, extra) = if addr.wrapping_sub(layout::SCRATCH_BASE) < ctx.scratch_size() {
-            self.counters.loads += 1;
             let off = addr.wrapping_sub(layout::SCRATCH_BASE) as usize;
             let value = ctx.read_scratch(off, op).ok_or(TrapCause::BadAccess {
                 pc,
@@ -536,7 +531,6 @@ impl Core {
             })?;
             (value, 0)
         } else if addr < ctx.sdram_size() {
-            self.counters.loads += 1;
             let extra = if T::EXACT {
                 self.sdram_timing(ctx, addr, false)
             } else {
@@ -551,7 +545,6 @@ impl Core {
                 })?;
             (value, extra)
         } else if addr.wrapping_sub(layout::MMIO_BASE) < layout::MMIO_SIZE {
-            self.counters.loads += 1;
             let extra = if T::EXACT {
                 let extra = Self::mmio_timing(self.time, ctx);
                 self.counters.mem_stall_cycles += extra;
@@ -568,6 +561,9 @@ impl Core {
                 store: false,
             });
         };
+        // Counted once the access has succeeded, so `loads` counts only
+        // retired loads.
+        self.counters.loads += 1;
         let value = match op {
             LoadOp::Lb => value as u8 as i8 as i32 as u32,
             LoadOp::Lh => value as u16 as i16 as i32 as u32,
@@ -625,7 +621,6 @@ impl Core {
                 store: true,
             });
         }
-        self.counters.stores += 1;
         let (extra, ok) = if in_scratch {
             let off = addr.wrapping_sub(layout::SCRATCH_BASE) as usize;
             (0, ctx.write_scratch(off, value, op))
@@ -644,6 +639,7 @@ impl Core {
                 store: true,
             });
         }
+        self.counters.stores += 1;
         // Store-to-code guard: writing into a predecoded window forces a
         // re-decode of the covered slot on its next fetch.
         ctx.invalidate_store(addr);
@@ -720,11 +716,7 @@ impl Core {
         if self.halted {
             return Ok(());
         }
-        let out = if self.profile {
-            self.exec_one::<ExactTiming, _, true>(shared)
-        } else {
-            self.exec_one::<ExactTiming, _, false>(shared)
-        };
+        let out = self.exec_one::<ExactTiming, _>(shared);
         self.sync_counters();
         out
     }
@@ -744,23 +736,6 @@ impl Core {
     /// [`RunStop::Parked`] when the core arrives at an incomplete barrier
     /// round.
     pub(crate) fn run_while<T: Timing, C: ExecCtx>(
-        &mut self,
-        ctx: &mut C,
-        bound: u64,
-        max_cycles: u64,
-    ) -> Result<RunStop, TrapCause> {
-        // One runtime dispatch per batch selects the profiled or plain
-        // monomorphisation of the whole loop (see `exec_op` on why the
-        // check cannot live inside it).
-        if self.profile {
-            self.run_while_p::<T, C, true>(ctx, bound, max_cycles)
-        } else {
-            self.run_while_p::<T, C, false>(ctx, bound, max_cycles)
-        }
-    }
-
-    /// [`Core::run_while`], monomorphised over the profiling flag.
-    fn run_while_p<T: Timing, C: ExecCtx, const PROF: bool>(
         &mut self,
         ctx: &mut C,
         bound: u64,
@@ -802,20 +777,20 @@ impl Core {
             // swallows whole loop iterations where a block stops at the
             // back-edge. Declines fall through to the block/single paths.
             if kern {
-                match self.try_kernel::<T, _, PROF>(ctx, stop) {
+                match self.try_kernel::<T, _>(ctx, stop) {
                     Ok(true) => continue,
                     Ok(false) => {}
                     Err(cause) => break Err(cause),
                 }
             }
             if sb {
-                match self.try_superblock::<T, _, PROF>(ctx, &mut sbuf, stop) {
+                match self.try_superblock::<T, _>(ctx, &mut sbuf, stop) {
                     Ok(true) => continue,
                     Ok(false) => {}
                     Err(cause) => break Err(cause),
                 }
             }
-            if let Err(cause) = self.exec_one::<T, _, PROF>(ctx) {
+            if let Err(cause) = self.exec_one::<T, _>(ctx) {
                 break Err(cause);
             }
         };
@@ -839,10 +814,7 @@ impl Core {
     ///   state is touched. Barrier arrivals that leave the round
     ///   incomplete park the core.
     #[inline(always)]
-    pub(crate) fn exec_one<T: Timing, C: ExecCtx, const PROF: bool>(
-        &mut self,
-        ctx: &mut C,
-    ) -> Result<(), TrapCause> {
+    pub(crate) fn exec_one<T: Timing, C: ExecCtx>(&mut self, ctx: &mut C) -> Result<(), TrapCause> {
         let pc = self.pc;
         // Fault-injection trigger: instret is schedule-invariant per core,
         // so a plan fires at the same architectural point under every
@@ -860,7 +832,7 @@ impl Core {
         // first execution of a (possibly store-invalidated) slot.
         let pre = ctx.fetch(pc);
         let mut exit = BlockExit::None;
-        let next_pc = self.exec_op::<T, _, false, PROF>(ctx, &pre, pc, 0, 0, &mut exit)?;
+        let next_pc = self.exec_op::<T, _, false>(ctx, &pre, pc, 0, 0, &mut exit)?;
         self.pc = next_pc;
         Ok(())
     }
@@ -897,7 +869,7 @@ impl Core {
     /// `PreInst` never round-trips through a stack temporary.
     #[inline(always)]
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn exec_op<T: Timing, C: ExecCtx, const BLOCK: bool, const PROF: bool>(
+    pub(crate) fn exec_op<T: Timing, C: ExecCtx, const BLOCK: bool>(
         &mut self,
         ctx: &mut C,
         pre: &PreInst,
@@ -975,47 +947,55 @@ impl Core {
             // auipc's value was fully resolved at predecode (pc is static).
             MicroOp::Auipc => self.set_reg(rd, imm as u32),
             MicroOp::Jal => {
+                self.counters.branches += 1;
                 self.set_reg(rd, pc.wrapping_add(4));
                 next_pc = imm as u32; // absolute target, pre-resolved
                 flushes = 1;
             }
             MicroOp::Jalr => {
+                self.counters.branches += 1;
                 let target = self.reg(rs1).wrapping_add(imm as u32) & !1;
                 self.set_reg(rd, pc.wrapping_add(4));
                 next_pc = target;
                 flushes = 1;
             }
             MicroOp::Beq => {
+                self.counters.branches += 1;
                 if self.reg(rs1) == self.reg(rs2) {
                     next_pc = imm as u32;
                     flushes = 1;
                 }
             }
             MicroOp::Bne => {
+                self.counters.branches += 1;
                 if self.reg(rs1) != self.reg(rs2) {
                     next_pc = imm as u32;
                     flushes = 1;
                 }
             }
             MicroOp::Blt => {
+                self.counters.branches += 1;
                 if (self.reg(rs1) as i32) < (self.reg(rs2) as i32) {
                     next_pc = imm as u32;
                     flushes = 1;
                 }
             }
             MicroOp::Bge => {
+                self.counters.branches += 1;
                 if (self.reg(rs1) as i32) >= (self.reg(rs2) as i32) {
                     next_pc = imm as u32;
                     flushes = 1;
                 }
             }
             MicroOp::Bltu => {
+                self.counters.branches += 1;
                 if self.reg(rs1) < self.reg(rs2) {
                     next_pc = imm as u32;
                     flushes = 1;
                 }
             }
             MicroOp::Bgeu => {
+                self.counters.branches += 1;
                 if self.reg(rs1) >= self.reg(rs2) {
                     next_pc = imm as u32;
                     flushes = 1;
@@ -1143,24 +1123,29 @@ impl Core {
                 self.set_reg(rd, v);
             }
             MicroOp::Mul => {
+                self.counters.muls += 1;
                 let v = self.reg(rs1).wrapping_mul(self.reg(rs2));
                 self.set_reg(rd, v);
             }
             MicroOp::Mulh => {
+                self.counters.muls += 1;
                 let v = ((self.reg(rs1) as i32 as i64).wrapping_mul(self.reg(rs2) as i32 as i64)
                     >> 32) as u32;
                 self.set_reg(rd, v);
             }
             MicroOp::Mulhsu => {
+                self.counters.muls += 1;
                 let v =
                     ((self.reg(rs1) as i32 as i64).wrapping_mul(self.reg(rs2) as i64) >> 32) as u32;
                 self.set_reg(rd, v);
             }
             MicroOp::Mulhu => {
+                self.counters.muls += 1;
                 let v = ((self.reg(rs1) as u64 * self.reg(rs2) as u64) >> 32) as u32;
                 self.set_reg(rd, v);
             }
             MicroOp::Div => {
+                self.counters.divs += 1;
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
                     let lat = ctx.div_latency();
@@ -1177,6 +1162,7 @@ impl Core {
                 self.set_reg(rd, v);
             }
             MicroOp::Divu => {
+                self.counters.divs += 1;
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
                     let lat = ctx.div_latency();
@@ -1186,6 +1172,7 @@ impl Core {
                 self.set_reg(rd, a.checked_div(b).unwrap_or(u32::MAX));
             }
             MicroOp::Rem => {
+                self.counters.divs += 1;
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
                     let lat = ctx.div_latency();
@@ -1202,6 +1189,7 @@ impl Core {
                 self.set_reg(rd, v);
             }
             MicroOp::Remu => {
+                self.counters.divs += 1;
                 let (a, b) = (self.reg(rs1), self.reg(rs2));
                 if T::EXACT {
                     let lat = ctx.div_latency();
@@ -1211,9 +1199,16 @@ impl Core {
                 self.set_reg(rd, if b == 0 { a } else { a % b });
             }
             MicroOp::Fence => {}
-            MicroOp::Ecall => self.ecall(ctx),
-            MicroOp::Ebreak => self.halted = true,
+            MicroOp::Ecall => {
+                self.counters.csr_ops += 1;
+                self.ecall(ctx);
+            }
+            MicroOp::Ebreak => {
+                self.counters.csr_ops += 1;
+                self.halted = true;
+            }
             MicroOp::Csr => {
+                self.counters.csr_ops += 1;
                 let old = self.csr_read(imm as u16);
                 self.set_reg(rd, old);
             }
@@ -1257,21 +1252,6 @@ impl Core {
                 self.counters.nmdec += 1;
                 // Pure EX-stage result: forwarded like an ALU op.
             }
-        }
-
-        // Opt-in per-op-class histogram (`IZHI_PROFILE=1`): bumped on
-        // every retire path — single-step, superblock (the early `Defer`/
-        // `Err` returns above skip it, matching "retired") — and bulk-
-        // added by kernel batches. `PROF` is a monomorphisation constant
-        // (selected once per run from [`Core::profile`]), so the
-        // non-profiled interpreter carries no check at all: even a
-        // never-taken branch to a cold call here measurably slows the
-        // dispatch loop. The bump is a free function over a global table,
-        // not a write through `&mut self`, so the profiled variant's loop
-        // keeps its register-held state too (see
-        // [`counters::profile_bump`]).
-        if PROF {
-            counters::profile_bump(op);
         }
 
         if T::EXACT {
@@ -1324,7 +1304,7 @@ impl Core {
     /// block would also have run under single-stepping, or an
     /// MMIO-classified access as the block's very first op.
     #[inline]
-    pub(crate) fn try_superblock<T: Timing, C: ExecCtx, const PROF: bool>(
+    pub(crate) fn try_superblock<T: Timing, C: ExecCtx>(
         &mut self,
         ctx: &mut C,
         sbuf: &mut [PreInst; MAX_SB],
@@ -1357,7 +1337,7 @@ impl Core {
         if !T::EXACT && self.time + u64::from(est) > stop {
             return Ok(false);
         }
-        self.exec_block::<T, _, PROF>(ctx, &sbuf[..len as usize], pc, stop)
+        self.exec_block::<T, _>(ctx, &sbuf[..len as usize], pc, stop)
     }
 
     /// Flag a retiring store that lands in its own block's not-yet-executed
@@ -1394,7 +1374,7 @@ impl Core {
     /// * a store landing in the block's not-yet-executed tail
     ///   ([`BlockExit::StoreTail`]: the buffered copy is stale; re-entry
     ///   re-forms the block).
-    fn exec_block<T: Timing, C: ExecCtx, const PROF: bool>(
+    fn exec_block<T: Timing, C: ExecCtx>(
         &mut self,
         ctx: &mut C,
         ops: &[PreInst],
@@ -1439,7 +1419,7 @@ impl Core {
                 seg_hits += 1;
             }
             let mut exit = BlockExit::None;
-            match self.exec_op::<T, _, true, PROF>(ctx, pre, pc, base_pc, len as u32, &mut exit) {
+            match self.exec_op::<T, _, true>(ctx, pre, pc, base_pc, len as u32, &mut exit) {
                 Ok(next) => {
                     if exit != BlockExit::None {
                         if exit == BlockExit::Defer {

@@ -63,7 +63,6 @@
 
 use izhi_isa::inst::{LoadOp, StoreOp};
 
-use crate::counters::{self, OpClass};
 use crate::cpu::{BlockExit, Core, ExecCtx, Timing, TrapCause};
 use crate::mem::layout;
 use crate::predecode::{CodeMem, CodeTable, MicroOp, PreInst, SlotState, NO_DEST};
@@ -507,7 +506,7 @@ impl Core {
     /// single-step paths, and the trap of an op that faulted inside the
     /// batch. Only instantiated by the relaxed interpreters.
     #[inline]
-    pub(crate) fn try_kernel<T: Timing, C: ExecCtx, const PROF: bool>(
+    pub(crate) fn try_kernel<T: Timing, C: ExecCtx>(
         &mut self,
         ctx: &mut C,
         stop: u64,
@@ -516,13 +515,13 @@ impl Core {
         let Some(hdr) = ctx.kernel_match(self.pc) else {
             return Ok(false);
         };
-        self.kernel_enter::<T, C, PROF>(ctx, hdr, stop)
+        self.kernel_enter::<T, C>(ctx, hdr, stop)
     }
 
     /// Out-of-line entry: state check / re-verification, trace copy and
     /// the two tiers (kept off the per-op dispatch path, which only pays
     /// the entry-pc probe above).
-    fn kernel_enter<T: Timing, C: ExecCtx, const PROF: bool>(
+    fn kernel_enter<T: Timing, C: ExecCtx>(
         &mut self,
         ctx: &mut C,
         hdr: KernelHeader,
@@ -565,7 +564,7 @@ impl Core {
                 return Ok(ran);
             }
         }
-        self.kernel_batch::<T, C, PROF>(ctx, &hdr, &buf[..len], stop)
+        self.kernel_batch::<T, C>(ctx, &hdr, &buf[..len], stop)
     }
 
     /// Closed-form execution of a matched [`NativeShape`] span.
@@ -697,12 +696,8 @@ impl Core {
         self.counters.instret += full_len * k;
         self.counters.loads += 2 * k;
         self.counters.stores += k;
+        self.counters.branches += k;
         self.kernel_instret += full_len * k;
-        if self.profile {
-            for p in trace {
-                counters::profile_add(OpClass::of(p.op), k);
-            }
-        }
         self.prev_stall_dest = NO_DEST;
         // k == iters: the counter reached zero and the back-edge fell
         // through; otherwise the budget/fault bound stopped the batch at
@@ -725,7 +720,7 @@ impl Core {
     /// * at the back-edge once the span is no longer `Ready` — a store
     ///   landed in a word that already ran this iteration;
     /// * with the trap of a faulting op, exactly as in `exec_block`.
-    fn kernel_batch<T: Timing, C: ExecCtx, const PROF: bool>(
+    fn kernel_batch<T: Timing, C: ExecCtx>(
         &mut self,
         ctx: &mut C,
         hdr: &KernelHeader,
@@ -736,12 +731,9 @@ impl Core {
         let full_len = trace.len() as u64;
         let fault_at = self.fault.map_or(u64::MAX, |(at, _)| at);
         // Clock and instret advance once per batch, as in `exec_block`:
-        // no batchable op reads either. The opt-in class histogram is
-        // tallied locally too and added once per batch: a shared-table
-        // bump per op would contend across host-parallel workers.
+        // no batchable op reads either.
         let mut dt = 0u64;
         let mut retired = 0u64;
-        let mut prof = [0u64; OpClass::ALL.len()];
         let mut pc = hdr.entry;
         let out = 'batch: loop {
             if self.time + dt + full_cost > stop
@@ -756,20 +748,16 @@ impl Core {
                     break 'batch Ok(());
                 };
                 let mut exit = BlockExit::None;
-                let next = match self
-                    .exec_op::<T, _, true, false>(ctx, pre, pc, hdr.entry, hdr.len, &mut exit)
-                {
-                    Ok(next) => next,
-                    Err(cause) => break 'batch Err(cause),
-                };
+                let next =
+                    match self.exec_op::<T, _, true>(ctx, pre, pc, hdr.entry, hdr.len, &mut exit) {
+                        Ok(next) => next,
+                        Err(cause) => break 'batch Err(cause),
+                    };
                 if exit == BlockExit::Defer {
                     break 'batch Ok(());
                 }
                 dt += T::op_cost(pre.op);
                 retired += 1;
-                if PROF {
-                    prof[OpClass::of(pre.op) as usize] += 1;
-                }
                 pc = next;
                 if exit == BlockExit::StoreTail {
                     break 'batch Ok(());
@@ -786,11 +774,6 @@ impl Core {
         self.time += dt;
         self.counters.instret += retired;
         self.kernel_instret += retired;
-        if PROF {
-            for (class, n) in OpClass::ALL.into_iter().zip(prof) {
-                counters::profile_add(class, n);
-            }
-        }
         out.map(|()| retired > 0)
     }
 }

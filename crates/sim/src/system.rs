@@ -768,32 +768,25 @@ impl System {
     /// so each copy's dispatch branches train on one core's instruction
     /// stream. Both copies must stay inlined; stepping a picked
     /// `&mut Core` through one shared copy ran the paper's two-core exact
-    /// `net8020` about 1.3× slower.
+    /// `net8020` about 1.3× slower. The function itself stays out of
+    /// line: inlined into [`System::run`], the fused loop ran slower.
+    #[inline(never)]
     fn run_exact_fused(&mut self, max_cycles: u64, wd: &mut Watchdog) -> Result<(), SimError> {
         let (head, tail) = self.cores.split_at_mut(1);
         let (c0, c1) = (&mut head[0], &mut tail[0]);
         if c0.halted() || c1.halted() {
             return Ok(());
         }
-        // One dispatch selects the profiled or plain monomorphisation of
-        // the fused loop (see `Core::exec_op` on why the check cannot live
-        // on the per-op path).
-        let fused = if c0.profile {
-            Self::fused_exact_loop::<true>(c0, c1, &mut self.shared, wd, max_cycles)
-        } else {
-            Self::fused_exact_loop::<false>(c0, c1, &mut self.shared, wd, max_cycles)
-        };
+        let fused = Self::fused_exact_loop(c0, c1, &mut self.shared, wd, max_cycles);
         c0.sync_counters();
         c1.sync_counters();
         fused
     }
 
     /// The fused two-core pick-and-step loop of
-    /// [`System::run_exact_fused`], monomorphised over the profiling flag.
-    ///
-    /// Each arm of the pick steps a fixed core through its own inlined
-    /// copy of [`System::fused_step`] (see [`System::run_exact_fused`]).
-    fn fused_exact_loop<const PROF: bool>(
+    /// [`System::run_exact_fused`]. Each arm of the pick steps a fixed
+    /// core through its own inlined copy of [`System::fused_step`].
+    fn fused_exact_loop(
         c0: &mut Core,
         c1: &mut Core,
         shared: &mut Shared,
@@ -806,10 +799,10 @@ impl System {
             wd.tick()?;
             // Event-driven pick: minimum local time, tie to hart 0.
             if c0.time <= c1.time {
-                if Self::fused_step::<PROF>(c0, 0, shared, max_cycles)? {
+                if Self::fused_step(c0, 0, shared, max_cycles)? {
                     return Ok(());
                 }
-            } else if Self::fused_step::<PROF>(c1, 1, shared, max_cycles)? {
+            } else if Self::fused_step(c1, 1, shared, max_cycles)? {
                 return Ok(());
             }
         }
@@ -821,7 +814,7 @@ impl System {
     /// schedule even at the timeout boundary. Always inlined: each call
     /// site is one per-core copy of the interpreter.
     #[inline(always)]
-    fn fused_step<const PROF: bool>(
+    fn fused_step(
         c: &mut Core,
         id: u32,
         shared: &mut Shared,
@@ -830,7 +823,7 @@ impl System {
         if c.time > max_cycles {
             return Err(SimError::Timeout { max_cycles });
         }
-        c.exec_one::<ExactTiming, _, PROF>(shared)
+        c.exec_one::<ExactTiming, _>(shared)
             .map_err(|cause| SimError::Trap { core: id, cause })?;
         Ok(c.halted())
     }

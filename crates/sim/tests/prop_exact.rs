@@ -10,10 +10,11 @@
 //! schedule must be exact for any program, races included. The outcome
 //! (halt, timeout, or the trapping core and cause), every core's clock,
 //! pc, registers and counters, the shared words, the device state, the
-//! spike log and the console are compared.
+//! spike log and the console are compared, and each core's op-class
+//! histogram must equal a tally of the ops the stepped schedule retires.
 
 use izhi_isa::Assembler;
-use izhi_sim::{layout, RunExit, SimError, System, SystemConfig};
+use izhi_sim::{layout, OpClass, RunExit, SimError, System, SystemConfig};
 use proptest::prelude::*;
 use std::fmt::Write as _;
 
@@ -279,6 +280,32 @@ fn assert_same(
     prop_assert_eq!(da.barrier_generation(), db.barrier_generation());
 }
 
+/// Per-core tally of `OpClass::of` over the ops the stepped schedule
+/// retires under `budget`. It repeats `run_stepped`'s pick (live core
+/// with the least time, lowest hart on ties), budget check and trap exit,
+/// and reads each op from the system's own decoded-code table before
+/// stepping it; a trapping op does not retire.
+fn stepped_class_tally(src: &str, budget: u64) -> [[u64; OpClass::ALL.len()]; 2] {
+    let mut sys = build(src);
+    let mut tally = [[0; OpClass::ALL.len()]; 2];
+    while let Some(i) = (0..2)
+        .filter(|&i| !sys.core(i).halted())
+        .min_by_key(|&i| sys.core(i).time)
+    {
+        if sys.core(i).time > budget {
+            break;
+        }
+        let pc = sys.core(i).pc();
+        let shared = sys.shared_mut();
+        let op = shared.code.fetch(pc, &shared.mem).op;
+        if sys.step_core(i).is_err() {
+            break;
+        }
+        tally[i][OpClass::of(op) as usize] += 1;
+    }
+    tally
+}
+
 /// How a case ended, for the coverage tally: which core halted first on
 /// a clean exit (the lower final clock), or the error and whether the
 /// other core was still live (the fused loop's exits) or had halted (the
@@ -319,6 +346,19 @@ fn exact_run_equals_stepped_reference() {
         let out_stepped = stepped.run_stepped(budget);
         assert_same(&run, &stepped, &out_run, &out_stepped, &src);
         *seen.entry(exit_kind(&stepped, &out_stepped)).or_default() += 1;
+        let classes: Vec<_> = (0..2).map(|i| run.core(i).counters.op_classes()).collect();
+        // Free both systems before the tally builds a third: with three
+        // alive at once, each build here took about ten times as long.
+        drop((run, stepped));
+        for (i, tally) in stepped_class_tally(&src, budget).iter().enumerate() {
+            prop_assert_eq!(
+                &classes[i],
+                tally,
+                "core {} op classes diverge on\n{}",
+                i,
+                src
+            );
+        }
     }
     for kind in [
         "halt, core 0 first",

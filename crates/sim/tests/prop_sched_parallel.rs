@@ -178,8 +178,8 @@ fn run(insts: &[Inst], n_cores: u32, sched: SchedMode) -> System {
 }
 
 /// Serialise everything observable about a finished system: registers,
-/// pcs, clocks, counters, every device log in order, and the scratch
-/// pages the program could touch.
+/// pcs, clocks, every core's whole `PerfCounters`, every device log in
+/// order, and the scratch pages the program could touch.
 fn serialize_state(sys: &System) -> Vec<u8> {
     let mut out = Vec::new();
     for core in 0..sys.n_cores() {
@@ -188,9 +188,7 @@ fn serialize_state(sys: &System) -> Vec<u8> {
         }
         out.extend_from_slice(&sys.core(core).pc().to_le_bytes());
         out.extend_from_slice(&sys.core(core).time.to_le_bytes());
-        out.extend_from_slice(&sys.core(core).counters.instret.to_le_bytes());
-        out.extend_from_slice(&sys.core(core).counters.loads.to_le_bytes());
-        out.extend_from_slice(&sys.core(core).counters.stores.to_le_bytes());
+        out.extend_from_slice(format!("{:?}", sys.core(core).counters).as_bytes());
     }
     let dev = &sys.shared().dev;
     out.extend_from_slice(&dev.console);
@@ -234,9 +232,9 @@ fn assert_bit_identical(reference: &System, par: &System, quantum: u64, host_thr
             host_threads
         );
         prop_assert_eq!(
-            reference.core(core).counters.instret,
-            par.core(core).counters.instret,
-            "core {} instret diverges at quantum {} / {} host threads",
+            reference.core(core).counters,
+            par.core(core).counters,
+            "core {} counters diverge at quantum {} / {} host threads",
             core,
             quantum,
             host_threads
