@@ -2,7 +2,9 @@
 //!
 //! One generator function per table and figure of the paper. Each returns
 //! the rendered text (and usually CSV-ish data) that the `tables` binary
-//! writes to `results/`. Criterion micro-benchmarks live in `benches/`.
+//! writes to `results/`. The perf gate is the `perf_baseline` binary;
+//! the `interp_microbench` example times the interpreter per instruction
+//! class.
 //!
 //! | Experiment | Function | Paper reference |
 //! |---|---|---|

@@ -708,8 +708,8 @@ pub fn json_field_str(body: &str, key: &str) -> Option<String> {
     Some(json::parse(body).ok()?.get(key)?.as_str()?.to_string())
 }
 
-/// What a load-generation burst observed (the `serve_api` suite's and
-/// the CI smoke job's assertions come from this).
+/// What a load-generation burst observed (the `serve_api` suite's
+/// assertions come from this).
 #[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Jobs submitted.
@@ -730,10 +730,6 @@ pub struct LoadReport {
     pub health_checks: usize,
     /// Whether every `429` carried a `retry_after_ms` hint.
     pub backpressure_hinted: bool,
-    /// Wall time from first submission to last completion.
-    pub wall_s: f64,
-    /// Completed jobs per second of burst wall time.
-    pub throughput_jobs_per_s: f64,
 }
 
 /// Submit a burst of job documents against a running service, poll every
@@ -805,7 +801,6 @@ pub fn generate_load(
             }
         }
     }
-    let wall_s = start.elapsed().as_secs_f64();
     Ok(LoadReport {
         submitted: bodies.len(),
         accepted: accepted_ids.len(),
@@ -816,12 +811,6 @@ pub fn generate_load(
         health_ok,
         health_checks,
         backpressure_hinted,
-        wall_s,
-        throughput_jobs_per_s: if wall_s > 0.0 {
-            completed as f64 / wall_s
-        } else {
-            0.0
-        },
     })
 }
 

@@ -46,17 +46,15 @@ fn params() -> impl Strategy<Value = ScenarioParams> {
         field(1u32..9, &[0, 16, 64, 65]),
         field(any::<u32>(), &[0]),
         field(any::<bool>(), &[true]),
-        field(1u32..9, &[0, 16, 64, 65]),
         field(1u32..17, &[0, 4096, 4097]),
     )
         .prop_map(
-            |(n, ticks, n_cores, seed, ease, shards, stim_rate)| ScenarioParams {
+            |(n, ticks, n_cores, seed, ease, stim_rate)| ScenarioParams {
                 n,
                 ticks,
                 n_cores,
                 seed,
                 ease,
-                shards,
                 stim_rate,
             },
         )
@@ -73,7 +71,6 @@ fn applicable(sc: &Scenario, p: ScenarioParams) -> ScenarioParams {
         n_cores: keep("cores", p.n_cores),
         seed: keep("seed", p.seed),
         ease: p.ease.filter(|_| has("ease")),
-        shards: keep("shards", p.shards),
         stim_rate: keep("stim_rate", p.stim_rate),
     }
 }

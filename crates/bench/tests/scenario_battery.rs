@@ -12,7 +12,7 @@ use std::ops::RangeInclusive;
 use izhi_bench::battery::{self, BatteryRunner, BatterySpec, SchedSpec};
 use izhi_bench::json::{self, Value};
 use izhi_programs::scenario::{self, ScenarioParams};
-use izhi_sim::{SchedMode, TimingModel};
+use izhi_sim::{CostTable, OpClass, SchedMode, TimingModel};
 
 /// Estimated-vs-exact simulated cycles: generous until the cost table is
 /// calibrated.
@@ -141,6 +141,48 @@ fn every_scenario_is_deterministic_and_sched_identical() {
                     "{}: {timing:?} ht={host_threads} instret",
                     sc.name
                 );
+            }
+        }
+    }
+}
+
+/// A relaxed clock charges each retired op its class's cost and nothing
+/// else, in every tier — single step, superblock, generic and native
+/// kernel, and the host-parallel commit pass. So each core's ROI cycles
+/// are the cost table applied to its ROI op-class histogram (every cost
+/// is 1 on the Unit clock).
+#[test]
+fn relaxed_clocks_charge_the_cost_table() {
+    for sc in scenario::registry() {
+        for timing in [TimingModel::Unit, TimingModel::Estimated] {
+            let cost = |class| match timing {
+                TimingModel::Unit => 1,
+                TimingModel::Estimated => CostTable::DEFAULT.cost(class),
+            };
+            for sched in [
+                SchedMode::Relaxed {
+                    quantum: SchedMode::DEFAULT_QUANTUM,
+                    timing,
+                },
+                SchedMode::RelaxedParallel {
+                    quantum: SchedMode::DEFAULT_QUANTUM,
+                    host_threads: 2,
+                    timing,
+                },
+            ] {
+                let res = run_quick(sc, sched);
+                for (core, c) in res.counters.iter().enumerate() {
+                    let charged: u64 = OpClass::ALL
+                        .iter()
+                        .zip(c.op_classes())
+                        .map(|(&class, n)| cost(class) * n)
+                        .sum();
+                    assert_eq!(
+                        c.cycles, charged,
+                        "{}: {sched:?} core {core}: cycles are not the table's charge",
+                        sc.name
+                    );
+                }
             }
         }
     }

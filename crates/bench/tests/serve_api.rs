@@ -125,6 +125,8 @@ fn a_burst_beyond_capacity_is_backpressured_and_accepted_jobs_complete() {
     // Two poisoned jobs ride along: a host panic and a guest trap.
     let bodies = burst_bodies(50, true);
 
+    // `generate_load` errors on any submit status but 202 and 429, so
+    // `accepted + rejected == submitted` holds by construction.
     let report = generate_load(&addr, &bodies, Duration::from_secs(120)).expect("burst");
     assert_eq!(report.submitted, 50);
     assert!(report.rejected > 0, "burst past capacity must see 429s");

@@ -110,10 +110,6 @@ pub struct ScenarioParams {
     /// Sudoku only: restore half the blanks from the classical solution
     /// so short tick budgets converge (defaults to the scenario's choice).
     pub ease: Option<bool>,
-    /// Scale-out family only: number of population shards (= guest cores
-    /// the network is split across). Defaults to `cores`; when both are
-    /// given they must agree ([`Scenario::validate`]).
-    pub shards: Option<u32>,
     /// `net8020_stream` only: injected stimulus events per tick.
     pub stim_rate: Option<u32>,
 }
@@ -149,12 +145,6 @@ impl ScenarioParams {
         self
     }
 
-    /// Builder-style override of `shards`.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
     /// Builder-style override of `stim_rate`.
     pub fn with_stim_rate(mut self, stim_rate: u32) -> Self {
         self.stim_rate = Some(stim_rate);
@@ -171,7 +161,6 @@ impl ScenarioParams {
             n_cores: self.n_cores.or(defaults.n_cores),
             seed: self.seed.or(defaults.seed),
             ease: self.ease.or(defaults.ease),
-            shards: self.shards.or(defaults.shards),
             stim_rate: self.stim_rate.or(defaults.stim_rate),
         }
     }
@@ -232,7 +221,6 @@ impl Scenario {
             n_cores: parse(s, "cores"),
             seed: parse(s, "seed"),
             ease: parse(s, "ease"),
-            shards: parse(s, "shards"),
             stim_rate: parse(s, "stim_rate"),
         }
     }
@@ -298,35 +286,6 @@ impl Scenario {
                 self.name
             ));
         }
-        if let Some(sh) = p.shards {
-            if !scale_out {
-                return Err(format!(
-                    "{}: `shards` only applies to the scale-out scenarios \
-                     (net8020_sharded, net8020_stdp, net8020_stream)",
-                    self.name
-                ));
-            }
-            if sh == 0 || sh > 64 {
-                return Err(format!(
-                    "shards = {sh} outside 1..=64 (spike tables scale to 64 core slots)"
-                ));
-            }
-            if let Some(c) = p.n_cores {
-                if sh > c {
-                    return Err(format!(
-                        "shards = {sh} exceeds cores = {c}: every shard runs on its own \
-                         guest core, so shards <= cores"
-                    ));
-                }
-            }
-            if let Some(n) = p.n {
-                if n < sh as usize {
-                    return Err(format!(
-                        "n = {n} neurons cannot fill {sh} shards (need n >= shards)"
-                    ));
-                }
-            }
-        }
         if let Some(r) = p.stim_rate {
             if self.name != "net8020_stream" {
                 return Err(format!(
@@ -391,9 +350,7 @@ impl Scenario {
         // The generated population's synapse count bounds the edges the
         // image writes at every seed (it drops weights that quantise to
         // zero), and it is what the build sizes SDRAM for.
-        if let (Some(d), Some(n), Some(t), Some(c)) =
-            (density, p.n, p.ticks, p.shards.or(p.n_cores))
-        {
+        if let (Some(d), Some(n), Some(t), Some(c)) = (density, p.n, p.ticks, p.n_cores) {
             let edges = n * Net8020::sparse_row_len(n, d);
             let end = |ticks| {
                 let lay = layout::Layout::for_shape(n, ticks, c, n.div_ceil(c as usize));
@@ -491,7 +448,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(5),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[5, 6],
@@ -528,7 +484,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(9),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[5, 6],
@@ -570,7 +525,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(100),
             ease: Some(true),
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[100],
@@ -607,7 +561,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(7),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[7, 8],
@@ -645,7 +598,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(11),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[11, 12],
@@ -682,7 +634,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(5),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[5],
@@ -720,7 +671,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(5),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[5],
@@ -762,7 +712,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(0),
             ease: Some(true),
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[0, 1, 2, 3, 4],
@@ -793,11 +742,6 @@ static REGISTRY: [Scenario; 11] = [
                 default: "17",
                 help: "network + noise seed",
             },
-            ParamSpec {
-                name: "shards",
-                default: "cores",
-                help: "population shards (one per core; must be <= cores)",
-            },
         ],
         quick: ScenarioParams {
             n: Some(512),
@@ -805,7 +749,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(16),
             seed: Some(17),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[17, 18],
@@ -836,11 +779,6 @@ static REGISTRY: [Scenario; 11] = [
                 default: "21",
                 help: "network + noise seed",
             },
-            ParamSpec {
-                name: "shards",
-                default: "cores",
-                help: "population shards (one per core; must be <= cores)",
-            },
         ],
         quick: ScenarioParams {
             n: Some(160),
@@ -848,7 +786,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(21),
             ease: None,
-            shards: None,
             stim_rate: None,
         },
         battery_seeds: &[21, 22],
@@ -880,11 +817,6 @@ static REGISTRY: [Scenario; 11] = [
                 help: "network seed; stimulus schedule derives from seed ^ 0x57D1",
             },
             ParamSpec {
-                name: "shards",
-                default: "cores",
-                help: "population shards (one per core; must be <= cores)",
-            },
-            ParamSpec {
                 name: "stim_rate",
                 default: "8",
                 help: "injected stimulus events per tick",
@@ -896,7 +828,6 @@ static REGISTRY: [Scenario; 11] = [
             n_cores: Some(2),
             seed: Some(31),
             ease: None,
-            shards: None,
             stim_rate: Some(4),
         },
         battery_seeds: &[31, 32],
@@ -1041,40 +972,37 @@ fn build_sudoku_batch(p: &ScenarioParams) -> Box<dyn Workload> {
 }
 
 fn build_net8020_sharded(p: &ScenarioParams) -> Box<dyn Workload> {
-    let cores = req(p.shards.or(p.n_cores));
     let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::sharded(
         n_exc,
         n_inh,
         SHARDED_DENSITY,
         req(p.ticks),
-        cores,
+        req(p.n_cores),
         req(p.seed),
     ))
 }
 
 fn build_net8020_stdp(p: &ScenarioParams) -> Box<dyn Workload> {
-    let cores = req(p.shards.or(p.n_cores));
     let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::stdp(
         n_exc,
         n_inh,
         STDP_DENSITY,
         req(p.ticks),
-        cores,
+        req(p.n_cores),
         req(p.seed),
     ))
 }
 
 fn build_net8020_stream(p: &ScenarioParams) -> Box<dyn Workload> {
-    let cores = req(p.shards.or(p.n_cores));
     let (n_exc, n_inh) = split_8020(req(p.n));
     Box::new(Net8020Workload::stream(
         n_exc,
         n_inh,
         STREAM_DENSITY,
         req(p.ticks),
-        cores,
+        req(p.n_cores),
         req(p.seed),
         req(p.stim_rate),
     ))
@@ -1384,22 +1312,11 @@ mod tests {
     #[test]
     fn validate_rejects_inconsistent_combinations() {
         let sharded = find("net8020_sharded").unwrap();
-        // shards > cores: each shard needs its own guest core.
+        // cores beyond the spike-table core slots, even on the scaled map.
         let err = sharded
-            .validate(
-                &ScenarioParams::default().with_shards(16).with_cores(8),
-                false,
-            )
+            .validate(&ScenarioParams::default().with_cores(65), false)
             .unwrap_err();
-        assert!(err.contains("shards"), "unclear error: {err}");
-        // shards beyond the spike-table core slots.
-        assert!(sharded
-            .validate(&ScenarioParams::default().with_shards(65), false)
-            .is_err());
-        // Too few neurons to fill the shards.
-        assert!(sharded
-            .validate(&ScenarioParams::default().with_n(4).with_shards(8), false)
-            .is_err());
+        assert!(err.contains("cores = 65"), "unclear error: {err}");
         // stim_rate on a non-stream scenario.
         assert!(sharded
             .validate(&ScenarioParams::default().with_stim_rate(4), false)
@@ -1424,11 +1341,7 @@ mod tests {
             .with_stim_rate(4096);
         stream.validate(&at_bound, false).unwrap();
         assert!(stream.validate(&at_bound.with_ticks(1025), false).is_err());
-        // shards on a non-scale-out scenario.
         let dense = find("net8020").unwrap();
-        assert!(dense
-            .validate(&ScenarioParams::default().with_shards(4), false)
-            .is_err());
         // ease on a non-sudoku scenario: either polarity is rejected (it
         // would otherwise be dropped silently), and the error names the
         // scenarios it does apply to.
@@ -1584,8 +1497,7 @@ mod tests {
                 .with_cores(2)
                 .with_seed(5)
         );
-        // Rules stay rules: one shard per core, puzzle index seed % 5.
-        assert_eq!(find("net8020_sharded").unwrap().defaults().shards, None);
+        // Rules stay rules: the puzzle index is seed % 5.
         assert_eq!(find("sudoku_batch").unwrap().defaults().n, None);
         // The builders take their defaults from there.
         let large = find("net8020_large").unwrap();
@@ -1607,10 +1519,7 @@ mod tests {
         let sharded = find("net8020_sharded").unwrap();
         sharded
             .validate(
-                &ScenarioParams::default()
-                    .with_n(10240)
-                    .with_cores(64)
-                    .with_shards(64),
+                &ScenarioParams::default().with_n(10240).with_cores(64),
                 false,
             )
             .unwrap();

@@ -23,11 +23,13 @@
 //! The cache key is the scenario name plus the merged parameters *with
 //! the seed erased* — the seed changes table contents, never the shape,
 //! the program or the layout. Instantiating at the template's own build
-//! seed replays the recorded image spans (pure bulk copies — the fast
-//! path a repeat-seed battery or service hits). Instantiating at a
-//! different seed rebuilds the host-side image (cheap: no assembly, no
-//! predecode, no fresh `System` plumbing) and patches exactly the spans
-//! in the template's [`PatchMap`] over a fresh memory.
+//! seed copies nothing but the configuration: the instance reads the
+//! template's prototype workload, and its runs replay the recorded image
+//! spans (pure bulk copies — the fast path a repeat-seed battery or
+//! service hits). Instantiating at a different seed rebuilds the
+//! host-side image (cheap: no assembly, no predecode, no fresh `System`
+//! plumbing), which the instance owns, and its runs patch exactly the
+//! spans in the template's [`PatchMap`] over a fresh memory.
 //!
 //! ## One construction path
 //!
@@ -56,7 +58,8 @@ pub struct RunTemplate {
     scenario: &'static Scenario,
     /// Fully merged build parameters (including the build seed).
     params: ScenarioParams,
-    /// The cold-built prototype. Never run; cloned per instantiation.
+    /// The cold-built prototype. Never run; every instance at the build
+    /// seed reads it in place.
     workload: Box<dyn Workload>,
     /// Loaded, never-executed guest memory (program + image tables).
     mem: MainMemory,
@@ -127,41 +130,37 @@ impl RunTemplate {
         if self.params.seed == Some(seed) {
             return self.instantiate_as_built(sched);
         }
-        {
-            let reseeded = ScenarioParams {
-                seed: Some(seed),
-                ..self.params
-            };
-            let workload = self.scenario.build(&reseeded);
-            assert!(
-                workload.cfg().same_build(self.workload.cfg()),
-                "{}: re-seeding changed the engine shape — the scenario's \
-                 shape must not depend on the seed",
-                self.scenario.name
-            );
-            let mut cfg = workload.cfg().clone();
-            cfg.system.sched = sched;
-            RunInstance {
-                template: Arc::clone(self),
-                workload,
-                cfg,
-                fresh_image: true,
-            }
+        let reseeded = ScenarioParams {
+            seed: Some(seed),
+            ..self.params
+        };
+        let workload = self.scenario.build(&reseeded);
+        assert!(
+            workload.cfg().same_build(self.workload.cfg()),
+            "{}: re-seeding changed the engine shape — the scenario's \
+             shape must not depend on the seed",
+            self.scenario.name
+        );
+        let mut cfg = workload.cfg().clone();
+        cfg.system.sched = sched;
+        RunInstance {
+            template: Arc::clone(self),
+            reseeded: Some(workload),
+            cfg,
         }
     }
 
     /// Stamp out an instance at the template's own build parameters
     /// (pure snapshot reuse, no re-seeding) — what a caller without an
-    /// explicit seed wants.
+    /// explicit seed wants. The instance reads the template's prototype;
+    /// it copies only its configuration.
     pub fn instantiate_as_built(self: &Arc<Self>, sched: SchedMode) -> RunInstance {
-        let workload = self.workload.clone_box();
-        let mut cfg = workload.cfg().clone();
+        let mut cfg = self.workload.cfg().clone();
         cfg.system.sched = sched;
         RunInstance {
             template: Arc::clone(self),
-            workload,
+            reseeded: None,
             cfg,
-            fresh_image: false,
         }
     }
 }
@@ -174,22 +173,20 @@ impl RunTemplate {
 /// comparison.
 pub struct RunInstance {
     template: Arc<RunTemplate>,
-    /// The workload at this instance's seed (prototype clone, or a
-    /// host-side rebuild when the seed differs from the template's).
-    workload: Box<dyn Workload>,
+    /// The host-side rebuild at this instance's seed when it differs
+    /// from the template's; `None` reads the template's prototype. Runs
+    /// patch a rebuilt image in and replay the snapshot's otherwise.
+    reseeded: Option<Box<dyn Workload>>,
     /// This instance's configuration (sched/faults/wall-limit are
     /// per-instance; the shape must stay the template's).
     cfg: EngineConfig,
-    /// Whether the image differs from the snapshot and must be patched
-    /// in rather than replayed.
-    fresh_image: bool,
 }
 
 impl core::fmt::Debug for RunInstance {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RunInstance")
             .field("template", &self.template)
-            .field("fresh_image", &self.fresh_image)
+            .field("reseeded", &self.reseeded.is_some())
             .finish()
     }
 }
@@ -198,6 +195,11 @@ impl RunInstance {
     /// The template this instance was stamped from.
     pub fn template(&self) -> &Arc<RunTemplate> {
         &self.template
+    }
+
+    /// The workload at this instance's seed.
+    fn workload(&self) -> &dyn Workload {
+        self.reseeded.as_deref().unwrap_or(&*self.template.workload)
     }
 }
 
@@ -211,20 +213,19 @@ impl Workload for RunInstance {
     }
 
     fn image(&self) -> &GuestImage {
-        self.workload.image()
+        self.workload().image()
     }
 
     fn clone_box(&self) -> Box<dyn Workload> {
         Box::new(RunInstance {
             template: Arc::clone(&self.template),
-            workload: self.workload.clone_box(),
+            reseeded: self.reseeded.as_ref().map(|w| w.clone_box()),
             cfg: self.cfg.clone(),
-            fresh_image: self.fresh_image,
         })
     }
 
     fn max_cycles(&self) -> u64 {
-        self.workload.max_cycles()
+        self.workload().max_cycles()
     }
 
     fn run_budgeted(&self, max_cycles: u64) -> Result<WorkloadResult, SimError> {
@@ -237,7 +238,7 @@ impl Workload for RunInstance {
             "RunInstance shape diverged from its template — rebuild \
              (or use run_cold()) after mutating shape fields"
         );
-        assert_run_shape(&self.cfg, self.workload.image());
+        assert_run_shape(&self.cfg, self.image());
         let mut system_cfg = self.cfg.system.clone();
         system_cfg.n_cores = self.cfg.n_cores;
         // Copy-on-write materialisation: a fresh memory, the program
@@ -245,20 +246,18 @@ impl Workload for RunInstance {
         // replayed (same seed) or re-patched from the rebuilt tables.
         let mut mem = MainMemory::new(system_cfg.sdram_size, system_cfg.scratch_size);
         t.prog_spans.replay(&t.mem, &mut mem);
-        if self.fresh_image {
-            let mut patches = PatchMap::default();
-            self.workload
+        match &self.reseeded {
+            Some(w) => w
                 .image()
-                .load_into_mem(&mut mem, &self.cfg, &mut patches);
-        } else {
-            t.patches.replay(&t.mem, &mut mem);
+                .load_into_mem(&mut mem, &self.cfg, &mut PatchMap::default()),
+            None => t.patches.replay(&t.mem, &mut mem),
         }
         let mut sys = System::from_snapshot(system_cfg, mem, t.code.clone(), t.entry);
         run_prepared_system(&mut sys, &self.cfg, max_cycles)
     }
 
     fn verify(&self, res: &WorkloadResult) -> Result<(), String> {
-        self.workload.verify(res)
+        self.workload().verify(res)
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -451,6 +450,18 @@ mod tests {
         // And the two seeds genuinely differ.
         let base = tpl.instantiate(5, SchedMode::Exact).run().unwrap();
         assert_ne!(warm.raster_hash(), base.raster_hash());
+    }
+
+    #[test]
+    fn same_seed_instances_read_the_prototype_in_place() {
+        let (sc, params) = quick_seeded("net8020", 5);
+        let tpl = Arc::new(RunTemplate::build(sc, params));
+        let proto = tpl.workload.image();
+        let same = tpl.instantiate(5, SchedMode::Exact);
+        assert!(std::ptr::eq(same.image(), proto));
+        assert!(std::ptr::eq(same.clone_box().image(), proto));
+        let reseeded = tpl.instantiate(6, SchedMode::Exact);
+        assert!(!std::ptr::eq(reseeded.image(), proto));
     }
 
     #[test]

@@ -663,15 +663,19 @@ fn run_segment<T: Timing>(slot: &Mutex<CoreSlot>, env: RunEnv) {
 }
 
 /// Execute the deferred interactive op at the core's pc against the real
-/// devices. The bound is the core's current time and every op costs at
-/// least one cycle, so exactly one instruction runs (the batch tiers
-/// decline for lack of headroom).
+/// devices: one instruction, behind the same budget check a segment makes
+/// before every op. Afterwards the core is halted, parked, or
+/// [`RunStop::Bound`]: the op's cycles are spent, and the caller judges
+/// whether the quantum goes on.
 fn commit_op<T: Timing>(
     core: &mut Core,
     code: &mut CodeTable,
     dev: &mut SharedDevices,
     env: RunEnv,
 ) -> Result<RunStop, TrapCause> {
+    if core.time > env.max_cycles {
+        return Ok(RunStop::Budget);
+    }
     let mut ctx = ShardCtx {
         ram: env.ram,
         code,
@@ -680,7 +684,16 @@ fn commit_op<T: Timing>(
         superblocks: env.superblocks,
         kernels: env.kernels,
     };
-    core.run_while::<T, _>(&mut ctx, core.time, env.max_cycles)
+    let out = core.exec_one::<T, _>(&mut ctx);
+    core.sync_counters();
+    out?;
+    Ok(if core.halted() {
+        RunStop::Halted
+    } else if core.parked() {
+        RunStop::Parked
+    } else {
+        RunStop::Bound
+    })
 }
 
 /// The one shared queue a wave's segments are claimed from: the

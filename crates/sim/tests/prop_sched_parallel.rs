@@ -20,7 +20,10 @@
 use izhi_isa::encode;
 use izhi_isa::inst::{AluImmOp, AluOp, Inst, LoadOp, StoreOp};
 use izhi_isa::reg::Reg;
-use izhi_sim::{layout, SchedMode, System, SystemConfig, TimingModel};
+use izhi_sim::{
+    layout, FaultKind, FaultPlan, PerfCounters, SchedMode, SimError, System, SystemConfig,
+    TimingModel, TrapCause,
+};
 use proptest::prelude::*;
 
 /// Per-core scratch page (core id shifted into bits 12+ by the prelude).
@@ -205,6 +208,12 @@ fn serialize_state(sys: &System) -> Vec<u8> {
         out.extend_from_slice(&sys.shared().mem.read_u32(addr).unwrap_or(0).to_le_bytes());
     }
     out
+}
+
+/// One core's registers, pc, clock and counters.
+fn core_state(sys: &System, core: usize) -> (Vec<u32>, u32, PerfCounters) {
+    let c = sys.core(core);
+    ((0..32).map(|r| c.reg(Reg(r))).collect(), c.pc(), c.counters)
 }
 
 /// `RelaxedParallel` must be bit-identical to `Relaxed`: same quantum →
@@ -408,6 +417,118 @@ fn barrier_mix_matches_relaxed_and_counts() {
                     "{timing:?} quantum {quantum} host_threads {host_threads}"
                 );
             }
+        }
+    }
+}
+
+/// The commit pass's error exits. Every RNG draw, mutex try-acquire and
+/// release and barrier arrival of [`BARRIER_MIX_SRC`] is a deferred op,
+/// run alone on the coordinator; a guest trap fired there, and a cycle
+/// budget that runs out among them, must surface as the same
+/// [`SimError`] the sequential scheduler reports, on both clocks and at
+/// every host-thread count.
+#[test]
+fn deferred_op_traps_and_budgets_match_relaxed() {
+    let asm = izhi_isa::Assembler::new()
+        .assemble(BARRIER_MIX_SRC)
+        .expect("asm");
+    let run_mode = |sched: SchedMode, faults: FaultPlan, max_cycles: u64| {
+        let mut sys = System::new(SystemConfig {
+            n_cores: 3,
+            sched,
+            faults,
+            ..Default::default()
+        });
+        assert!(sys.load_program(&asm));
+        let out = sys.run(max_cycles).map(|_| ());
+        (out, sys)
+    };
+    let modes = |timing, quantum| {
+        [1u32, 2, 4].map(|host_threads| SchedMode::RelaxedParallel {
+            quantum,
+            host_threads,
+            timing,
+        })
+    };
+    // The code up to the first loop iteration's RNG draw (`work`) and
+    // mutex try-acquire (`grab`) runs straight through, so a core's
+    // instret on reaching either is the label's word index.
+    let deferred = ["work", "grab"].map(|label| {
+        let pc = asm.symbol(label).expect("label");
+        (pc, u64::from((pc - asm.entry) / 4))
+    });
+    for timing in [TimingModel::Unit, TimingModel::Estimated] {
+        for quantum in [1u64, 7, 64] {
+            for core in 0..3 {
+                for (pc, at) in deferred {
+                    let faults = FaultPlan::none().with(core, at, FaultKind::GuestTrap);
+                    let (reference, _) = run_mode(
+                        SchedMode::Relaxed { quantum, timing },
+                        faults.clone(),
+                        10_000_000,
+                    );
+                    let trap = SimError::Trap {
+                        core,
+                        cause: TrapCause::InjectedFault { pc, instret: at },
+                    };
+                    assert_eq!(reference, Err(trap), "{timing:?} quantum {quantum}");
+                    for mode in modes(timing, quantum) {
+                        let (par, _) = run_mode(mode, faults.clone(), 10_000_000);
+                        assert_eq!(par, reference, "{mode:?} trap on core {core} at {pc:#x}");
+                    }
+                }
+            }
+        }
+        // Budgets across the run's last 48 cycles, which hold the final
+        // mutex release and the barrier arrivals: runs that end within
+        // the budget must be bit-identical, the rest must time out alike.
+        // On a timeout, cores later in hart order than the one that ran
+        // out may have run further in parallel, but every core up to the
+        // first one past the budget must have stopped where it did.
+        for quantum in [7u64, 64] {
+            let reference = SchedMode::Relaxed { quantum, timing };
+            let (done, sys) = run_mode(reference, FaultPlan::none(), 10_000_000);
+            done.expect("unbudgeted run");
+            let end = (0..3).map(|c| sys.core(c).time).max().unwrap();
+            let mut timeouts = 0;
+            for max_cycles in end - 48..=end {
+                let (out, ref_sys) = run_mode(reference, FaultPlan::none(), max_cycles);
+                timeouts += usize::from(out.is_err());
+                for mode in modes(timing, quantum) {
+                    let (par, par_sys) = run_mode(mode, FaultPlan::none(), max_cycles);
+                    assert_eq!(par, out, "{mode:?} max_cycles {max_cycles}");
+                    if par.is_ok() {
+                        assert_eq!(
+                            serialize_state(&ref_sys),
+                            serialize_state(&par_sys),
+                            "{mode:?} max_cycles {max_cycles}"
+                        );
+                    } else {
+                        let past = (0..3)
+                            .position(|c| ref_sys.core(c).time > max_cycles)
+                            .expect("a timed-out run has a core past the budget");
+                        for core in 0..=past {
+                            assert_eq!(
+                                core_state(&ref_sys, core),
+                                core_state(&par_sys, core),
+                                "{mode:?} max_cycles {max_cycles} core {core}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                (1..49).contains(&timeouts),
+                "{timing:?} quantum {quantum}: the window must hold both outcomes"
+            );
+            let commits = |max_cycles| {
+                let (_, sys) = run_mode(modes(timing, quantum)[0], FaultPlan::none(), max_cycles);
+                sys.parallel_stats().commit_instret
+            };
+            assert!(
+                commits(end - 48) < commits(end),
+                "{timing:?} quantum {quantum}: the window must hold deferred ops"
+            );
         }
     }
 }

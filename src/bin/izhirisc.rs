@@ -24,7 +24,6 @@
 //! izhirisc scenario run <name> [options]     build + run a scenario
 //!     --sched MODE --quantum N --host-threads N --timing T    as above
 //!     --n N --ticks N --cores N --seed N           scenario parameters
-//!     --shards N       scale-out scenarios: population shards (<= cores)
 //!     --stim-rate N    net8020_stream: injected stimulus events per tick
 //!     --quick          use the scenario's CI-sized quick parameters
 //!     --battery        fan the scenario's battery (seeds x sched x timing)
@@ -63,7 +62,7 @@ use izhirisc::sim::{SchedMode, System, SystemConfig, TimingModel};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--shards N] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH]\n  izhirisc scenario battery [--timing T] [--json PATH]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
+        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH]\n  izhirisc scenario battery [--timing T] [--json PATH]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
     );
     exit(2);
 }
@@ -447,7 +446,6 @@ fn cmd_scenario_run(args: &[String]) {
                 exit(2);
             }
         }),
-        shards: args.value("--shards").map(|s| parse_u32(&s)),
         stim_rate: args.value("--stim-rate").map(|s| parse_u32(&s)),
     };
     let quick = args.switch("--quick");
@@ -483,7 +481,7 @@ fn cmd_scenario_run(args: &[String]) {
         eprintln!("--json only applies to --battery runs");
         exit(2);
     }
-    // Reject shapes the engine cannot build (shards beyond cores,
+    // Reject shapes the engine cannot build (more than 64 cores,
     // standard-map scenarios past their memory bounds, …) up front with a
     // one-line error instead of a guest trap or panic inside the engine.
     if let Err(e) = sc.validate(&params, quick) {
