@@ -1,8 +1,8 @@
 //! Side-by-side demo of the multi-core scheduling modes on registry
 //! scenarios: the same dual-core workload under cycle-exact event-driven
-//! interleaving, relaxed round-robin quanta and host-parallel relaxed
-//! scheduling, with identical spike rasters asserted and host wall time
-//! printed for each.
+//! interleaving and under relaxed round-robin quanta on one host thread
+//! and on several, with identical spike rasters asserted and host wall
+//! time printed for each.
 //!
 //! ```text
 //! cargo run --release --example sched_modes

@@ -77,10 +77,11 @@ impl SchedSpec {
     }
 
     /// The default battery mode set — every sched × timing combination:
-    /// exact (cycle-accurate clock), relaxed and host-parallel relaxed at
-    /// the default quantum under Unit timing, and the same two relaxed
-    /// schedulers under Estimated timing. `host_threads` is forced on the
-    /// parallel rows so they stay interpretable on single-CPU CI runners.
+    /// exact (cycle-accurate clock), and the relaxed scheduler on one
+    /// host thread (`relaxed`) and on `host_threads` (`relaxed-par`) at
+    /// the default quantum, under Unit and under Estimated timing.
+    /// `host_threads` is forced on the parallel rows so they stay
+    /// interpretable on single-CPU CI runners.
     pub fn default_set(host_threads: u32) -> Vec<SchedSpec> {
         let mut set = vec![SchedSpec::of(SchedMode::Exact)];
         for timing in [TimingModel::Unit, TimingModel::Estimated] {
@@ -168,7 +169,7 @@ pub struct BatteryRow {
     pub timing: &'static str,
     /// Relaxed quantum (0 for exact rows).
     pub quantum: u64,
-    /// Forced host threads (1 for sequential schedulers).
+    /// Forced host threads (1 for exact and `Relaxed` rows).
     pub host_threads: u32,
     /// Host wall time of the run.
     pub wall_s: f64,

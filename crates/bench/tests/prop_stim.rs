@@ -29,8 +29,8 @@ fn random_plan(seed: u32, ticks: u32, n: u32, chunk: u32, events: u32) -> StimPl
     plan
 }
 
-/// The mode set the property quantifies over: exact, sequential relaxed
-/// and host-parallel relaxed at 1, 2 and 4 worker threads (Unit timing;
+/// The mode set the property quantifies over: exact, and the relaxed
+/// scheduler as `Relaxed` and at 1, 2 and 4 worker threads (Unit timing;
 /// the clock cannot move a stimulus, only the schedule could).
 fn modes() -> Vec<(String, SchedMode)> {
     let mut set = vec![

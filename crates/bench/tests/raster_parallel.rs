@@ -1,10 +1,11 @@
-//! Workload-level raster identity for the host-parallel relaxed
-//! scheduler — the acceptance gate of the `RelaxedParallel` feature:
+//! Workload-level raster identity for the relaxed scheduler at several
+//! host threads — the acceptance gate of the `RelaxedParallel` feature:
 //! on the 80-20, sweep, sharded and Sudoku scenarios (built through the
-//! scenario registry), `RelaxedParallel {quantum}` must produce **bit-identical
-//! spike logs, cycles and instret** to `Relaxed {quantum}` at every
-//! tested host-thread count, and therefore the same spike raster *as a
-//! set* as the exact scheduler.
+//! scenario registry), `RelaxedParallel {quantum}` must produce
+//! **bit-identical spike logs, cycles and instret** to `Relaxed
+//! {quantum}`, the same scheduler on one host thread, at every tested
+//! host-thread count, and therefore the same spike raster *as a set* as
+//! the exact scheduler.
 //!
 //! These run in CI's test job (additionally with `IZHI_HOST_THREADS=2`
 //! forced so `host_threads: 0` rows exercise the threaded path even on

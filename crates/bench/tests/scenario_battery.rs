@@ -111,8 +111,8 @@ fn every_scenario_is_deterministic_and_sched_identical() {
             sc.name
         );
 
-        // Host-parallel relaxed must be bit-identical to sequential
-        // relaxed at every host-thread count — per timing model.
+        // The relaxed scheduler must be bit-identical at every
+        // host-thread count to its one-thread run — per timing model.
         for (timing, reference) in [
             (TimingModel::Unit, &relaxed),
             (TimingModel::Estimated, &est),
@@ -148,7 +148,7 @@ fn every_scenario_is_deterministic_and_sched_identical() {
 
 /// A relaxed clock charges each retired op its class's cost and nothing
 /// else, in every tier — single step, superblock, generic and native
-/// kernel, and the host-parallel commit pass. So each core's ROI cycles
+/// kernel, and the relaxed scheduler's commit pass. So each core's ROI cycles
 /// are the cost table applied to its ROI op-class histogram (every cost
 /// is 1 on the Unit clock).
 #[test]

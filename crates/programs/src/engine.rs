@@ -1706,7 +1706,7 @@ pub fn prepare_run(cfg: &EngineConfig, image: &GuestImage) -> PreparedRun {
 /// The `IZHI_PROFILE` report of a finished run, built from its own cores:
 /// the per-op-class retired-instruction histogram summed across cores,
 /// the share of retirement that ran inside kernel-span batches and, for
-/// host-parallel runs, where the scheduler retired it.
+/// relaxed runs, where the scheduler retired it.
 fn profile_report(sys: &System, instret: u64) -> String {
     let mut classes = [0u64; OpClass::ALL.len()];
     let mut kernel = 0u64;
@@ -2082,13 +2082,12 @@ mod tests {
 
     #[test]
     fn relaxed_parallel_matches_relaxed_on_coupled_engine() {
-        // The coupled engine barriers once per tick, so under
-        // host-parallel scheduling nearly every quantum defers at a
-        // barrier arrival, and the cores the completing arrival releases
-        // run in a later wave of the same round. The parallel scheduler
-        // must still be bit-identical to the sequential relaxed schedule
-        // (spike-log order, relaxed clock, instret), on even and odd core
-        // splits.
+        // The coupled engine barriers once per tick, so under the
+        // relaxed scheduler nearly every quantum defers at a barrier
+        // arrival, and the cores the completing arrival releases run in a
+        // later wave of the same round. Several host threads must still
+        // be bit-identical to one (`Relaxed`: spike-log order, relaxed
+        // clock, instret), on even and odd core splits.
         use izhi_sim::{SchedMode, TimingModel};
         let net = tiny_net(20);
         let bias = vec![6.0; 20];

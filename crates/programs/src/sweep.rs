@@ -201,8 +201,8 @@ mod tests {
     fn relaxed_parallel_is_bit_identical_to_relaxed() {
         // The showcase workload for host-parallel scheduling: zero
         // cross-core traffic after the start-up barrier. At every tested
-        // quantum and host-thread count the parallel scheduler must
-        // reproduce the sequential relaxed run exactly — spike log in
+        // quantum and host-thread count the relaxed scheduler must
+        // reproduce its one-thread (`Relaxed`) run exactly — spike log in
         // order, relaxed clock, instret — and therefore also the exact
         // run's raster as a set.
         let base = Net8020SweepWorkload::sized(40, 10, 200, 2, 9);

@@ -91,12 +91,14 @@ impl Timing for EstimatedTiming {
 /// The interpreter ([`Core::exec_one`]) is generic over this trait so the
 /// same hot loop monomorphises against two very different backings:
 ///
-/// * [`Shared`] — the whole-system state used by the exact and
-///   single-threaded relaxed schedulers (the historical code path; every
+/// * [`Shared`] — the whole-system state used by the exact scheduler and
+///   the stepped references `System::run_stepped` and
+///   `System::run_relaxed_stepped` (the historical code path; every
 ///   method inlines to exactly the field accesses the loop made before the
 ///   trait existed);
-/// * the per-core shard contexts of the host-parallel relaxed scheduler
-///   ([`crate::parallel`]), which route RAM through a raw sharded view,
+/// * the per-core shard contexts of the relaxed scheduler
+///   ([`crate::parallel`], at any host-thread count), which route RAM
+///   through a raw sharded view,
 ///   buffer append-only device traffic per core, and never touch the
 ///   exact timing machinery (they only ever instantiate non-exact
 ///   [`Timing`] policies).
@@ -807,7 +809,7 @@ impl Core {
     /// * [`ExactTiming`] — the cycle-exact interpreter: cache models, bus
     ///   arbitration, hazard/flush/divider stalls all charged as usual.
     /// * [`UnitTiming`] / [`EstimatedTiming`] — the relaxed-clock
-    ///   interpreters used by [`crate::system::SchedMode::Relaxed`]:
+    ///   interpreters used by the relaxed scheduler:
     ///   functionally identical execution, but the local clock advances by
     ///   the policy's static per-op cost (exactly 1 for `Unit`, the
     ///   [`CostTable`] class cost for `Estimated`) and no cache/bus/hazard
@@ -1504,7 +1506,7 @@ impl Core {
             MmioEffect::Halt => self.halted = true,
             MmioEffect::BarrierWait => {
                 // Exact scheduling simulates the guest's spin loop; the
-                // relaxed schedulers deschedule the core instead.
+                // relaxed scheduler deschedules the core instead.
                 if !T::EXACT {
                     self.parked = true;
                 }

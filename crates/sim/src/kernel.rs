@@ -235,12 +235,15 @@ impl SpanTable {
 
     /// Store-to-code hook, called for **every** guest store (from
     /// [`CodeTable::invalidate_store`]): one wrapping compare against the
-    /// covering range, then the cold per-span scan only on a hit.
+    /// covering range, then the cold per-span scan only on a hit. Returns
+    /// whether the store hit the covering range.
     #[inline]
-    pub fn note_store(&mut self, addr: u32) {
-        if (addr & !3).wrapping_sub(self.lo) < self.len {
+    pub fn note_store(&mut self, addr: u32) -> bool {
+        let hit = (addr & !3).wrapping_sub(self.lo) < self.len;
+        if hit {
             self.dirty_word(addr & !3);
         }
+        hit
     }
 
     /// Mark every non-rejected span covering `word` dirty.
@@ -288,7 +291,7 @@ impl SpanTable {
         self.spans[idx as usize].state = state;
     }
 
-    /// Move the spans out (the host-parallel scheduler rebuilds its shared
+    /// Move the spans out (the relaxed scheduler rebuilds the system's
     /// [`CodeTable`] after a run; the spans survive the rebuild).
     pub fn take(&mut self) -> Vec<KernelSpan> {
         self.lo = u32::MAX;
@@ -310,11 +313,16 @@ impl SpanTable {
     }
 
     fn insert(&mut self, span: KernelSpan) {
-        let (entry, exit) = (span.entry, span.exit);
+        // The first span sets the cover; the empty cover's `lo + len`
+        // is `u32::MAX`, which would stretch it over all higher memory.
+        let (lo, hi) = if self.spans.is_empty() {
+            (span.entry, span.exit)
+        } else {
+            (self.lo.min(span.entry), (self.lo + self.len).max(span.exit))
+        };
+        self.lo = lo;
+        self.len = hi - lo;
         self.spans.push(span);
-        let hi = self.lo.wrapping_add(self.len).max(exit);
-        self.lo = self.lo.min(entry);
-        self.len = hi - self.lo;
     }
 }
 
@@ -914,6 +922,8 @@ mod tests {
     fn store_into_span_marks_it_dirty() {
         let (mut code, r) = try_register(&counted_loop(), 0);
         assert_eq!(r, Ok(()));
+        // The cover is the span itself: a store above it misses.
+        assert!(!code.kernels.note_store(layout::SCRATCH_BASE));
         // A store outside the span leaves it Ready.
         code.invalidate_store(64);
         assert_eq!(code.kernel_spans()[0].state, SpanState::Ready);

@@ -37,19 +37,18 @@
 //! copy's branches see one core's instruction stream. One copy shared
 //! behind a picked core ran the paper's two-core exact 80-20 network
 //! about 1.3× slower; both copies must stay inlined for the win to
-//! hold. An opt-in relaxed mode
-//! ([`SchedMode::Relaxed`]) trades all of that timing fidelity for
-//! throughput: round-robin quanta, a blocking barrier device, and a
-//! pluggable relaxed clock ([`TimingModel`]) — one cycle per retired
-//! instruction (`Unit`, the determinism baseline) or static per-op-class
-//! costs (`Estimated`, [`counters::CostTable`]) so relaxed rows carry a
-//! defensible simulated-time figure — with architectural results
-//! unchanged for guests that synchronise through the barrier/mutex
-//! devices. The
-//! host-parallel variant ([`SchedMode::RelaxedParallel`], [`parallel`])
-//! runs those quanta in waves on host threads against a sharded memory view
-//! while staying bit-identical to the single-threaded relaxed schedule at
-//! every host-thread count.
+//! hold. An opt-in relaxed scheduler ([`parallel`]) trades all of that
+//! timing fidelity for throughput: round-robin quanta, a blocking barrier
+//! device, and a pluggable relaxed clock ([`TimingModel`]) — one cycle
+//! per retired instruction (`Unit`, the determinism baseline) or static
+//! per-op-class costs (`Estimated`, [`counters::CostTable`]) so relaxed
+//! rows carry a defensible simulated-time figure — with architectural
+//! results unchanged for guests that synchronise through the
+//! barrier/mutex devices. It runs the quanta in waves on host threads
+//! against a sharded memory view: [`SchedMode::Relaxed`] on one thread,
+//! [`SchedMode::RelaxedParallel`] on several, and every host-thread count
+//! is bit-identical to [`System::run_relaxed_stepped`], the relaxed
+//! schedule by definition, one instruction per step.
 //!
 //! ## Example
 //!

@@ -1,24 +1,28 @@
-//! Host-parallel relaxed scheduling ([`SchedMode::RelaxedParallel`]).
+//! The relaxed scheduler: [`SchedMode::Relaxed`] runs it on one host
+//! thread, [`SchedMode::RelaxedParallel`] on several.
 //!
 //! [`SchedMode::RelaxedParallel`]: crate::system::SchedMode::RelaxedParallel
 //! [`SchedMode::Relaxed`]: crate::system::SchedMode::Relaxed
 //! [`SchedMode::Exact`]: crate::system::SchedMode::Exact
 //!
-//! The single-threaded relaxed scheduler runs cores round-robin in quanta:
-//! within a round, core 0 executes its whole quantum, then core 1, and so
-//! on. This module runs those quanta on host threads instead, while
-//! keeping the run **bit-identical** to the sequential schedule at every
-//! host-thread count. Three mechanisms make that possible:
+//! The relaxed schedule runs cores round-robin in quanta: within a round,
+//! core 0 executes its whole quantum, then core 1, and so on, and a core
+//! that arrives at an incomplete barrier round parks until the round
+//! completes. [`System::run_relaxed_stepped`] is that schedule by
+//! definition, one instruction per step. This module runs the quanta on
+//! host threads instead, while keeping every run **bit-identical** to the
+//! stepped reference at every host-thread count, one included. Four
+//! mechanisms make that possible:
 //!
 //! 1. **Sharded RAM** (`RamView`). Worker threads access guest SDRAM and
 //!    scratchpad through bounds-checked raw pointers into the one backing
-//!    allocation. The *race-free-guest contract* (the same contract
-//!    `SchedMode::Relaxed` already imposes, sharpened): cores may only
-//!    communicate through the barrier/mutex devices, so segments that no
-//!    device synchronisation orders touch disjoint sets of addresses and
-//!    the concurrent raw accesses never alias. A guest that breaks the
-//!    contract races on the host — exactly the class of program the
-//!    relaxed modes already exclude (use [`SchedMode::Exact`] for it).
+//!    allocation. The *race-free-guest contract* (the relaxed contract,
+//!    sharpened): cores may only communicate through the barrier/mutex
+//!    devices, so segments that no device synchronisation orders touch
+//!    disjoint sets of addresses and the concurrent raw accesses never
+//!    alias. A guest that breaks the contract races on the host — exactly
+//!    the class of program the relaxed schedule already excludes (use
+//!    [`SchedMode::Exact`] for it).
 //!
 //! 2. **Deferred interactive devices.** MMIO traffic whose result or
 //!    effect depends on other cores — mutex try-acquire/release, barrier
@@ -27,7 +31,7 @@
 //!    address from registers, so a one-shot pre-check per instruction
 //!    suffices) and ends the core's *segment*. The coordinator executes
 //!    each such op **alone, in ascending hart order, against the real
-//!    devices** — the exact order the sequential scheduler produces.
+//!    devices** — the exact order the stepped reference produces.
 //!    Barrier *generation reads* are not deferred: a segment answers them
 //!    with the generation that was current when it was posted. That is
 //!    exact. An arrival that leaves a round incomplete parks its core
@@ -35,15 +39,27 @@
 //!    generation, and generation g completes only after all n cores have
 //!    arrived in g. A posted core has not arrived in the current
 //!    generation, so every read it makes before its own next arrival
-//!    returns that generation in the sequential schedule too; the commit
+//!    returns that generation in the stepped reference too; the commit
 //!    pass asserts it. Per-core MMIO traffic (core id, cycle counter,
 //!    halt, ROI) executes in place.
 //!
 //! 3. **Buffered append-only devices.** Spike-log, console and progress
 //!    writes land in a per-core `DeviceBuffer` during a segment and are
 //!    merged into the shared devices in ascending hart order at commit
-//!    time. Since the sequential schedule runs the round's quanta in
+//!    time. Since the stepped reference runs the round's quanta in
 //!    exactly that order, the merged logs match it word for word.
+//!
+//! 4. **Per-core predecode shards.** Each core decodes through its own
+//!    clone of the system's [`CodeTable`], a pure cache over RAM. A store
+//!    that lands where the storing core's shard may hold decoded code (a
+//!    materialised code window or a kernel span) is logged, and when the
+//!    segment commits the coordinator replays the log into every other
+//!    shard — their decoded slots, superblocks and kernel spans — and
+//!    widens their windows to the storing shard's, before any later wave
+//!    runs. So code one core patches and another runs after a barrier
+//!    runs patched, as in the stepped reference. Engine guests never
+//!    store into code, and their stores pay one untaken branch for the
+//!    log.
 //!
 //! **Waves.** A round starts with one *wave*: a segment for every core
 //! that is certain to run at its turn — live and unparked, or parked at a
@@ -55,19 +71,20 @@
 //! of the quantum as another wave — together with every later parked
 //! core the op released — and waits for that wave before the cursor
 //! moves on. A wave only runs side by side segments that no device
-//! synchronisation orders in the sequential schedule, and the
+//! synchronisation orders in the stepped reference, and the
 //! race-free-guest contract already requires those to touch disjoint
 //! data.
 //!
 //! The coordinator and `host_threads − 1` helper threads (spawned once
 //! per `run()` in a `std::thread::scope`) claim a wave's segments from
 //! one shared queue; helpers park on a condvar between waves, and a wave
-//! of one segment runs on the coordinator without waking any. A guest
-//! core parked at an incomplete barrier round is simply not posted —
-//! nobody spins. On the error paths (trap / cycle budget) the reported
-//! error and core are identical to the sequential schedule, but cores
-//! *later* in hart order may have advanced further than it would have
-//! run them.
+//! of one segment runs on the coordinator without waking any. At one
+//! host thread ([`SchedMode::Relaxed`]) there are no helpers and every
+//! wave runs on the coordinator. A guest core parked at an incomplete
+//! barrier round is simply not posted — nobody spins. On the error paths
+//! (trap / cycle budget) the reported error and core are identical to the
+//! stepped reference, but cores *later* in hart order may have run
+//! further than it runs them.
 //!
 //! Scheduling cost intuition: every instruction except the deferred ops
 //! themselves runs in a wave, so the speedup is bounded by how many
@@ -91,6 +108,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use izhi_isa::inst::{LoadOp, StoreOp};
 
 use crate::cpu::{Core, ExecCtx, RunStop, Timing, TrapCause};
+use crate::kernel::SpanState;
 use crate::mem::{layout, MainMemory};
 use crate::mmio::{is_interactive, MmioEffect, SharedDevices};
 use crate::predecode::{CodeMem, CodeTable, MicroOp, PreInst, MAX_SB};
@@ -368,6 +386,9 @@ impl DevSink for RealDev<'_> {
 struct ShardCtx<'a, D> {
     ram: RamView,
     code: &'a mut CodeTable,
+    /// Stores that may have hit decoded code, for the commit pass to
+    /// replay into the other shards ([`CoreSlot::code_stores`]).
+    code_stores: &'a mut Vec<u32>,
     dev: D,
     csr_writeback: bool,
     superblocks: bool,
@@ -417,10 +438,11 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
 
     #[inline(always)]
     fn invalidate_store(&mut self, addr: u32) {
-        // Invalidates this core's own shard: self-modifying code within a
-        // core stays correct; cross-core code patching is cross-core
-        // traffic and excluded by the contract.
-        self.code.invalidate_store(addr);
+        // This core's shard drops its stale decodes now; the commit pass
+        // replays the store into the other shards (`publish_code`).
+        if self.code.invalidate_store(addr) {
+            self.code_stores.push(addr);
+        }
     }
 
     #[inline(always)]
@@ -519,7 +541,7 @@ enum Pending {
 }
 
 /// Why `coordinate` abandoned the run: a simulator error (reported
-/// exactly as the sequential scheduler would), or a segment panic to
+/// exactly as the stepped reference would), or a segment panic to
 /// re-raise on the calling thread after the thread scope has joined.
 enum RoundError {
     Sim(SimError),
@@ -532,13 +554,13 @@ impl From<SimError> for RoundError {
     }
 }
 
-/// Where a [`SchedMode::RelaxedParallel`] run did its work, counted once
-/// per segment and per deferred op, never in the per-instruction loop.
-/// Read it with [`System::parallel_stats`] after `run`. Every count is a
-/// function of the schedule alone, so it is the same at every host-thread
-/// count.
+/// Where a relaxed run did its work, counted once per segment and per
+/// deferred op, never in the per-instruction loop. Read it with
+/// [`System::parallel_stats`] after `run`. Every count is a function of
+/// the schedule alone, so it is the same at every host-thread count,
+/// [`SchedMode::Relaxed`]'s one included.
 ///
-/// [`SchedMode::RelaxedParallel`]: crate::system::SchedMode::RelaxedParallel
+/// [`SchedMode::Relaxed`]: crate::system::SchedMode::Relaxed
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelStats {
     /// Scheduling rounds (at most one quantum per live core each).
@@ -562,6 +584,13 @@ struct CoreSlot {
     /// This core's private predecode shard (diverging copies of a pure
     /// cache — see [`CodeTable`]).
     code: CodeTable,
+    /// Addresses this core stored to since its last commit where its
+    /// shard may hold decoded code (a materialised window or a kernel
+    /// span): the other shards must see the same stores.
+    code_stores: Vec<u32>,
+    /// The shard's window extent ([`CodeTable::window`]) the other shards
+    /// were last widened to.
+    window: (usize, bool),
     buf: DeviceBuffer,
     /// Quantum bound of the posted segment. The rest of a quantum after a
     /// deferred op keeps the bound its first segment was posted with.
@@ -632,16 +661,19 @@ fn run_segment<T: Timing>(slot: &Mutex<CoreSlot>, env: RunEnv) {
     let CoreSlot {
         core,
         code,
+        code_stores,
         buf,
         bound,
         generation,
         retired,
         pending,
+        ..
     } = &mut *slot;
     debug_assert!(matches!(pending, Pending::Job));
     let mut ctx = ShardCtx {
         ram: env.ram,
         code,
+        code_stores,
         dev: BufferedDev {
             buf,
             n_cores: env.n_cores,
@@ -668,17 +700,23 @@ fn run_segment<T: Timing>(slot: &Mutex<CoreSlot>, env: RunEnv) {
 /// [`RunStop::Bound`]: the op's cycles are spent, and the caller judges
 /// whether the quantum goes on.
 fn commit_op<T: Timing>(
-    core: &mut Core,
-    code: &mut CodeTable,
+    slot: &mut CoreSlot,
     dev: &mut SharedDevices,
     env: RunEnv,
 ) -> Result<RunStop, TrapCause> {
+    let CoreSlot {
+        core,
+        code,
+        code_stores,
+        ..
+    } = slot;
     if core.time > env.max_cycles {
         return Ok(RunStop::Budget);
     }
     let mut ctx = ShardCtx {
         ram: env.ram,
         code,
+        code_stores,
         dev: RealDev(dev),
         csr_writeback: env.csr_writeback,
         superblocks: env.superblocks,
@@ -694,6 +732,31 @@ fn commit_op<T: Timing>(
     } else {
         RunStop::Bound
     })
+}
+
+/// Make core `i`'s code changes reach every other shard before any later
+/// wave runs: widen their windows to its shard's, then replay its logged
+/// stores into their decoded slots, superblocks and kernel spans. The
+/// widening keeps the shards equally wide at every commit, so a core
+/// logs a store wherever another core may have decoded code. A guest
+/// that never stores into code and never grows its window returns at the
+/// first check.
+fn publish_code(slots: &[Mutex<CoreSlot>], i: usize, s: &mut CoreSlot) {
+    let window = s.code.window();
+    if s.code_stores.is_empty() && window == s.window {
+        return;
+    }
+    for (j, other) in slots.iter().enumerate() {
+        if j != i {
+            let mut o = lock(other);
+            o.code.widen_to(&s.code);
+            for &addr in &s.code_stores {
+                o.code.invalidate_store(addr);
+            }
+        }
+    }
+    s.code_stores.clear();
+    s.window = window;
 }
 
 /// The one shared queue a wave's segments are claimed from: the
@@ -795,8 +858,8 @@ impl WaveQueue {
 
 /// The coordinator loop: post a round's first wave, then commit in
 /// ascending hart order, posting a further wave whenever a deferred op
-/// lets cores go on. Mirrors `System::run_relaxed` decision for decision —
-/// the property suites assert bit-identity.
+/// lets cores go on. Reproduces [`System::run_relaxed_stepped`] decision
+/// for decision — the property suites assert bit-identity.
 fn coordinate<T: Timing>(
     dev: &mut SharedDevices,
     slots: &[Mutex<CoreSlot>],
@@ -816,14 +879,14 @@ fn coordinate<T: Timing>(
         max_cycles: env.max_cycles,
     };
     // Generation at which each parked core arrived (same bookkeeping as
-    // the sequential relaxed scheduler).
+    // the stepped reference).
     let mut parked_gen: Vec<Option<u32>> = vec![None; n];
     let mut wave: Vec<usize> = Vec::with_capacity(n);
     loop {
-        // One wall-clock check per round, mirroring the sequential
-        // scheduler's per-rotation cadence. A segment stalled mid-wave
-        // (e.g. an injected stall fault) delays the check until the wave
-        // completes — enforcement stays cooperative.
+        // One wall-clock check per round: a round is at most n × quantum
+        // relaxed cycles, so the cadence is bounded. A segment stalled
+        // mid-wave (e.g. an injected stall fault) delays the check until
+        // the wave completes — enforcement stays cooperative.
         wd.check()?;
         let generation = dev.barrier_generation();
         let mut all_halted = true;
@@ -868,26 +931,22 @@ fn coordinate<T: Timing>(
                 );
                 any_ran = true;
                 stats.wave_instret += s.retired;
-                let CoreSlot {
-                    core,
-                    code,
-                    buf,
-                    bound,
-                    ..
-                } = &mut *s;
-                buf.flush_into(dev);
+                s.buf.flush_into(dev);
+                publish_code(slots, i, &mut s);
                 match outcome.map_err(trap(i))? {
                     RunStop::Halted | RunStop::Bound => break,
                     RunStop::Budget => return Err(timeout().into()),
                     RunStop::Parked => unreachable!("segments never park"),
                     RunStop::SharedOp => {}
                 }
-                let before = core.counters.instret;
-                let stop = commit_op::<T>(core, code, dev, env);
-                stats.commit_instret += core.counters.instret - before;
+                let before = s.core.counters.instret;
+                let stop = commit_op::<T>(&mut s, dev, env);
+                stats.commit_instret += s.core.counters.instret - before;
+                // The op's own fetch may have grown the shard's window.
+                publish_code(slots, i, &mut s);
                 let goes_on = match stop.map_err(trap(i))? {
                     RunStop::Halted => false,
-                    RunStop::Bound => core.time <= *bound,
+                    RunStop::Bound => s.core.time <= s.bound,
                     RunStop::Budget => return Err(timeout().into()),
                     RunStop::Parked => {
                         parked_gen[i] = Some(dev.barrier_generation());
@@ -924,7 +983,7 @@ fn coordinate<T: Timing>(
         }
         if !any_ran {
             // Every live core is parked at a barrier round that can no
-            // longer complete — same timeout the sequential scheduler
+            // longer complete — same timeout the stepped reference
             // surfaces.
             return Err(timeout().into());
         }
@@ -932,8 +991,8 @@ fn coordinate<T: Timing>(
 }
 
 impl System {
-    /// Host-parallel relaxed scheduling (see the module docs for the
-    /// design and the equivalence argument).
+    /// The relaxed scheduler on `host_threads` host threads, `0` for auto
+    /// (see the module docs for the design and the equivalence argument).
     pub(crate) fn run_relaxed_parallel<T: Timing>(
         &mut self,
         quantum: u64,
@@ -943,11 +1002,6 @@ impl System {
     ) -> Result<(), SimError> {
         let quantum = quantum.max(1);
         let n = self.cores.len();
-        if n <= 1 {
-            // One core has no rounds to parallelise; the sequential
-            // scheduler is the same schedule without the thread pool.
-            return self.run_relaxed::<T>(quantum, max_cycles, wd);
-        }
         let threads = (resolve_host_threads(host_threads) as usize).clamp(1, n);
         let env = RunEnv {
             ram: RamView::new(&mut self.shared.mem),
@@ -964,6 +1018,8 @@ impl System {
                 Mutex::new(CoreSlot {
                     core,
                     code: self.shared.code.clone(),
+                    code_stores: Vec::new(),
+                    window: self.shared.code.window(),
                     buf: DeviceBuffer::default(),
                     bound: 0,
                     generation: 0,
@@ -996,18 +1052,27 @@ impl System {
             out
         });
         self.par_stats = stats;
-        self.cores = slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap_or_else(PoisonError::into_inner).core)
-            .collect();
         // Guest stores during the run invalidated the per-core shards,
         // not the system's predecode table; drop the latter so any later
         // run of this system re-decodes lazily instead of trusting a
         // possibly stale cache. Registered kernel spans survive the reset
-        // — they are registrations, not cached decodes — but come back
-        // dirty so the next dispatch re-verifies their fingerprints
-        // against whatever the guest left in RAM.
-        let spans = self.shared.code.take_kernel_spans();
+        // — they are registrations, not cached decodes. A span that any
+        // shard rejected stays rejected; the others come back dirty, so
+        // the next dispatch re-verifies their fingerprints against
+        // whatever the guest left in RAM.
+        let mut spans = self.shared.code.take_kernel_spans();
+        self.cores = slots
+            .into_iter()
+            .map(|s| {
+                let s = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+                for (span, shard) in spans.iter_mut().zip(s.code.kernel_spans()) {
+                    if shard.state == SpanState::Rejected {
+                        span.state = SpanState::Rejected;
+                    }
+                }
+                s.core
+            })
+            .collect();
         self.shared.code = CodeTable::new(self.cfg.sdram_size, self.cfg.scratch_size);
         self.shared.code.adopt_kernel_spans(spans);
         match result {
@@ -1015,8 +1080,8 @@ impl System {
             Err(RoundError::Sim(e)) => Err(e),
             // Re-raise the segment's panic here, on the calling thread,
             // now that the scope has joined the helpers — a supervisor's
-            // `catch_unwind` around `run()` sees exactly the panic a
-            // sequential schedule would have raised, never a deadlock.
+            // `catch_unwind` around `run()` sees exactly the panic the
+            // stepped reference would have raised, never a deadlock.
             Err(RoundError::Panic(payload)) => resume_unwind(payload),
         }
     }
@@ -1029,7 +1094,7 @@ mod tests {
     use izhi_isa::asm::Assembler;
     use izhi_isa::reg::Reg;
 
-    fn run_mode(src: &str, n_cores: u32, sched: SchedMode, max_cycles: u64) -> System {
+    fn build(src: &str, n_cores: u32, sched: SchedMode) -> System {
         let prog = Assembler::new().assemble(src).expect("asm");
         let mut sys = System::new(SystemConfig {
             n_cores,
@@ -1037,6 +1102,11 @@ mod tests {
             ..Default::default()
         });
         assert!(sys.load_program(&prog));
+        sys
+    }
+
+    fn run_mode(src: &str, n_cores: u32, sched: SchedMode, max_cycles: u64) -> System {
+        let mut sys = build(src, n_cores, sched);
         sys.run(max_cycles).expect("run");
         sys
     }
@@ -1103,34 +1173,34 @@ mod tests {
         );
     }
 
-    /// Run `src` under `Relaxed {quantum}` and `RelaxedParallel` at several
-    /// host-thread counts, asserting bit-identical observable state.
+    /// The relaxed scheduler's spellings at one quantum and clock:
+    /// `Relaxed`, and `RelaxedParallel` at 1, 2 and 4 host threads.
+    fn relaxed_modes(quantum: u64, timing: TimingModel) -> [SchedMode; 4] {
+        let parallel = |host_threads| SchedMode::RelaxedParallel {
+            quantum,
+            host_threads,
+            timing,
+        };
+        [
+            SchedMode::Relaxed { quantum, timing },
+            parallel(1),
+            parallel(2),
+            parallel(4),
+        ]
+    }
+
+    /// Run `src` under `Relaxed {quantum}` and under `RelaxedParallel` at
+    /// 1, 2 and 4 host threads, asserting observable state bit-identical
+    /// to the stepped reference's.
     fn assert_parallel_matches_relaxed(src: &str, n_cores: u32, quantum: u64) {
-        let reference = run_mode(
-            src,
-            n_cores,
-            SchedMode::Relaxed {
-                quantum,
-                timing: TimingModel::Unit,
-            },
-            50_000_000,
-        );
-        for host_threads in [1u32, 2, 4] {
-            let par = run_mode(
-                src,
-                n_cores,
-                SchedMode::RelaxedParallel {
-                    quantum,
-                    host_threads,
-                    timing: TimingModel::Unit,
-                },
-                50_000_000,
-            );
-            assert_identical(
-                &reference,
-                &par,
-                &format!("q={quantum} ht={host_threads} cores={n_cores}"),
-            );
+        let timing = TimingModel::Unit;
+        let mut reference = build(src, n_cores, SchedMode::Exact);
+        reference
+            .run_relaxed_stepped(quantum, timing, 50_000_000)
+            .expect("run");
+        for sched in relaxed_modes(quantum, timing) {
+            let sys = run_mode(src, n_cores, sched, 50_000_000);
+            assert_identical(&reference, &sys, &format!("{sched:?} cores={n_cores}"));
         }
     }
 
@@ -1216,7 +1286,7 @@ mod tests {
     fn parallel_rng_stream_matches_relaxed() {
         // Both cores drain the shared xorshift32 stream into their own
         // scratch page: the draws are interactive and must interleave in
-        // exactly the order the sequential schedule produces.
+        // exactly the order the stepped reference produces.
         let src = "
             _start: li   t0, 0xF0000004
                     lw   t1, (t0)          # core id
@@ -1240,6 +1310,199 @@ mod tests {
     #[test]
     fn parallel_three_cores_matches_relaxed() {
         assert_parallel_matches_relaxed(BARRIER_SPIKES_SRC, 3, 7);
+    }
+
+    /// Run the two-core program `src` on every scheduler — exact, the
+    /// stepped relaxed reference, `Relaxed` and `RelaxedParallel` at 1, 2
+    /// and 4 host threads, at quanta 1, 7 and the default on both clocks —
+    /// and require the console `expected` from each. With `span`, the
+    /// loop at that label is registered as a kernel span first; it must
+    /// batch core 1's work at the default quantum, and every relaxed run
+    /// must leave it rejected.
+    fn assert_console_everywhere(src: &str, expected: &str, span: Option<&str>) {
+        let prog = Assembler::new().assemble(src).expect("asm");
+        let build = |sched| {
+            let mut sys = System::new(SystemConfig {
+                n_cores: 2,
+                sched,
+                ..Default::default()
+            });
+            assert!(sys.load_program(&prog));
+            if let Some(label) = span {
+                let entry = prog.symbol(label).expect("span label");
+                let shared = sys.shared_mut();
+                crate::kernel::register_kernel_span(&mut shared.code, &shared.mem, entry)
+                    .expect("span registers");
+            }
+            sys
+        };
+        let mut exact = build(SchedMode::Exact);
+        exact.run(1_000_000).expect("exact run");
+        assert_eq!(exact.console(), expected, "exact");
+        for timing in [TimingModel::Unit, TimingModel::Estimated] {
+            for quantum in [1u64, 7, SchedMode::DEFAULT_QUANTUM] {
+                let mut stepped = build(SchedMode::Exact);
+                stepped
+                    .run_relaxed_stepped(quantum, timing, 1_000_000)
+                    .expect("stepped run");
+                assert_eq!(
+                    stepped.console(),
+                    expected,
+                    "stepped {timing:?} q={quantum}"
+                );
+                for sched in relaxed_modes(quantum, timing) {
+                    let mut sys = build(sched);
+                    sys.run(1_000_000).expect("relaxed run");
+                    assert_eq!(sys.console(), expected, "{sched:?}");
+                    if span.is_some() {
+                        let spans = sys.shared().code.kernel_spans();
+                        assert_eq!(spans[0].state, SpanState::Rejected, "{sched:?}");
+                        if quantum == SchedMode::DEFAULT_QUANTUM {
+                            assert!(sys.core(1).kernel_instret > 0, "{sched:?}: no batch");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn code_patched_across_a_barrier_runs_patched_on_every_scheduler() {
+        // Core 0 stores `addi a0, x0, 2` over core 1's `target`; after
+        // the barrier core 1 runs it and prints a0.
+        let src = "
+            _start: li   t0, 0xF0000004
+                    lw   t1, (t0)          # core id
+                    bnez t1, wait
+                    la   t2, target
+                    li   t3, 0x00200513    # addi a0, x0, 2
+                    sw   t3, (t2)
+            wait:   li   t4, 0xF0000010
+                    lw   t5, (t4)
+                    sw   x0, (t4)          # arrive
+            spin:   lw   t6, (t4)
+                    beq  t6, t5, spin
+                    beqz t1, done
+            target: addi a0, x0, 1
+                    li   a7, 1
+                    ecall                  # print a0
+            done:   ebreak
+        ";
+        assert_console_everywhere(src, "2", None);
+    }
+
+    #[test]
+    fn repeat_code_patches_reach_the_other_cores() {
+        // Two barrier-ordered passes: core 0 patches `target` (2, then 3)
+        // and core 1 runs it after each patch. Core 0 never runs
+        // `target`, so its second store lands on a slot its own table
+        // already holds stale.
+        let src = "
+            _start: li   t0, 0xF0000004
+                    lw   s1, (t0)          # core id
+                    li   s8, 0xF0000010    # barrier
+                    la   s2, target
+                    li   s3, 0x00200513    # addi a0, x0, 2
+                    li   s4, 0x00300513    # addi a0, x0, 3
+                    li   a7, 1
+                    li   s5, 2             # passes
+            pass:   bnez s1, arrive
+                    sw   s3, (s2)
+                    mv   s3, s4
+            arrive: lw   t5, (s8)
+                    sw   x0, (s8)
+            spin:   lw   t6, (s8)
+                    beq  t6, t5, spin
+                    beqz s1, sync
+            target: addi a0, x0, 1
+                    ecall                  # print a0
+            sync:   lw   t5, (s8)          # core 0 patches after core 1 ran
+                    sw   x0, (s8)
+            spin2:  lw   t6, (s8)
+                    beq  t6, t5, spin2
+                    addi s5, s5, -1
+                    bnez s5, pass
+                    ebreak
+        ";
+        assert_console_everywhere(src, "23", None);
+    }
+
+    #[test]
+    fn scratch_code_patches_reach_a_core_that_ran_it() {
+        // Core 0 writes a two-word routine into the scratchpad (2, then 3)
+        // and core 1 calls it after each write. Only core 1 ever fetches
+        // from the scratchpad, so core 0 logs its second write only
+        // because the commit pass widened its table to core 1's windows.
+        let src = "
+            .equ OVL, 0x10008000
+            _start: li   t0, 0xF0000004
+                    lw   s1, (t0)          # core id
+                    li   s8, 0xF0000010    # barrier
+                    li   s2, OVL
+                    li   s3, 0x00200513    # addi a0, x0, 2
+                    li   s4, 0x00300513    # addi a0, x0, 3
+                    li   s6, 0x00008067    # ret
+                    li   a7, 1
+                    li   s5, 2             # passes
+            pass:   bnez s1, arrive
+                    sw   s3, 0(s2)
+                    sw   s6, 4(s2)
+                    mv   s3, s4
+            arrive: lw   t5, (s8)
+                    sw   x0, (s8)
+            spin:   lw   t6, (s8)
+                    beq  t6, t5, spin
+                    beqz s1, sync
+                    jalr s2                # call the routine
+                    ecall                  # print a0
+            sync:   lw   t5, (s8)
+                    sw   x0, (s8)
+            spin2:  lw   t6, (s8)
+                    beq  t6, t5, spin2
+                    addi s5, s5, -1
+                    bnez s5, pass
+                    ebreak
+        ";
+        assert_console_everywhere(src, "23", None);
+    }
+
+    #[test]
+    fn kernel_span_patches_reach_a_core_that_ran_it() {
+        // Core 1 runs the registered loop `kloop` twice; between the
+        // passes core 0 patches its increment from 1 to 2. The span core 1
+        // verified in pass 1 must see the store, re-verify and reject.
+        let src = "
+            _start: li   t0, 0xF0000004
+                    lw   s1, (t0)          # core id
+                    li   s8, 0xF0000010    # barrier
+                    la   s2, kloop
+                    li   s3, 0x00250513    # addi a0, a0, 2
+                    li   a7, 1
+                    li   s5, 0             # pass index
+            pass:   bnez s1, arrive
+                    beqz s5, arrive        # patch before the second pass
+                    sw   s3, (s2)
+            arrive: lw   t5, (s8)
+                    sw   x0, (s8)
+            spin:   lw   t6, (s8)
+                    beq  t6, t5, spin
+                    beqz s1, sync
+                    li   a0, 0
+                    li   t1, 10
+            kloop:  addi a0, a0, 1
+                    addi t1, t1, -1
+                    bnez t1, kloop
+                    ecall                  # print a0
+            sync:   lw   t5, (s8)
+                    sw   x0, (s8)
+            spin2:  lw   t6, (s8)
+                    beq  t6, t5, spin2
+                    addi s5, s5, 1
+                    li   t0, 2
+                    bne  s5, t0, pass
+                    ebreak
+        ";
+        assert_console_everywhere(src, "1020", Some("kloop"));
     }
 
     #[test]

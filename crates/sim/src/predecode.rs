@@ -52,10 +52,10 @@ use crate::mem::{layout, MainMemory};
 ///
 /// [`CodeTable`] is a pure cache over the bytes actually resident in RAM;
 /// abstracting the word read lets the same table logic run against
-/// [`MainMemory`] (the exact and relaxed schedulers) *and* against the
-/// raw sharded RAM view the host-parallel scheduler hands each worker
-/// thread (which cannot hold a `&MainMemory` while other threads write
-/// disjoint guest addresses).
+/// [`MainMemory`] (the exact scheduler and the stepped references) *and*
+/// against the raw sharded RAM view the relaxed scheduler hands each
+/// worker thread (which cannot hold a `&MainMemory` while other threads
+/// write disjoint guest addresses).
 pub trait CodeMem {
     /// Read the aligned 32-bit word at `addr`; `None` if unmapped.
     fn code_word(&self, addr: u32) -> Option<u32>;
@@ -297,15 +297,17 @@ const GROW_BYTES: u32 = 64 * 1024;
 pub const MAX_SB: usize = 32;
 
 /// The per-system predecode tables (shared by all cores under the exact
-/// and relaxed schedulers; the host-parallel scheduler clones one shard
-/// per core — the table is a pure cache, so divergent shards stay correct).
+/// scheduler and the stepped references; the relaxed scheduler clones one
+/// shard per core — the table is a pure cache, so divergent shards stay
+/// correct once each core's stores into code reach the other shards,
+/// which the scheduler's commit pass sees to).
 ///
 /// Alongside the per-slot stream the table carries the **superblock
 /// index**: `sb_len[x]` is the length of the straight-line fused run
 /// starting at SDRAM slot `x` (`0` = not yet formed, `1` = unfusible,
 /// `>= 2` = a run the interpreter may execute as one dispatch), and
 /// `sb_est[x]` its total [`CostTable::DEFAULT`] cost (the relaxed
-/// schedulers' conservative bound-check sum). Formation only ever fuses
+/// clocks' conservative bound-check sum). Formation only ever fuses
 /// already-decoded SDRAM slots, so a `Stale` slot is never covered by a
 /// block — the store-to-code guard relies on that invariant to skip the
 /// overlap backscan for never-executed (data) slots.
@@ -558,14 +560,18 @@ impl CodeTable {
     /// slots skip the overlap backscan entirely (a stale slot is never
     /// covered by a block — see the struct docs), so repeated data stores
     /// inside the code window stay one branch each.
+    ///
+    /// Returns whether the store landed where this table may hold decoded
+    /// code: a materialised window or a kernel span. The relaxed scheduler
+    /// replays exactly those stores into the other cores' tables.
     #[inline]
-    pub fn invalidate_store(&mut self, addr: u32) {
+    pub fn invalidate_store(&mut self, addr: u32) -> bool {
         // Kernel spans carry decoded copies of their code words, so the
         // guard must reach them even when the covered slot is already
         // Stale (e.g. right after a table rebuild adopted the spans).
-        self.kernels.note_store(addr);
+        let in_span = self.kernels.note_store(addr);
         let x = (addr >> 2) as usize;
-        if let Some(slot) = self.sdram.get_mut(x) {
+        let in_window = if let Some(slot) = self.sdram.get_mut(x) {
             if slot.state != SlotState::Stale {
                 slot.state = SlotState::Stale;
                 for y in x.saturating_sub(MAX_SB - 1)..=x {
@@ -574,11 +580,38 @@ impl CodeTable {
                     }
                 }
             }
+            true
         } else {
             let off = addr.wrapping_sub(layout::SCRATCH_BASE);
-            if let Some(slot) = self.scratch.get_mut((off >> 2) as usize) {
-                slot.state = SlotState::Stale;
+            match self.scratch.get_mut((off >> 2) as usize) {
+                Some(slot) => {
+                    slot.state = SlotState::Stale;
+                    true
+                }
+                None => false,
             }
+        };
+        in_span | in_window
+    }
+
+    /// Extent of the materialised windows: SDRAM slots, and whether the
+    /// scratchpad window exists.
+    pub(crate) fn window(&self) -> (usize, bool) {
+        (self.sdram.len(), !self.scratch.is_empty())
+    }
+
+    /// Grow the materialised windows to cover `other`'s, with the new
+    /// slots [`SlotState::Stale`]. The relaxed scheduler keeps the cores'
+    /// tables equally wide, so a store lands in one core's windows
+    /// wherever another core may have decoded code.
+    pub(crate) fn widen_to(&mut self, other: &CodeTable) {
+        if other.sdram.len() > self.sdram.len() {
+            self.sdram.resize(other.sdram.len(), PreInst::EMPTY);
+            self.sb_len.resize(other.sdram.len(), 0);
+            self.sb_est.resize(other.sdram.len(), 0);
+        }
+        if self.scratch.is_empty() && !other.scratch.is_empty() {
+            self.scratch = vec![PreInst::EMPTY; other.scratch.len()];
         }
     }
 

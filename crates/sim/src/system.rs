@@ -74,6 +74,10 @@ pub enum SchedMode {
     /// confined to barrier/mutex synchronisation; cycle counts, per-core
     /// interleaving and the MMIO RNG/spike-log *order* are not preserved.
     /// Runs are fully deterministic.
+    ///
+    /// This is the one relaxed scheduler ([`crate::parallel`]) on one
+    /// host thread: [`SchedMode::RelaxedParallel`] at the same quantum
+    /// and clock is the same run, bit for bit, at any thread count.
     Relaxed {
         /// Scheduling quantum in relaxed-clock cycles (= instructions
         /// under `Unit` timing).
@@ -83,21 +87,22 @@ pub enum SchedMode {
         /// Relaxed-clock cost model.
         timing: TimingModel,
     },
-    /// Host-parallel relaxed scheduling: the same round-robin quantum
-    /// structure as [`SchedMode::Relaxed`], but the quanta execute in
-    /// waves on host threads against a sharded memory view (see
-    /// [`crate::parallel`]). Shared-interactive device traffic (mutex,
-    /// barrier arrivals, RNG, stimulus) is detected before it executes
-    /// and committed op by op in ascending hart order, and each core's
-    /// append-only device output (spike log, console, progress) is
-    /// buffered per core and merged in the same hart order — so a
-    /// `RelaxedParallel` run is **bit-identical to `Relaxed` at the same
-    /// quantum, at every host-thread count**: registers, memory, cycles,
-    /// instret, spike-log order, everything (the `prop_sched_parallel`
-    /// suite pins this). The guest contract is the relaxed one, sharpened:
-    /// cores must confine cross-core memory traffic to barrier/mutex
-    /// synchronisation — between two device synchronisations, plain
-    /// loads/stores of other cores' data race on the host.
+    /// The relaxed scheduler of [`SchedMode::Relaxed`] on `host_threads`
+    /// host threads: the quanta execute in waves against a sharded
+    /// memory view (see [`crate::parallel`]). Shared-interactive device
+    /// traffic (mutex, barrier arrivals, RNG, stimulus) is detected
+    /// before it executes and committed op by op in ascending hart order,
+    /// and each core's append-only device output (spike log, console,
+    /// progress) is buffered per core and merged in the same hart order —
+    /// so a run is **bit-identical to the stepped reference
+    /// [`System::run_relaxed_stepped`] at the same quantum and clock, at
+    /// every host-thread count**, one ([`SchedMode::Relaxed`]) included:
+    /// registers, memory, cycles, instret, spike-log order, everything
+    /// (the `prop_sched_parallel` suite pins this). The guest contract is
+    /// the relaxed one, sharpened: cores must confine cross-core memory
+    /// traffic to barrier/mutex synchronisation — between two device
+    /// synchronisations, plain loads/stores of other cores' data race on
+    /// the host.
     RelaxedParallel {
         /// Scheduling quantum in relaxed-clock cycles (= instructions
         /// under `Unit` timing).
@@ -108,8 +113,8 @@ pub enum SchedMode {
         /// ([`crate::parallel::resolve_host_threads`]).
         /// Results never depend on this value — only wall time does.
         host_threads: u32,
-        /// Relaxed-clock cost model (shared with [`SchedMode::Relaxed`]:
-        /// the bit-identity contract holds per timing model).
+        /// Relaxed-clock cost model (the bit-identity contract holds per
+        /// timing model).
         timing: TimingModel,
     },
 }
@@ -307,8 +312,10 @@ pub struct Shared {
 
 /// The historical execution context: every method inlines to exactly the
 /// field accesses the interpreter made before [`ExecCtx`] existed, so the
-/// exact and single-threaded relaxed schedulers compile to the same hot
-/// loops as before the host-parallel refactor.
+/// exact scheduler compiles to the same hot loop as before the
+/// host-parallel refactor. The stepped references
+/// ([`System::run_stepped`], [`System::run_relaxed_stepped`]) step on it
+/// too.
 impl ExecCtx for Shared {
     #[inline(always)]
     fn fetch(&mut self, pc: u32) -> PreInst {
@@ -555,7 +562,7 @@ pub struct System {
     pub(crate) cfg: SystemConfig,
     pub(crate) cores: Vec<Core>,
     pub(crate) shared: Shared,
-    /// Work split of the last host-parallel run ([`System::parallel_stats`]).
+    /// Work split of the last relaxed run ([`System::parallel_stats`]).
     pub(crate) par_stats: ParallelStats,
 }
 
@@ -708,39 +715,39 @@ impl System {
     /// (the predecode regression and exactness suites and the `prop_exact`
     /// property pin this).
     ///
-    /// Under [`SchedMode::Relaxed`] cores run round-robin in long quanta on
-    /// the relaxed clock; see the enum docs for the semantics contract.
+    /// Under [`SchedMode::Relaxed`] and [`SchedMode::RelaxedParallel`]
+    /// cores run round-robin in long quanta on the relaxed clock, through
+    /// the one relaxed scheduler ([`crate::parallel`]) on one host thread
+    /// or on `host_threads`; see the enum docs for the semantics contract.
+    /// Either run equals [`System::run_relaxed_stepped`] bit for bit, up
+    /// to a trap or a budget stop: those report the reference's error,
+    /// but cores later in hart order than the one that stopped may have
+    /// run further than the reference runs them.
     pub fn run(&mut self, max_cycles: u64) -> Result<RunExit, SimError> {
         let mut wd = Watchdog::new(self.cfg.wall_limit);
         let wd = &mut wd;
         self.par_stats = ParallelStats::default();
-        match self.cfg.sched {
-            SchedMode::Relaxed { quantum, timing } => match timing {
-                TimingModel::Unit => self.run_relaxed::<UnitTiming>(quantum, max_cycles, wd)?,
-                TimingModel::Estimated => {
-                    self.run_relaxed::<EstimatedTiming>(quantum, max_cycles, wd)?
-                }
-            },
-            SchedMode::RelaxedParallel {
-                quantum,
-                host_threads,
-                timing,
-            } => match timing {
-                TimingModel::Unit => {
-                    self.run_relaxed_parallel::<UnitTiming>(quantum, host_threads, max_cycles, wd)?
-                }
-                TimingModel::Estimated => self.run_relaxed_parallel::<EstimatedTiming>(
-                    quantum,
-                    host_threads,
-                    max_cycles,
-                    wd,
-                )?,
-            },
+        let (quantum, host_threads, timing) = match self.cfg.sched {
             SchedMode::Exact => {
                 if self.cores.len() == 2 {
                     self.run_exact_fused(max_cycles, wd)?;
                 }
                 self.run_exact_scan(max_cycles, wd)?;
+                return Ok(self.exit_summary());
+            }
+            SchedMode::Relaxed { quantum, timing } => (quantum, 1, timing),
+            SchedMode::RelaxedParallel {
+                quantum,
+                host_threads,
+                timing,
+            } => (quantum, host_threads, timing),
+        };
+        match timing {
+            TimingModel::Unit => {
+                self.run_relaxed_parallel::<UnitTiming>(quantum, host_threads, max_cycles, wd)?
+            }
+            TimingModel::Estimated => {
+                self.run_relaxed_parallel::<EstimatedTiming>(quantum, host_threads, max_cycles, wd)?
             }
         }
         Ok(self.exit_summary())
@@ -906,77 +913,12 @@ impl System {
         }
     }
 
-    /// Relaxed round-robin scheduler: each live core runs a quantum on the
-    /// relaxed clock (one cycle per instruction), cores arriving at an
-    /// incomplete barrier round park until release, and rotation order is
-    /// always ascending hart id — runs are fully deterministic.
-    ///
-    /// This loop is the reference schedule the host-parallel scheduler
-    /// ([`crate::parallel`]) reproduces bit for bit; change the two in
-    /// lockstep (the `prop_sched_parallel` suite pins the equivalence).
-    pub(crate) fn run_relaxed<T: Timing>(
-        &mut self,
-        quantum: u64,
-        max_cycles: u64,
-        wd: &mut Watchdog,
-    ) -> Result<(), SimError> {
-        let quantum = quantum.max(1);
-        let n = self.cores.len();
-        // Generation at which each parked core arrived; it becomes runnable
-        // again as soon as the device's generation moves past it.
-        let mut parked_gen: Vec<Option<u32>> = vec![None; n];
-        loop {
-            // One wall-clock check per rotation: a rotation is at most
-            // n × quantum relaxed cycles, so the cadence is bounded.
-            wd.check()?;
-            let mut any_ran = false;
-            let mut all_halted = true;
-            let shared = &mut self.shared;
-            for (i, (core, parked)) in self.cores.iter_mut().zip(&mut parked_gen).enumerate() {
-                if core.halted() {
-                    continue;
-                }
-                all_halted = false;
-                if let Some(gen) = *parked {
-                    if shared.dev.barrier_generation() == gen {
-                        continue; // still waiting for the round to complete
-                    }
-                    *parked = None;
-                    core.clear_parked();
-                }
-                any_ran = true;
-                let bound = core.time.saturating_add(quantum - 1);
-                match core
-                    .run_while::<T, _>(shared, bound, max_cycles)
-                    .map_err(|cause| SimError::Trap {
-                        core: i as u32,
-                        cause,
-                    })? {
-                    RunStop::Halted | RunStop::Bound => {}
-                    RunStop::Parked => {
-                        *parked = Some(shared.dev.barrier_generation());
-                    }
-                    RunStop::Budget => return Err(SimError::Timeout { max_cycles }),
-                    RunStop::SharedOp => unreachable!("the whole-system context never defers"),
-                }
-            }
-            if all_halted {
-                return Ok(());
-            }
-            if !any_ran {
-                // Every live core is parked at a barrier round that can no
-                // longer complete (some expected arrival halted first).
-                // The exact scheduler would spin those cores into the cycle
-                // budget; surface the same condition directly.
-                return Err(SimError::Timeout { max_cycles });
-            }
-        }
-    }
-
-    /// Where the last [`System::run`] did its work under
-    /// [`SchedMode::RelaxedParallel`]: rounds, waves, and the instructions
-    /// retired in waves versus in the sequential commit pass. All zeros
-    /// after a run under any other mode, or on a single core.
+    /// Where the last [`System::run`] did its relaxed work: rounds, waves,
+    /// and the instructions retired in waves versus in the sequential
+    /// commit pass. The counts follow from the schedule alone, so
+    /// [`SchedMode::Relaxed`] and [`SchedMode::RelaxedParallel`] report
+    /// the same ones at every host-thread count. All zeros after an exact
+    /// run.
     pub fn parallel_stats(&self) -> ParallelStats {
         self.par_stats
     }
@@ -1023,6 +965,99 @@ impl System {
                 core: i as u32,
                 cause,
             })?;
+        }
+    }
+
+    /// The relaxed schedule by definition, one instruction per step: each
+    /// round, every live core in ascending hart order runs a quantum of
+    /// `quantum` cycles on the `timing` clock, one `Core::exec_one` at a
+    /// time on the whole-system state — no superblocks, kernel spans or
+    /// waves. A core that arrives at an incomplete barrier round parks
+    /// until the barrier's generation moves, and a round in which every
+    /// live core stays parked times out. This is the reference
+    /// [`SchedMode::Relaxed`] and [`SchedMode::RelaxedParallel`] runs must
+    /// equal bit for bit (the `prop_sched_parallel` suite compares them);
+    /// like [`System::run_stepped`] it ignores [`SystemConfig::sched`] and
+    /// [`SystemConfig::wall_limit`].
+    pub fn run_relaxed_stepped(
+        &mut self,
+        quantum: u64,
+        timing: TimingModel,
+        max_cycles: u64,
+    ) -> Result<RunExit, SimError> {
+        match timing {
+            TimingModel::Unit => self.relaxed_stepped::<UnitTiming>(quantum, max_cycles),
+            TimingModel::Estimated => self.relaxed_stepped::<EstimatedTiming>(quantum, max_cycles),
+        }
+    }
+
+    /// [`System::run_relaxed_stepped`] on the clock `T`.
+    fn relaxed_stepped<T: Timing>(
+        &mut self,
+        quantum: u64,
+        max_cycles: u64,
+    ) -> Result<RunExit, SimError> {
+        let quantum = quantum.max(1);
+        // Generation at which each parked core arrived; it runs again once
+        // the device's generation has moved past it.
+        let mut parked_gen: Vec<Option<u32>> = vec![None; self.cores.len()];
+        loop {
+            let mut any_ran = false;
+            let mut all_halted = true;
+            for (i, (core, parked)) in self.cores.iter_mut().zip(&mut parked_gen).enumerate() {
+                if core.halted() {
+                    continue;
+                }
+                all_halted = false;
+                if let Some(gen) = *parked {
+                    if self.shared.dev.barrier_generation() == gen {
+                        continue;
+                    }
+                    *parked = None;
+                    core.clear_parked();
+                }
+                any_ran = true;
+                let bound = core.time.saturating_add(quantum - 1);
+                // `Core::run_while`'s checks, in its order, before every
+                // instruction.
+                let stop = loop {
+                    if core.halted() {
+                        break Ok(RunStop::Halted);
+                    }
+                    if core.parked() {
+                        break Ok(RunStop::Parked);
+                    }
+                    if core.time > bound {
+                        break Ok(RunStop::Bound);
+                    }
+                    if core.time > max_cycles {
+                        break Ok(RunStop::Budget);
+                    }
+                    if let Err(cause) = core.exec_one::<T, _>(&mut self.shared) {
+                        break Err(cause);
+                    }
+                };
+                core.sync_counters();
+                match stop.map_err(|cause| SimError::Trap {
+                    core: i as u32,
+                    cause,
+                })? {
+                    RunStop::Halted | RunStop::Bound => {}
+                    RunStop::Parked => *parked = Some(self.shared.dev.barrier_generation()),
+                    RunStop::Budget => return Err(SimError::Timeout { max_cycles }),
+                    RunStop::SharedOp => unreachable!("the whole-system context never defers"),
+                }
+            }
+            if all_halted {
+                return Ok(self.exit_summary());
+            }
+            if !any_ran {
+                // Every live core is parked at a barrier round that can no
+                // longer complete (some expected arrival halted first).
+                // The exact scheduler would spin those cores into the cycle
+                // budget; surface the same condition directly.
+                return Err(SimError::Timeout { max_cycles });
+            }
         }
     }
 }

@@ -1,10 +1,14 @@
-//! Differential property suite for the host-parallel relaxed scheduler.
+//! Differential property suite for the relaxed scheduler.
 //!
-//! `SchedMode::RelaxedParallel` promises to be **bit-identical** to the
-//! single-threaded `SchedMode::Relaxed` at the same quantum, for every
-//! host-thread count — registers, cycles, instret, memory, and the exact
-//! *order* of every device log (spike FIFO, console, progress), plus the
-//! shared RNG stream and mutex contention counts.
+//! `SchedMode::Relaxed` (the scheduler on one host thread) and
+//! `SchedMode::RelaxedParallel` at every host-thread count promise to be
+//! **bit-identical** to the stepped reference
+//! `System::run_relaxed_stepped` at the same quantum and clock —
+//! registers, cycles, instret, memory, and the exact *order* of every
+//! device log (spike FIFO, console, progress), plus the shared RNG stream
+//! and mutex contention counts. The reference steps one instruction at a
+//! time on the whole-system state, with no superblocks, kernel spans or
+//! waves, so the suite also cross-checks both batch tiers.
 //!
 //! The programs here are random but race-free by construction: every core
 //! runs the same instruction sequence against its own scratch page
@@ -17,6 +21,7 @@
 //! state 8× under the threaded scheduler and asserts byte identity,
 //! catching latent host-ordering races even when the host has one CPU.
 
+use izhi_isa::asm::Program;
 use izhi_isa::encode;
 use izhi_isa::inst::{AluImmOp, AluOp, Inst, LoadOp, StoreOp};
 use izhi_isa::reg::Reg;
@@ -163,7 +168,7 @@ fn arb_inst() -> impl Strategy<Value = Inst> {
     ]
 }
 
-fn run(insts: &[Inst], n_cores: u32, sched: SchedMode) -> System {
+fn load(insts: &[Inst], n_cores: u32, sched: SchedMode) -> System {
     let cfg = SystemConfig {
         n_cores,
         sched,
@@ -176,8 +181,37 @@ fn run(insts: &[Inst], n_cores: u32, sched: SchedMode) -> System {
         addr += 4;
     }
     sys.shared_mut().mem.write_u32(addr, encode(Inst::Ebreak));
+    sys
+}
+
+fn run(insts: &[Inst], n_cores: u32, sched: SchedMode) -> System {
+    let mut sys = load(insts, n_cores, sched);
     sys.run(10_000_000).expect("straight-line program trapped");
     sys
+}
+
+/// The stepped reference run of `insts`.
+fn run_reference(insts: &[Inst], n_cores: u32, quantum: u64, timing: TimingModel) -> System {
+    let mut sys = load(insts, n_cores, SchedMode::Exact);
+    sys.run_relaxed_stepped(quantum, timing, 10_000_000)
+        .expect("straight-line program trapped");
+    sys
+}
+
+/// The relaxed scheduler's spellings at one quantum and clock: `Relaxed`,
+/// and `RelaxedParallel` at 1, 2 and 4 host threads.
+fn relaxed_modes(quantum: u64, timing: TimingModel) -> [SchedMode; 4] {
+    let parallel = |host_threads| SchedMode::RelaxedParallel {
+        quantum,
+        host_threads,
+        timing,
+    };
+    [
+        SchedMode::Relaxed { quantum, timing },
+        parallel(1),
+        parallel(2),
+        parallel(4),
+    ]
 }
 
 /// Serialise everything observable about a finished system: registers,
@@ -216,67 +250,54 @@ fn core_state(sys: &System, core: usize) -> (Vec<u32>, u32, PerfCounters) {
     ((0..32).map(|r| c.reg(Reg(r))).collect(), c.pc(), c.counters)
 }
 
-/// `RelaxedParallel` must be bit-identical to `Relaxed`: same quantum →
-/// same everything, at any host-thread count.
-fn assert_bit_identical(reference: &System, par: &System, quantum: u64, host_threads: u32) {
+/// A relaxed run must be bit-identical to the stepped reference: same
+/// quantum and clock → same everything, at any host-thread count.
+fn assert_bit_identical(reference: &System, sys: &System, sched: SchedMode) {
     let n = reference.n_cores();
     for core in 0..n {
         for r in 0..32u8 {
             prop_assert_eq!(
                 reference.core(core).reg(Reg(r)),
-                par.core(core).reg(Reg(r)),
-                "core {} x{} diverges at quantum {} / {} host threads",
+                sys.core(core).reg(Reg(r)),
+                "core {} x{} diverges under {:?}",
                 core,
                 r,
-                quantum,
-                host_threads
+                sched
             );
         }
         prop_assert_eq!(
             reference.core(core).time,
-            par.core(core).time,
-            "core {} cycles diverge at quantum {} / {} host threads",
+            sys.core(core).time,
+            "core {} cycles diverge under {:?}",
             core,
-            quantum,
-            host_threads
+            sched
         );
         prop_assert_eq!(
             reference.core(core).counters,
-            par.core(core).counters,
-            "core {} counters diverge at quantum {} / {} host threads",
+            sys.core(core).counters,
+            "core {} counters diverge under {:?}",
             core,
-            quantum,
-            host_threads
+            sched
         );
     }
     prop_assert_eq!(
         serialize_state(reference),
-        serialize_state(par),
-        "full state diverges at quantum {} / {} host threads",
-        quantum,
-        host_threads
+        serialize_state(sys),
+        "full state diverges under {:?}",
+        sched
     );
 }
 
-/// The parallel bit-identity contract holds **per timing model**: the
-/// Estimated clock changes the interleaving (quanta are cycle-bounded)
-/// but the parallel scheduler must still reproduce the sequential
-/// schedule of the same timing model bit for bit.
+/// The bit-identity contract holds **per timing model**: the Estimated
+/// clock changes the interleaving (quanta are cycle-bounded) but every
+/// host-thread count must still reproduce the stepped schedule of the
+/// same timing model bit for bit.
 fn check_all_host_thread_counts(insts: &[Inst], n_cores: u32) {
     for timing in [TimingModel::Unit, TimingModel::Estimated] {
         for quantum in [1u64, 7, 64] {
-            let reference = run(insts, n_cores, SchedMode::Relaxed { quantum, timing });
-            for host_threads in [1u32, 2, 4] {
-                let par = run(
-                    insts,
-                    n_cores,
-                    SchedMode::RelaxedParallel {
-                        quantum,
-                        host_threads,
-                        timing,
-                    },
-                );
-                assert_bit_identical(&reference, &par, quantum, host_threads);
+            let reference = run_reference(insts, n_cores, quantum, timing);
+            for sched in relaxed_modes(quantum, timing) {
+                assert_bit_identical(&reference, &run(insts, n_cores, sched), sched);
             }
         }
     }
@@ -284,6 +305,16 @@ fn check_all_host_thread_counts(insts: &[Inst], n_cores: u32) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// One core: every relaxed run takes the coordinator, so the one-core
+    /// schedule (rounds of one segment, deferred ops on the coordinator)
+    /// must match the stepped reference too.
+    #[test]
+    fn parallel_matches_relaxed_one_core(
+        insts in prop::collection::vec(arb_inst(), 1..80),
+    ) {
+        check_all_host_thread_counts(&insts, 1);
+    }
 
     /// Two cores: random core-disjoint programs with interactive and
     /// buffered MMIO traffic, across quanta {1, 7, 64} × host threads
@@ -379,24 +410,58 @@ fn repeated_parallel_runs_serialize_identically() {
     }
 }
 
+/// `asm` loaded on a fresh `n_cores`-core system under `sched` and
+/// `faults`.
+fn load_asm(asm: &Program, n_cores: u32, sched: SchedMode, faults: FaultPlan) -> System {
+    let mut sys = System::new(SystemConfig {
+        n_cores,
+        sched,
+        faults,
+        ..Default::default()
+    });
+    assert!(sys.load_program(asm));
+    sys
+}
+
+/// The stepped reference run of `asm`, and how it ended.
+fn reference_asm(
+    asm: &Program,
+    n_cores: u32,
+    quantum: u64,
+    timing: TimingModel,
+    faults: FaultPlan,
+    max_cycles: u64,
+) -> (Result<(), SimError>, System) {
+    let mut sys = load_asm(asm, n_cores, SchedMode::Exact, faults);
+    let out = sys
+        .run_relaxed_stepped(quantum, timing, max_cycles)
+        .map(drop);
+    (out, sys)
+}
+
+/// `System::run` of `asm` under `sched`, and how it ended.
+fn run_asm(
+    asm: &Program,
+    n_cores: u32,
+    sched: SchedMode,
+    faults: FaultPlan,
+    max_cycles: u64,
+) -> (Result<(), SimError>, System) {
+    let mut sys = load_asm(asm, n_cores, sched, faults);
+    let out = sys.run(max_cycles).map(drop);
+    (out, sys)
+}
+
 #[test]
 fn barrier_mix_matches_relaxed_and_counts() {
     let asm = izhi_isa::Assembler::new()
         .assemble(BARRIER_MIX_SRC)
         .expect("asm");
-    let run_mode = |sched: SchedMode| {
-        let mut sys = System::new(SystemConfig {
-            n_cores: 3,
-            sched,
-            ..Default::default()
-        });
-        assert!(sys.load_program(&asm));
-        sys.run(10_000_000).expect("run");
-        sys
-    };
     for timing in [TimingModel::Unit, TimingModel::Estimated] {
         for quantum in [1u64, 7, 64] {
-            let reference = run_mode(SchedMode::Relaxed { quantum, timing });
+            let (done, reference) =
+                reference_asm(&asm, 3, quantum, timing, FaultPlan::none(), 10_000_000);
+            done.expect("run");
             // The mutex-guarded counter proves mutual exclusion survived.
             assert_eq!(
                 reference
@@ -405,16 +470,13 @@ fn barrier_mix_matches_relaxed_and_counts() {
                     .read_u32(layout::SCRATCH_BASE + 0x3000),
                 Some(120)
             );
-            for host_threads in [1u32, 2, 4] {
-                let par = run_mode(SchedMode::RelaxedParallel {
-                    quantum,
-                    host_threads,
-                    timing,
-                });
+            for sched in relaxed_modes(quantum, timing) {
+                let (done, sys) = run_asm(&asm, 3, sched, FaultPlan::none(), 10_000_000);
+                done.expect("run");
                 assert_eq!(
                     serialize_state(&reference),
-                    serialize_state(&par),
-                    "{timing:?} quantum {quantum} host_threads {host_threads}"
+                    serialize_state(&sys),
+                    "{sched:?}"
                 );
             }
         }
@@ -425,31 +487,13 @@ fn barrier_mix_matches_relaxed_and_counts() {
 /// release and barrier arrival of [`BARRIER_MIX_SRC`] is a deferred op,
 /// run alone on the coordinator; a guest trap fired there, and a cycle
 /// budget that runs out among them, must surface as the same
-/// [`SimError`] the sequential scheduler reports, on both clocks and at
-/// every host-thread count.
+/// [`SimError`] the stepped reference reports, on one core and on three,
+/// on both clocks and at every host-thread count.
 #[test]
 fn deferred_op_traps_and_budgets_match_relaxed() {
     let asm = izhi_isa::Assembler::new()
         .assemble(BARRIER_MIX_SRC)
         .expect("asm");
-    let run_mode = |sched: SchedMode, faults: FaultPlan, max_cycles: u64| {
-        let mut sys = System::new(SystemConfig {
-            n_cores: 3,
-            sched,
-            faults,
-            ..Default::default()
-        });
-        assert!(sys.load_program(&asm));
-        let out = sys.run(max_cycles).map(|_| ());
-        (out, sys)
-    };
-    let modes = |timing, quantum| {
-        [1u32, 2, 4].map(|host_threads| SchedMode::RelaxedParallel {
-            quantum,
-            host_threads,
-            timing,
-        })
-    };
     // The code up to the first loop iteration's RNG draw (`work`) and
     // mutex try-acquire (`grab`) runs straight through, so a core's
     // instret on reaching either is the label's word index.
@@ -457,78 +501,87 @@ fn deferred_op_traps_and_budgets_match_relaxed() {
         let pc = asm.symbol(label).expect("label");
         (pc, u64::from((pc - asm.entry) / 4))
     });
-    for timing in [TimingModel::Unit, TimingModel::Estimated] {
-        for quantum in [1u64, 7, 64] {
-            for core in 0..3 {
-                for (pc, at) in deferred {
-                    let faults = FaultPlan::none().with(core, at, FaultKind::GuestTrap);
-                    let (reference, _) = run_mode(
-                        SchedMode::Relaxed { quantum, timing },
-                        faults.clone(),
-                        10_000_000,
-                    );
-                    let trap = SimError::Trap {
-                        core,
-                        cause: TrapCause::InjectedFault { pc, instret: at },
-                    };
-                    assert_eq!(reference, Err(trap), "{timing:?} quantum {quantum}");
-                    for mode in modes(timing, quantum) {
-                        let (par, _) = run_mode(mode, faults.clone(), 10_000_000);
-                        assert_eq!(par, reference, "{mode:?} trap on core {core} at {pc:#x}");
-                    }
-                }
-            }
-        }
-        // Budgets across the run's last 48 cycles, which hold the final
-        // mutex release and the barrier arrivals: runs that end within
-        // the budget must be bit-identical, the rest must time out alike.
-        // On a timeout, cores later in hart order than the one that ran
-        // out may have run further in parallel, but every core up to the
-        // first one past the budget must have stopped where it did.
-        for quantum in [7u64, 64] {
-            let reference = SchedMode::Relaxed { quantum, timing };
-            let (done, sys) = run_mode(reference, FaultPlan::none(), 10_000_000);
-            done.expect("unbudgeted run");
-            let end = (0..3).map(|c| sys.core(c).time).max().unwrap();
-            let mut timeouts = 0;
-            for max_cycles in end - 48..=end {
-                let (out, ref_sys) = run_mode(reference, FaultPlan::none(), max_cycles);
-                timeouts += usize::from(out.is_err());
-                for mode in modes(timing, quantum) {
-                    let (par, par_sys) = run_mode(mode, FaultPlan::none(), max_cycles);
-                    assert_eq!(par, out, "{mode:?} max_cycles {max_cycles}");
-                    if par.is_ok() {
+    for n in [1u32, 3] {
+        for timing in [TimingModel::Unit, TimingModel::Estimated] {
+            for quantum in [1u64, 7, 64] {
+                for core in 0..n {
+                    for (pc, at) in deferred {
+                        let faults = FaultPlan::none().with(core, at, FaultKind::GuestTrap);
+                        let (reference, _) =
+                            reference_asm(&asm, n, quantum, timing, faults.clone(), 10_000_000);
+                        let trap = SimError::Trap {
+                            core,
+                            cause: TrapCause::InjectedFault { pc, instret: at },
+                        };
                         assert_eq!(
-                            serialize_state(&ref_sys),
-                            serialize_state(&par_sys),
-                            "{mode:?} max_cycles {max_cycles}"
+                            reference,
+                            Err(trap),
+                            "{n} cores {timing:?} quantum {quantum}"
                         );
-                    } else {
-                        let past = (0..3)
-                            .position(|c| ref_sys.core(c).time > max_cycles)
-                            .expect("a timed-out run has a core past the budget");
-                        for core in 0..=past {
+                        for mode in relaxed_modes(quantum, timing) {
+                            let (out, _) = run_asm(&asm, n, mode, faults.clone(), 10_000_000);
                             assert_eq!(
-                                core_state(&ref_sys, core),
-                                core_state(&par_sys, core),
-                                "{mode:?} max_cycles {max_cycles} core {core}"
+                                out, reference,
+                                "{n} cores {mode:?} trap on core {core} at {pc:#x}"
                             );
                         }
                     }
                 }
             }
-            assert!(
-                (1..49).contains(&timeouts),
-                "{timing:?} quantum {quantum}: the window must hold both outcomes"
-            );
-            let commits = |max_cycles| {
-                let (_, sys) = run_mode(modes(timing, quantum)[0], FaultPlan::none(), max_cycles);
-                sys.parallel_stats().commit_instret
-            };
-            assert!(
-                commits(end - 48) < commits(end),
-                "{timing:?} quantum {quantum}: the window must hold deferred ops"
-            );
+            // Budgets across the run's last 48 cycles, which hold the
+            // final mutex release and the barrier arrivals: runs that end
+            // within the budget must be bit-identical, the rest must time
+            // out alike. On a timeout, cores later in hart order than the
+            // one that ran out may have run further in parallel, but every
+            // core up to the first one past the budget must have stopped
+            // where it did.
+            for quantum in [7u64, 64] {
+                let (done, sys) =
+                    reference_asm(&asm, n, quantum, timing, FaultPlan::none(), 10_000_000);
+                done.expect("unbudgeted run");
+                let end = (0..n as usize).map(|c| sys.core(c).time).max().unwrap();
+                let mut timeouts = 0;
+                for max_cycles in end - 48..=end {
+                    let (out, ref_sys) =
+                        reference_asm(&asm, n, quantum, timing, FaultPlan::none(), max_cycles);
+                    timeouts += usize::from(out.is_err());
+                    for mode in relaxed_modes(quantum, timing) {
+                        let (par, par_sys) = run_asm(&asm, n, mode, FaultPlan::none(), max_cycles);
+                        assert_eq!(par, out, "{n} cores {mode:?} max_cycles {max_cycles}");
+                        if par.is_ok() {
+                            assert_eq!(
+                                serialize_state(&ref_sys),
+                                serialize_state(&par_sys),
+                                "{n} cores {mode:?} max_cycles {max_cycles}"
+                            );
+                        } else {
+                            let past = (0..n as usize)
+                                .position(|c| ref_sys.core(c).time > max_cycles)
+                                .expect("a timed-out run has a core past the budget");
+                            for core in 0..=past {
+                                assert_eq!(
+                                    core_state(&ref_sys, core),
+                                    core_state(&par_sys, core),
+                                    "{n} cores {mode:?} max_cycles {max_cycles} core {core}"
+                                );
+                            }
+                        }
+                    }
+                }
+                assert!(
+                    (1..49).contains(&timeouts),
+                    "{n} cores {timing:?} quantum {quantum}: the window must hold both outcomes"
+                );
+                let commits = |max_cycles| {
+                    let mode = SchedMode::Relaxed { quantum, timing };
+                    let (_, sys) = run_asm(&asm, n, mode, FaultPlan::none(), max_cycles);
+                    sys.parallel_stats().commit_instret
+                };
+                assert!(
+                    commits(end - 48) < commits(end),
+                    "{n} cores {timing:?} quantum {quantum}: the window must hold deferred ops"
+                );
+            }
         }
     }
 }
@@ -596,20 +649,18 @@ fn multi_generation_barriers_match_relaxed() {
     let asm = izhi_isa::Assembler::new()
         .assemble(MULTI_GEN_SRC)
         .expect("asm");
-    let run_mode = |n_cores: u32, sched: SchedMode| {
-        let mut sys = System::new(SystemConfig {
-            n_cores,
-            sched,
-            ..Default::default()
-        });
-        assert!(sys.load_program(&asm));
-        sys.run(10_000_000).expect("run");
-        sys
-    };
     for n_cores in [2u32, 3, 5] {
         for timing in [TimingModel::Unit, TimingModel::Estimated] {
             for quantum in [1u64, 7, 64, 1000, SchedMode::DEFAULT_QUANTUM] {
-                let reference = run_mode(n_cores, SchedMode::Relaxed { quantum, timing });
+                let (done, reference) = reference_asm(
+                    &asm,
+                    n_cores,
+                    quantum,
+                    timing,
+                    FaultPlan::none(),
+                    10_000_000,
+                );
+                done.expect("run");
                 let mem = &reference.shared().mem;
                 assert_eq!(reference.shared().dev.barrier_generation(), 6);
                 assert_eq!(
@@ -625,19 +676,13 @@ fn multi_generation_barriers_match_relaxed() {
                         assert_eq!(mem.read_u32(at + 4), Some(k + 1));
                     }
                 }
-                for host_threads in [1u32, 2, 4] {
-                    let par = run_mode(
-                        n_cores,
-                        SchedMode::RelaxedParallel {
-                            quantum,
-                            host_threads,
-                            timing,
-                        },
-                    );
+                for sched in relaxed_modes(quantum, timing) {
+                    let (done, sys) = run_asm(&asm, n_cores, sched, FaultPlan::none(), 10_000_000);
+                    done.expect("run");
                     assert_eq!(
                         serialize_state(&reference),
-                        serialize_state(&par),
-                        "{n_cores} cores {timing:?} quantum {quantum} host_threads {host_threads}"
+                        serialize_state(&sys),
+                        "{n_cores} cores {sched:?}"
                     );
                 }
             }

@@ -7,9 +7,10 @@
 //!     --cores N        number of cores (default 1)
 //!     --cycles N       cycle budget (default 100000000)
 //!     --sched MODE     scheduling mode: exact | relaxed | parallel
-//!                      (default exact; relaxed = round-robin quanta,
-//!                      1 cycle per instruction, blocking barriers;
-//!                      parallel = relaxed quanta on host worker threads,
+//!                      (default exact; relaxed = the relaxed scheduler
+//!                      on one host thread: round-robin quanta on the
+//!                      relaxed clock, blocking barriers; parallel = the
+//!                      same scheduler on --host-threads host threads,
 //!                      bit-identical to relaxed at any thread count)
 //!     --quantum N      relaxed/parallel scheduling quantum (default 50000)
 //!     --host-threads N worker threads for --sched parallel
@@ -24,6 +25,9 @@
 //! izhirisc scenario run <name> [options]     build + run a scenario
 //!     --sched MODE --quantum N --host-threads N --timing T    as above
 //!     --n N --ticks N --cores N --seed N           scenario parameters
+//!     --ease true|false
+//!                      sudoku scenarios: restore half the blanks so
+//!                      short budgets converge (default true)
 //!     --stim-rate N    net8020_stream: injected stimulus events per tick
 //!     --quick          use the scenario's CI-sized quick parameters
 //!     --battery        fan the scenario's battery (seeds x sched x timing)
@@ -62,7 +66,7 @@ use izhirisc::sim::{SchedMode, System, SystemConfig, TimingModel};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH]\n  izhirisc scenario battery [--timing T] [--json PATH]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
+        "usage:\n  izhirisc asm <file.s> [-o out.bin]\n  izhirisc disasm <file.bin> [--base ADDR]\n  izhirisc run <file.s> [--cores N] [--cycles N] [--sched exact|relaxed|parallel] [--quantum N] [--host-threads N] [--timing exact|unit|estimated] [--trace] [--regs]\n  izhirisc scenario list\n  izhirisc scenario run <name> [--sched MODE] [--timing T] [--n N] [--ticks N] [--cores N] [--seed N] [--ease true|false] [--stim-rate N] [--quantum N] [--host-threads N] [--quick] [--battery] [--json PATH]\n  izhirisc scenario battery [--timing T] [--json PATH]\n  izhirisc serve [--addr HOST:PORT] [--workers N] [--queue-cap N] [--wall-limit SECS] [--no-retry]\n  izhirisc selftest"
     );
     exit(2);
 }
