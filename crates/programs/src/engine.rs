@@ -1705,17 +1705,19 @@ pub fn prepare_run(cfg: &EngineConfig, image: &GuestImage) -> PreparedRun {
 
 /// The `IZHI_PROFILE` report of a finished run, built from its own cores:
 /// the per-op-class retired-instruction histogram summed across cores,
-/// the share of retirement that ran inside kernel-span batches and, for
+/// the share of retirement that ran inside kernel-span batches (split
+/// into the native and the generic tier) and, for
 /// relaxed runs, where the scheduler retired it.
 fn profile_report(sys: &System, instret: u64) -> String {
     let mut classes = [0u64; OpClass::ALL.len()];
-    let mut kernel = 0u64;
+    let (mut kernel, mut native) = (0u64, 0u64);
     for i in 0..sys.n_cores() {
         let core = sys.core(i);
         for (sum, n) in classes.iter_mut().zip(core.counters.op_classes()) {
             *sum += n;
         }
         kernel += core.kernel_instret;
+        native += core.native_instret;
     }
     let total: u64 = classes.iter().sum();
     let mut out = format!("IZHI_PROFILE: {total} instructions retired by class\n");
@@ -1734,8 +1736,9 @@ fn profile_report(sys: &System, instret: u64) -> String {
     }
     let _ = writeln!(
         out,
-        "  kernel-span coverage: {kernel} of {instret} retired ({:.1}%)",
-        100.0 * kernel as f64 / instret.max(1) as f64
+        "  kernel-span coverage: {kernel} of {instret} retired ({:.1}%): {native} native, {} generic",
+        100.0 * kernel as f64 / instret.max(1) as f64,
+        kernel - native
     );
     let par = sys.parallel_stats();
     if par.rounds > 0 {

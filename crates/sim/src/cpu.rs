@@ -150,8 +150,8 @@ pub(crate) trait ExecCtx {
     fn kernels_enabled(&self) -> bool;
     /// Header of the kernel span whose entry is exactly `pc`, if any.
     fn kernel_match(&self, pc: u32) -> Option<KernelHeader>;
-    /// Copy span `idx`'s decoded trace into `buf`; returns the length.
-    fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize;
+    /// Span `idx`'s decoded trace.
+    fn kernel_trace(&self, idx: u8) -> &[PreInst];
     /// Lifecycle state of span `idx` (re-read at each batch back-edge).
     fn kernel_state(&self, idx: u8) -> SpanState;
     /// Write back a span's lifecycle state after re-verification.
@@ -303,6 +303,9 @@ pub struct Core {
     /// coverage figure, *not* part of [`PerfCounters`]: it necessarily
     /// differs between kernel-on and kernel-off runs).
     pub kernel_instret: u64,
+    /// The part of [`Core::kernel_instret`] the native tier retired as
+    /// host code; the rest ran op by op in the generic tier.
+    pub native_instret: u64,
     roi_active: bool,
     roi_base: PerfCounters,
     roi_final: Option<PerfCounters>,
@@ -350,6 +353,7 @@ impl Core {
             dcache,
             counters: PerfCounters::default(),
             kernel_instret: 0,
+            native_instret: 0,
             roi_active: false,
             roi_base: PerfCounters::default(),
             roi_final: None,

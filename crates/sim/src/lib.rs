@@ -88,7 +88,7 @@ pub use bus::BusArbiter;
 pub use cache::{Cache, CacheConfig};
 pub use counters::{CostTable, Metrics, OpClass, PerfCounters};
 pub use cpu::{Core, TrapCause};
-pub use kernel::{register_kernel_span, KernelReject, KernelSpan, SpanState};
+pub use kernel::{register_kernel_span, KernelReject, KernelSpan, NativeShape, SpanState};
 pub use mem::{layout, MainMemory};
 pub use mmio::{FaultKind, FaultPlan, FaultSpec, SharedDevices, StimEvent, StimPlan};
 pub use parallel::{resolve_host_threads, ParallelStats};

@@ -501,8 +501,8 @@ impl<D: DevSink> ExecCtx for ShardCtx<'_, D> {
     }
 
     #[inline(always)]
-    fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize {
-        self.code.kernels.copy_trace(idx, buf)
+    fn kernel_trace(&self, idx: u8) -> &[PreInst] {
+        self.code.kernels.trace(idx)
     }
 
     #[inline(always)]
@@ -1310,6 +1310,132 @@ mod tests {
     #[test]
     fn parallel_three_cores_matches_relaxed() {
         assert_parallel_matches_relaxed(BARRIER_SPIKES_SRC, 3, 7);
+    }
+
+    /// Three cores append tagged words to the spike log between loops the
+    /// batch tiers take whole: two-op and eight-op loop blocks
+    /// (superblocks), a dense accumulate loop (the native kernel tier) and
+    /// a counted ALU loop (the generic kernel tier). A quantum bound is
+    /// relative to where the core's previous quantum ended, so a batch
+    /// that runs one op past its bound moves every later bound of that
+    /// core, and the merged log — each round's words in hart order —
+    /// records it. The odd core takes the eight-op path, one op shorter
+    /// than the even cores' two-op path, so its words lead theirs by one
+    /// op: a tier that runs an op past a bound on one path and not on the
+    /// other reorders them. The even path ends in two ALU ops before a
+    /// CSR read (which ends a superblock before it): a block whose
+    /// conservative cost estimate is its real cost, so a block admitted
+    /// past its bound retires an op single steps would not.
+    const QUANTUM_EDGES_SRC: &str = "
+        _start: li   t0, 0xF0000004
+                lw   s11, (t0)         # core id
+                li   s4, 0xF000001C    # spike log
+                slli s10, s11, 11
+                li   t0, 0x10001000
+                add  s10, s10, t0      # own page: weights, accumulators at +0x400
+                slli s9, s11, 24       # log tag
+                li   s1, 6             # passes
+        outer:  andi t0, s11, 1
+                bnez t0, coarse
+                li   t2, 16
+        fine:   addi t2, t2, -1
+                bnez t2, fine
+                addi a0, a0, 1
+                addi a1, a1, 1
+                csrr t0, mhartid
+                j    joined
+        coarse: li   t2, 4
+        wide:   addi a0, a0, 1
+                xor  a1, a1, a0
+                slli a4, a0, 2
+                add  a1, a1, a4
+                addi a0, a0, 5
+                sub  a1, a1, s1
+                addi t2, t2, -1
+                bnez t2, wide
+                addi a0, a0, 1
+                addi a1, a1, 1
+                j    joined
+        joined: add  t3, s9, s1
+                sw   t3, (s4)
+                add  a2, s10, x0
+                addi t1, s10, 0x400
+                li   t3, 6
+        dense:  lh   t4, (a2)
+                lw   t5, (t1)
+                slli t4, t4, 8
+                add  t5, t5, t4
+                sw   t5, (t1)
+                addi a2, a2, 2
+                addi t1, t1, 4
+                addi t3, t3, -1
+                bnez t3, dense
+                ori  t3, s9, 0x100
+                add  t3, t3, s1
+                sw   t3, (s4)
+                li   t2, 8
+        gen:    addi a0, a0, 1
+                xor  a1, a1, a0
+                addi t2, t2, -1
+                bnez t2, gen
+                ori  t3, s9, 0x200
+                add  t3, t3, s1
+                sw   t3, (s4)
+                addi s1, s1, -1
+                bnez s1, outer
+                ebreak
+    ";
+
+    #[test]
+    fn batches_end_where_single_steps_end_their_quantum() {
+        let prog = Assembler::new().assemble(QUANTUM_EDGES_SRC).expect("asm");
+        let build = |sched| {
+            let mut sys = System::new(SystemConfig {
+                n_cores: 3,
+                sched,
+                ..Default::default()
+            });
+            assert!(sys.load_program(&prog));
+            for word in 0..1024u32 {
+                let addr = layout::SCRATCH_BASE + 0x1000 + 4 * word;
+                sys.shared_mut()
+                    .mem
+                    .write_u32(addr, word.wrapping_mul(0x9E37_79B9));
+            }
+            let shared = sys.shared_mut();
+            for label in ["dense", "gen"] {
+                let entry = prog.symbol(label).expect("span label");
+                crate::kernel::register_kernel_span(&mut shared.code, &shared.mem, entry)
+                    .expect("span registers");
+            }
+            sys
+        };
+        let shapes: Vec<_> = build(SchedMode::Exact)
+            .shared()
+            .code
+            .kernel_spans()
+            .iter()
+            .map(|s| s.native.is_some())
+            .collect();
+        assert_eq!(shapes, [true, false], "dense is native, gen is generic");
+        let mut native = 0;
+        for timing in [TimingModel::Unit, TimingModel::Estimated] {
+            for quantum in [1u64, 7, 13, 64] {
+                let mut stepped = build(SchedMode::Exact);
+                stepped
+                    .run_relaxed_stepped(quantum, timing, 1_000_000)
+                    .expect("stepped run");
+                assert_eq!(stepped.shared().dev.spike_log.len(), 3 * 3 * 6);
+                for sched in relaxed_modes(quantum, timing) {
+                    let mut sys = build(sched);
+                    sys.run(1_000_000).expect("relaxed run");
+                    assert_identical(&stepped, &sys, &format!("{sched:?}"));
+                    let cores = (0..3).map(|i| sys.core(i));
+                    native += cores.map(|c| c.native_instret).sum::<u64>();
+                }
+            }
+        }
+        assert!(native > 0, "no native batch ran");
     }
 
     /// Run the two-core program `src` on every scheduler — exact, the

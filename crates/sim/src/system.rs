@@ -420,8 +420,8 @@ impl ExecCtx for Shared {
     }
 
     #[inline(always)]
-    fn kernel_copy(&self, idx: u8, buf: &mut [PreInst]) -> usize {
-        self.code.kernels.copy_trace(idx, buf)
+    fn kernel_trace(&self, idx: u8) -> &[PreInst] {
+        self.code.kernels.trace(idx)
     }
 
     #[inline(always)]

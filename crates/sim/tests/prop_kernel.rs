@@ -9,11 +9,13 @@
 //! stores into the span's own code words, ahead of the store or already
 //! run (which must invalidate the span).
 //!
-//! The programs are hand-assembled replicas of the engine's dense
-//! phase-A scatter (the shape the native tier matches), a phase-B-shaped
-//! loop over the custom neuromorphic ops, and generic counted loops the
-//! structural audit accepts but the native matcher does not — so both
-//! batch tiers are covered explicitly.
+//! The programs are replicas of the engine's three loops the native tier
+//! matches — dense phase A, the NPU phase-B neuron and the sparse
+//! phase-A CSR walk, each asserted to register as its shape — plus a
+//! phase-B-shaped loop that stores `nmpn` results where the engine never
+//! does, and generic counted loops the structural audit accepts but no
+//! shape matches, so both batch tiers are covered explicitly. Wherever
+//! the native screens pass, the runs must also show native retirements.
 
 use izhi_core::params::IzhParams;
 use izhi_isa::asm::Assembler;
@@ -21,8 +23,8 @@ use izhi_isa::encode;
 use izhi_isa::inst::{AluImmOp, AluOp, BranchOp, Inst, LoadOp, StoreOp};
 use izhi_isa::reg::Reg;
 use izhi_sim::{
-    layout, register_kernel_span, FaultKind, FaultPlan, SchedMode, SimError, SpanState, System,
-    SystemConfig, TimingModel,
+    layout, register_kernel_span, FaultKind, FaultPlan, NativeShape, SchedMode, SimError,
+    SpanState, System, SystemConfig, TimingModel,
 };
 use proptest::prelude::*;
 
@@ -178,8 +180,9 @@ fn modes() -> [SchedMode; 5] {
     ]
 }
 
-/// Full single-core bit-identity: outcome, registers, clock, counters,
-/// and the code + scratch + SDRAM-data windows the programs touch.
+/// Full single-core bit-identity: outcome, registers, NM_REGS, clock,
+/// counters, and the code + scratch + SDRAM-data windows the programs
+/// touch.
 fn assert_identical(
     on: &(System, Result<(), SimError>),
     off: &(System, Result<(), SimError>),
@@ -196,6 +199,11 @@ fn assert_identical(
         );
     }
     assert_eq!(on.core(0).time, off.core(0).time, "{tag}: clock diverges");
+    assert_eq!(
+        on.core(0).nmregs(),
+        off.core(0).nmregs(),
+        "{tag}: NM_REGS diverge"
+    );
     assert_eq!(on.core(0).pc(), off.core(0).pc(), "{tag}: pc diverges");
     assert_eq!(
         on.shared().dev.spike_log,
@@ -371,6 +379,438 @@ fn phase_b_program(count: u32, target: NmpnTarget) -> (izhi_isa::asm::Program, u
     (prog, entry)
 }
 
+/// The battery modes, plus quanta tight enough that a batch admits at
+/// most an iteration or two: one core's final state does not show where
+/// a quantum ended, but the quantum bound still cuts every batch.
+fn modes_and_tight_quanta() -> Vec<SchedMode> {
+    let mut v = modes().to_vec();
+    for (quantum, timing) in [(50, TimingModel::Unit), (50, TimingModel::Estimated)] {
+        v.push(SchedMode::Relaxed { quantum, timing });
+    }
+    v.push(SchedMode::RelaxedParallel {
+        quantum: 97,
+        host_threads: 2,
+        timing: TimingModel::Estimated,
+    });
+    v
+}
+
+/// The relaxed modes at the default quantum: every screen-passing batch
+/// has room for many iterations there.
+fn roomy(mode: SchedMode) -> bool {
+    match mode {
+        SchedMode::Relaxed { quantum, .. } | SchedMode::RelaxedParallel { quantum, .. } => {
+            quantum == SchedMode::DEFAULT_QUANTUM
+        }
+        SchedMode::Exact => false,
+    }
+}
+
+/// The engine's NPU phase-B neuron loop, verbatim (`PHASE_B_NPU`), with
+/// a prologue pointing its four sweeps at `params`, `drive`, `isyn` and
+/// `vu`; the spike list grows from scratch +0x4000. Runs neurons
+/// `0..count` and halts.
+fn npu_neuron_program(count: u32, [params, drive, isyn, vu]: [u32; 4]) -> izhi_isa::asm::Program {
+    let src = format!(
+        "
+        .equ TAU, 2
+        .equ MMIO_SPIKE_LOG, {spike_log:#x}
+        _start: li   s9, {params:#x}
+                li   s10, {drive:#x}
+                li   s5, {isyn:#x}
+                li   s6, {vu:#x}
+                li   s8, {spikes:#x}
+                li   s7, 0
+                li   s2, 7
+                li   a3, 0
+                li   s1, {count}
+                li   a6, 1
+                nmldh x0, a6, x0
+        phaseB_neuron:
+            lw   a6, (s9)            # {{b, a}}
+            lw   a7, 4(s9)           # {{d, c}}
+            lh   t5, (s10)           # thalamic drive (Q7.8), hoisted
+            nmldl x0, a6, a7         # load neuron parameters
+            lw   a2, (s5)            # Isyn (Q15.16)
+            li   t6, TAU
+            slli t5, t5, 8           # thalamic -> Q15.16
+            nmdec a2, a2, t6         # synaptic decay (DCU)
+            lw   a6, (s6)            # VU word (fills the nm result slot)
+            sw   a2, (s5)            # persist decayed current
+            add  a7, a2, t5          # total drive
+            add  a2, x0, s6
+            nmpn a2, a6, a7          # half-step 1 (stores VU, returns spike)
+            lw   a6, (s6)            # reload updated VU (fills the nm slot)
+            add  t4, x0, a2
+            add  a2, x0, s6
+            nmpn a2, a6, a7          # half-step 2
+            addi s5, s5, 4           # pointer bumps fill the nm slot
+            or   t4, t4, a2
+            addi s9, s9, 8
+            addi s10, s10, 2
+            beqz t4, phaseB_no_spike
+            sh   a3, (s8)
+            addi s8, s8, 2
+            addi s7, s7, 1
+            slli t5, s2, 16
+            or   t5, t5, a3
+            li   t0, MMIO_SPIKE_LOG
+            sw   t5, (t0)            # export (t, neuron) to the host raster
+        phaseB_no_spike:
+            addi a3, a3, 1
+            addi s6, s6, 4
+            bne  a3, s1, phaseB_neuron
+            ebreak
+        ",
+        spike_log = layout::MMIO_BASE + layout::MMIO_SPIKE_LOG,
+        spikes = layout::SCRATCH_BASE + 0x4000,
+    );
+    // Relaxed, as the engine assembles.
+    Assembler::new()
+        .relax(true)
+        .assemble(&src)
+        .expect("phase-B neuron replica assembles")
+}
+
+/// Where the NPU replica's four sweeps live.
+#[derive(Debug, Clone, Copy)]
+enum NpuPlacement {
+    /// Everything in scratch.
+    Scratch,
+    /// The engine's map: thalamic drive in SDRAM, the rest in scratch.
+    Engine,
+    /// Currents and VU words in SDRAM as well.
+    SdramState,
+    /// The current sweep overlaps the VU sweep: a neuron's current is
+    /// stored into a later neuron's VU word. The screens pass, but the
+    /// rewritten words make which neurons spike data-dependent, so no
+    /// native share is asserted.
+    Aliased,
+    /// A half-word VU base: the first `lw` of it traps.
+    MisalignedVu,
+    /// The VU sweep runs off the end of scratch mid-loop.
+    CrossesScratchEnd,
+    /// The thalamic drive reads MMIO registers that hold no device.
+    MmioDrive,
+}
+
+impl NpuPlacement {
+    /// Whether the native screens pass for a whole run and the spike
+    /// density is the one drawn.
+    fn screens_pass(self) -> bool {
+        matches!(
+            self,
+            NpuPlacement::Scratch | NpuPlacement::Engine | NpuPlacement::SdramState
+        )
+    }
+
+    /// `[params, drive, isyn, vu]` bases for `count` neurons.
+    fn bases(self, count: u32, scratch_size: u32) -> [u32; 4] {
+        let s = layout::SCRATCH_BASE;
+        let (params, drive, isyn, vu) = (s + 0x1000, s + 0x1800, s + 0x3000, s + 0x2000);
+        match self {
+            NpuPlacement::Scratch => [params, drive, isyn, vu],
+            NpuPlacement::Engine => [params, 0x2000, isyn, vu],
+            NpuPlacement::SdramState => [params, 0x2000, 0x2800, 0x3000],
+            NpuPlacement::Aliased => [params, drive, vu + 4 * (count / 2), vu],
+            NpuPlacement::MisalignedVu => [params, drive, isyn, vu + 2],
+            NpuPlacement::CrossesScratchEnd => {
+                [params, drive, isyn, s + scratch_size - 4 * (count / 2)]
+            }
+            NpuPlacement::MmioDrive => [params, layout::MMIO_BASE + 0x30, isyn, vu],
+        }
+    }
+}
+
+fn arb_npu_placement() -> impl Strategy<Value = NpuPlacement> {
+    prop_oneof![
+        Just(NpuPlacement::Scratch),
+        Just(NpuPlacement::Engine),
+        Just(NpuPlacement::SdramState),
+        Just(NpuPlacement::Aliased),
+        Just(NpuPlacement::MisalignedVu),
+        Just(NpuPlacement::CrossesScratchEnd),
+        Just(NpuPlacement::MmioDrive),
+    ]
+}
+
+/// A deterministic generator from `seed`.
+fn lcg(seed: u64) -> impl FnMut() -> u32 {
+    let mut x = seed | 1;
+    move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (x >> 33) as u32
+    }
+}
+
+/// Build the NPU replica over `count` neurons at `placement`, each one
+/// spiking (in the first or the second half-step) with probability
+/// `density_pct`%, register its loop span and run it. Returns the system,
+/// the outcome and the code length in words.
+fn run_npu(
+    placement: NpuPlacement,
+    count: u32,
+    density_pct: u32,
+    seed: u64,
+    mode: SchedMode,
+    kernels: bool,
+    faults: FaultPlan,
+) -> ((System, Result<(), SimError>), usize) {
+    let scratch_size = SystemConfig::default().scratch_size;
+    let [params, drive, isyn, vu] = placement.bases(count, scratch_size);
+    let prog = npu_neuron_program(count, [params, drive, isyn, vu]);
+    let mut sys = System::new(SystemConfig {
+        n_cores: 1,
+        sched: mode,
+        kernels,
+        faults,
+        ..Default::default()
+    });
+    assert!(sys.load_program(&prog));
+    let mut next = lcg(seed);
+    let kinds = [IzhParams::regular_spiking(), IzhParams::fast_spiking()];
+    let q78 = |mv: i32| (mv * 256) as u16 as u32;
+    let mem = &mut sys.shared_mut().mem;
+    for k in 0..count {
+        let (p0, p1) = kinds[next() as usize % 2].quantize().pack();
+        mem.write_u32(params + 8 * k, p0);
+        mem.write_u32(params + 8 * k + 4, p1);
+        // Resting neurons stay below threshold across both half-steps
+        // under a small drive; a spiker starts above it (first half-step)
+        // or just under it (second).
+        let word = if next() % 100 < density_pct {
+            if next().is_multiple_of(2) {
+                (q78(35) << 16) | q78(-13)
+            } else {
+                q78(29) << 16
+            }
+        } else {
+            (q78(-65) << 16) | q78(-13)
+        };
+        // Placements that run off mapped memory only get partial arrays.
+        if drive < layout::MMIO_BASE {
+            mem.write_u16(drive + 2 * k, ((next() % 1024) as u16).wrapping_sub(512));
+        }
+        mem.write_u32(isyn + 4 * k, (next() % (8 << 16)).wrapping_sub(4 << 16));
+        if vu + 4 * k + 4 <= layout::SCRATCH_BASE + scratch_size {
+            mem.write_u32(vu + 4 * k, word);
+        }
+    }
+    let sh = sys.shared_mut();
+    let entry = prog.symbol("phaseB_neuron").expect("loop label");
+    register_kernel_span(&mut sh.code, &sh.mem, entry).expect("audit accepts the replica");
+    assert!(
+        matches!(
+            sh.code.kernel_spans()[0].native,
+            Some(NativeShape::NpuNeuron { .. })
+        ),
+        "the replica must match the NpuNeuron shape"
+    );
+    let res = sys.run(10_000_000).map(|_| ());
+    let code_words = prog.segments.iter().map(|s| s.data.len() / 4).sum();
+    ((sys, res), code_words)
+}
+
+/// The engine's sparse phase-A CSR walk, verbatim (`PHASE_A_SPARSE`'s
+/// `phaseA_inner`), inside a row loop over `rows` `(first, end)` edge
+/// address pairs stored at scratch +0x4000; the accumulator base is the
+/// word just below them (read from memory, so the code layout does not
+/// depend on its value).
+fn csr_scatter_program(rows: u32) -> izhi_isa::asm::Program {
+    let src = format!(
+        "
+        _start: li   s0, {table:#x}
+                li   s1, {rows}
+                lw   t1, -4(s0)
+        row:    lw   t2, (s0)
+                lw   t3, 4(s0)
+                addi s0, s0, 8
+                beq  t2, t3, phaseA_row_done
+        phaseA_inner:
+            lh   t4, 2(t2)           # weight (Q7.8, high half)
+            lhu  t5, (t2)            # target (low half)
+            slli t4, t4, 8           # -> Q15.16 (fills the load-use slot)
+            slli t5, t5, 2
+            add  t5, t5, t1
+            lw   a2, (t5)
+            addi t2, t2, 4           # fills the load-use slot
+            add  a2, a2, t4
+            sw   a2, (t5)
+            bne  t2, t3, phaseA_inner
+        phaseA_row_done:
+                addi s1, s1, -1
+                bnez s1, row
+                ebreak
+        ",
+        table = layout::SCRATCH_BASE + 0x4000,
+    );
+    // Relaxed, as the engine assembles.
+    Assembler::new()
+        .relax(true)
+        .assemble(&src)
+        .expect("CSR walk replica assembles")
+}
+
+/// Where the CSR replica's edges and accumulators live.
+#[derive(Debug, Clone, Copy)]
+enum CsrPlacement {
+    /// The engine's map: edges in SDRAM, accumulators in scratch.
+    Engine,
+    /// Edges in scratch.
+    ScratchEdges,
+    /// Accumulators in SDRAM.
+    SdramAccumulators,
+    /// Accumulators on top of the edge words: a scatter store rewrites
+    /// an edge the walk reads later.
+    Aliased,
+    /// A half-word-odd edge base: the first `lh` traps.
+    MisalignedEdges,
+    /// High targets land past the end of scratch: a trap mid-row.
+    CrossesScratchEnd,
+    /// Every target is an MMIO register that holds no device.
+    MmioTargets,
+    /// One edge adds into the walk's own first code word (turning `lh t4`
+    /// into `lh t6`); the others land in SDRAM data.
+    SpanCode,
+}
+
+impl CsrPlacement {
+    /// Whether the native screens pass for a whole run.
+    fn screens_pass(self) -> bool {
+        matches!(
+            self,
+            CsrPlacement::Engine | CsrPlacement::ScratchEdges | CsrPlacement::SdramAccumulators
+        )
+    }
+}
+
+fn arb_csr_placement() -> impl Strategy<Value = CsrPlacement> {
+    prop_oneof![
+        Just(CsrPlacement::Engine),
+        Just(CsrPlacement::ScratchEdges),
+        Just(CsrPlacement::SdramAccumulators),
+        Just(CsrPlacement::Aliased),
+        Just(CsrPlacement::MisalignedEdges),
+        Just(CsrPlacement::CrossesScratchEnd),
+        Just(CsrPlacement::MmioTargets),
+        Just(CsrPlacement::SpanCode),
+    ]
+}
+
+/// Build the CSR replica over `edges` edges split into rows of 1-16
+/// (empty rows included), register its walk and run it.
+fn run_csr(
+    placement: CsrPlacement,
+    edges: u32,
+    seed: u64,
+    mode: SchedMode,
+    kernels: bool,
+    faults: FaultPlan,
+) -> ((System, Result<(), SimError>), usize) {
+    let s = layout::SCRATCH_BASE;
+    let scratch_size = SystemConfig::default().scratch_size;
+    let targets = 64u32;
+    // The walk's entry does not depend on the row count (a one-word `li`).
+    let entry = csr_scatter_program(1)
+        .symbol("phaseA_inner")
+        .expect("walk label");
+    let (edge_base, isyn) = match placement {
+        CsrPlacement::Engine => (0x2000, s + 0x1000),
+        CsrPlacement::ScratchEdges => (s + 0x2000, s + 0x1000),
+        CsrPlacement::SdramAccumulators => (0x2000, 0x3000),
+        CsrPlacement::Aliased => (s + 0x2000, s + 0x2000),
+        CsrPlacement::MisalignedEdges => (0x2001, s + 0x1000),
+        CsrPlacement::CrossesScratchEnd => (0x2000, s + scratch_size - 4 * (targets / 2)),
+        CsrPlacement::MmioTargets => (0x2000, layout::MMIO_BASE + 0x30),
+        CsrPlacement::SpanCode => (0x2000, entry),
+    };
+    let mut next = lcg(seed);
+    let mut words: Vec<u32> = (0..edges)
+        .map(|_| {
+            let target = match placement {
+                // Offsets 0x30..0xF0 of the MMIO block.
+                CsrPlacement::MmioTargets => next() % 48,
+                // SDRAM data words from 0x2000 on, past the code.
+                CsrPlacement::SpanCode => 0x800 + next() % targets,
+                _ => next() % targets,
+            };
+            ((next() % 2048).wrapping_sub(1024) << 16) | target
+        })
+        .collect();
+    if let CsrPlacement::SpanCode = placement {
+        // Weight 1 adds 0x100: the `lh`'s rd goes from t4 to t6.
+        words[edges as usize / 2] = 1 << 16;
+    }
+    let mut rows = Vec::new();
+    let mut at = 0u32;
+    while at < edges {
+        let len = (next() % 17).min(edges - at);
+        rows.push((edge_base + 4 * at, edge_base + 4 * (at + len)));
+        at += len;
+    }
+    let prog = csr_scatter_program(rows.len() as u32);
+    assert_eq!(prog.symbol("phaseA_inner"), Some(entry));
+    let mut sys = System::new(SystemConfig {
+        n_cores: 1,
+        sched: mode,
+        kernels,
+        faults,
+        ..Default::default()
+    });
+    assert!(sys.load_program(&prog));
+    let mem = &mut sys.shared_mut().mem;
+    mem.write_u32(s + 0x3FFC, isyn);
+    for (k, w) in words.iter().enumerate() {
+        mem.write_u32(edge_base.wrapping_add(4 * k as u32), *w);
+    }
+    for (k, (first, end)) in rows.iter().enumerate() {
+        mem.write_u32(s + 0x4000 + 8 * k as u32, *first);
+        mem.write_u32(s + 0x4004 + 8 * k as u32, *end);
+    }
+    if isyn < layout::MMIO_BASE && isyn != entry {
+        for t in 0..targets / 2 {
+            mem.write_u32(isyn + 4 * t, next());
+        }
+    }
+    let sh = sys.shared_mut();
+    register_kernel_span(&mut sh.code, &sh.mem, entry).expect("audit accepts the walk");
+    assert!(
+        matches!(
+            sh.code.kernel_spans()[0].native,
+            Some(NativeShape::CsrScatter { .. })
+        ),
+        "the replica must match the CsrScatter shape"
+    );
+    let res = sys.run(10_000_000).map(|_| ());
+    let code_words = prog.segments.iter().map(|s| s.data.len() / 4).sum();
+    ((sys, res), code_words)
+}
+
+/// The native-tier evidence a kernels-on run must show: native
+/// retirements wherever the screens pass and a batch has room, never
+/// more than the batches retired, and all of them when no iteration
+/// needs the generic tier.
+fn assert_native_share(sys: &System, expect_native: bool, all_native: bool, tag: &str) {
+    let core = sys.core(0);
+    assert!(
+        core.native_instret <= core.kernel_instret,
+        "{tag}: native {} > batched {}",
+        core.native_instret,
+        core.kernel_instret
+    );
+    if expect_native {
+        assert!(core.native_instret > 0, "{tag}: no native retirement");
+    }
+    if all_native {
+        assert_eq!(
+            core.native_instret, core.kernel_instret,
+            "{tag}: a batch left the native tier"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -388,12 +828,7 @@ proptest! {
         let scratch_size = SystemConfig::default().scratch_size;
         let (w_base, i_base) = bases(placement, count, w_off, i_off, scratch_size);
         let (insts, entry) = dense_axpy_program(w_base, i_base, count);
-        // Cheap deterministic fill from the seed.
-        let mut x = seed | 1;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as u32
-        };
+        let mut next = lcg(seed);
         let weights: Vec<i16> = (0..count).map(|_| next() as i16).collect();
         let isyn: Vec<u32> = (0..count).map(|_| next()).collect();
         for mode in modes() {
@@ -497,11 +932,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let (prog, entry) = phase_b_program(count, target);
-        let mut x = seed | 1;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as u32
-        };
+        let mut next = lcg(seed);
         let kinds = [IzhParams::regular_spiking(), IzhParams::fast_spiking()];
         let params: Vec<(u32, u32)> = (0..count)
             .map(|_| kinds[next() as usize % 2].quantize().pack())
@@ -543,6 +974,77 @@ proptest! {
             // batch).
             let batched = on.0.core(0).kernel_instret > 0;
             assert_eq!(batched, mode != SchedMode::Exact, "phase B {target:?} {mode:?}");
+        }
+    }
+
+    /// The NPU phase-B neuron replica, kernels on vs off, across sweep
+    /// placements and spike densities from none to every neuron, under
+    /// every battery mode and tight quanta.
+    #[test]
+    fn npu_neuron_kernels_on_off_bit_identical(
+        placement in arb_npu_placement(),
+        count in 2u32..120,
+        density_pct in prop_oneof![Just(0u32), Just(10), Just(50), Just(100)],
+        seed in any::<u64>(),
+    ) {
+        for mode in modes_and_tight_quanta() {
+            let run = |kernels| run_npu(placement, count, density_pct, seed, mode, kernels, FaultPlan::none());
+            let (on, code_words) = run(true);
+            let (off, _) = run(false);
+            let tag = format!("NPU {placement:?} n={count} {density_pct}% {mode:?}");
+            assert_identical(&on, &off, code_words, &tag);
+            let quiet = density_pct == 0;
+            assert_native_share(
+                &on.0,
+                roomy(mode) && placement.screens_pass() && density_pct < 100,
+                roomy(mode) && placement.screens_pass() && quiet,
+                &tag,
+            );
+        }
+    }
+
+    /// The sparse phase-A CSR replica, kernels on vs off, across edge and
+    /// accumulator placements (per-edge screen failures mid-row
+    /// included), under every battery mode and tight quanta.
+    #[test]
+    fn csr_scatter_kernels_on_off_bit_identical(
+        placement in arb_csr_placement(),
+        edges in 1u32..300,
+        seed in any::<u64>(),
+    ) {
+        for mode in modes_and_tight_quanta() {
+            let run = |kernels| run_csr(placement, edges, seed, mode, kernels, FaultPlan::none());
+            let (on, code_words) = run(true);
+            let (off, _) = run(false);
+            let tag = format!("CSR {placement:?} e={edges} {mode:?}");
+            assert_identical(&on, &off, code_words, &tag);
+            let pass = roomy(mode) && placement.screens_pass();
+            assert_native_share(&on.0, pass, pass, &tag);
+        }
+    }
+
+    /// Fault-plan triggers landing inside native batches of both replicas:
+    /// a native batch admits exactly the iterations the generic tier
+    /// would, so the fault fires at the same retired instruction.
+    #[test]
+    fn fault_triggers_fire_identically_inside_native_batches(
+        count in 8u32..100,
+        at in 1u64..3000,
+        kind in prop_oneof![Just(FaultKind::GuestTrap), Just(FaultKind::CorruptSpike(1))],
+        seed in any::<u64>(),
+    ) {
+        for mode in modes_and_tight_quanta() {
+            let plan = FaultPlan::none().with(0, at, kind);
+            let npu = |kernels| {
+                run_npu(NpuPlacement::Engine, count, 10, seed, mode, kernels, plan.clone())
+            };
+            let (on, code_words) = npu(true);
+            let (off, _) = npu(false);
+            assert_identical(&on, &off, code_words, &format!("NPU {mode:?} {kind:?}@{at}"));
+            let csr = |kernels| run_csr(CsrPlacement::Engine, 3 * count, seed, mode, kernels, plan.clone());
+            let (on, code_words) = csr(true);
+            let (off, _) = csr(false);
+            assert_identical(&on, &off, code_words, &format!("CSR {mode:?} {kind:?}@{at}"));
         }
     }
 
