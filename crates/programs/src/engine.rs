@@ -20,6 +20,7 @@
 //! contiguous chunks.
 
 use std::fmt::Write as _;
+use std::sync::Mutex;
 
 use izhi_core::dcu::SHIFT_TABLES;
 use izhi_core::params::FixedIzhParams;
@@ -31,7 +32,7 @@ use izhi_sim::{
 };
 use izhi_snn::analysis::SpikeRaster;
 use izhi_snn::network::Network;
-use izhi_snn::noise::XorShift32;
+use izhi_snn::noise::{Jump, XorShift32};
 
 use crate::layout;
 use crate::softfloat::FADD_FMUL_ASM;
@@ -214,14 +215,14 @@ impl PatchMap {
         self.spans.iter().map(|&(_, l)| l as u64).sum()
     }
 
-    /// Copy every recorded span from `src` into `dst` (bulk copies).
+    /// Copy every recorded span from `src` into `dst`, slice to slice.
     pub fn replay(&self, src: &MainMemory, dst: &mut MainMemory) {
         for &(addr, len) in &self.spans {
             let bytes = src
-                .read_bytes(addr, len as usize)
+                .span(addr, len as usize)
                 .expect("patch span outside source memory");
             assert!(
-                dst.write_bytes(addr, &bytes),
+                dst.write_bytes(addr, bytes),
                 "patch span outside destination memory"
             );
         }
@@ -287,23 +288,12 @@ impl GuestImage {
         let n = net.len();
         assert_eq!(bias.len(), n);
         assert_eq!(noise_std.len(), n);
-        let params = net.quantized_params();
-        let mut weights_q = vec![0i16; n * n];
-        for pre in 0..n {
-            for (post, w) in net.out_edges(pre) {
-                weights_q[pre * n + post as usize] = Q7_8::from_f64(w).raw();
-            }
-        }
-        let noise_rows = layout::noise_period(n, ticks) as usize;
-        GuestImage {
-            params,
-            weights_q,
-            csr: None,
-            noise_q: noise_table(bias, noise_std, schedule, noise_rows, seed),
-            init_vu: init_vu(net),
-            n,
-            ticks,
-        }
+        let rows = layout::noise_period(n, ticks) as usize;
+        let (mut image, noise_q) = beside_noise(bias, noise_std, schedule, rows, seed, || {
+            Self::quantised(net, ticks)
+        });
+        image.noise_q = noise_q;
+        image
     }
 
     /// Build a CSR-native image: no dense weight matrix is materialised
@@ -322,31 +312,68 @@ impl GuestImage {
         let n = net.len();
         assert_eq!(bias.len(), n);
         assert_eq!(noise_std.len(), n);
-        let params = net.quantized_params();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(net.n_synapses());
-        let mut weights_q = Vec::with_capacity(net.n_synapses());
-        row_ptr.push(0u32);
-        for pre in 0..n {
+        let rows = lay.noise_rows(n, ticks) as usize;
+        let (mut image, noise_q) = beside_noise(bias, noise_std, &[], rows, seed, || {
+            Self::quantised_csr(net, ticks)
+        });
+        image.noise_q = noise_q;
+        image
+    }
+
+    /// `net`'s quantised parameters, initial state and dense row-major
+    /// Q7.8 weight matrix, for a run of `ticks`. The noise table is left
+    /// empty: draw it with [`beside_noise`] and store it in
+    /// [`GuestImage::noise_q`] before loading.
+    pub(crate) fn quantised(net: &Network, ticks: u32) -> Self {
+        let n = net.len();
+        let mut weights_q = vec![0i16; n * n];
+        for (pre, row) in weights_q.chunks_mut(n.max(1)).enumerate() {
             for (post, w) in net.out_edges(pre) {
-                let q = Q7_8::from_f64(w).raw();
-                if q != 0 {
-                    targets.push(post);
-                    weights_q.push(q);
-                }
+                row[post as usize] = Q7_8::from_f64(w).raw();
             }
-            row_ptr.push(targets.len() as u32);
         }
-        let noise_rows = lay.noise_rows(n, ticks) as usize;
         GuestImage {
-            params,
+            params: net.quantized_params(),
+            weights_q,
+            csr: None,
+            noise_q: Vec::new(),
+            init_vu: init_vu(net),
+            n,
+            ticks,
+        }
+    }
+
+    /// [`GuestImage::quantised`] with CSR connectivity instead of the
+    /// dense matrix: one pass over the edges, dropping those whose weight
+    /// quantises to zero. The noise table is left empty.
+    pub(crate) fn quantised_csr(net: &Network, ticks: u32) -> Self {
+        let n = net.len();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut targets = vec![0u32; net.n_synapses()];
+        let mut weights_q = vec![0i16; net.n_synapses()];
+        let mut kept = 0;
+        row_ptr.push(0u32);
+        for span in net.row_ptr.windows(2) {
+            let (lo, hi) = (span[0] as usize, span[1] as usize);
+            for (&post, &w) in net.targets[lo..hi].iter().zip(&net.weights[lo..hi]) {
+                let q = Q7_8::from_f64(w).raw();
+                targets[kept] = post;
+                weights_q[kept] = q;
+                kept += usize::from(q != 0);
+            }
+            row_ptr.push(kept as u32);
+        }
+        targets.truncate(kept);
+        weights_q.truncate(kept);
+        GuestImage {
+            params: net.quantized_params(),
             weights_q: Vec::new(),
             csr: Some(CsrWeights {
                 row_ptr,
                 targets,
                 weights_q,
             }),
-            noise_q: noise_table(bias, noise_std, &[], noise_rows, seed),
+            noise_q: Vec::new(),
             init_vu: init_vu(net),
             n,
             ticks,
@@ -354,9 +381,9 @@ impl GuestImage {
     }
 
     /// Write all tables into simulator memory. The big arrays (weights,
-    /// noise) are serialised host-side and uploaded with one bulk copy
-    /// each — at paper scale the seed's per-element `write_u16` loop was a
-    /// visible slice of total workload wall time.
+    /// noise, CSR edges) are serialised straight into their guest-memory
+    /// spans, one pass each — at paper scale the seed's per-element
+    /// `write_u16` loop was a visible slice of total workload wall time.
     pub fn load_into(&self, sys: &mut System, cfg: &EngineConfig) {
         let mut patches = PatchMap::default();
         self.load_into_mem(&mut sys.shared_mut().mem, cfg, &mut patches);
@@ -368,9 +395,6 @@ impl GuestImage {
     /// different-seed instantiation must re-patch) without a full
     /// [`System`] in hand.
     pub fn load_into_mem(&self, mem: &mut MainMemory, cfg: &EngineConfig, patches: &mut PatchMap) {
-        fn le_bytes_u16(values: impl Iterator<Item = u16>) -> Vec<u8> {
-            values.flat_map(u16::to_le_bytes).collect()
-        }
         let lay = cfg.layout();
         let variant = cfg.variant;
         for (i, p) in self.params.iter().enumerate() {
@@ -390,17 +414,16 @@ impl GuestImage {
                 !lay.is_scaled(),
                 "scaled layouts have no dense weight region — build a CSR-native image"
             );
-            let weights = le_bytes_u16(self.weights_q.iter().map(|&w| w as u16));
-            assert!(mem.write_bytes(lay.weights, &weights));
-            patches.record(lay.weights, weights.len());
+            put_i16s(mem, lay.weights, &self.weights_q);
+            patches.record(lay.weights, 2 * self.weights_q.len());
         }
-        let noise = le_bytes_u16(self.noise_q.iter().map(|&x| x as u16));
         // An image built for more ticks than this run's layout window holds
         // is truncated to the window — the guest indexes rows modulo
         // NOISE_TICKS, which never reaches past it.
-        let take = noise.len().min((lay.noise_f32 - lay.noise) as usize);
-        assert!(mem.write_bytes(lay.noise, &noise[..take]));
-        patches.record(lay.noise, take);
+        let window = (lay.noise_f32 - lay.noise) as usize / 2;
+        let noise = &self.noise_q[..self.noise_q.len().min(window)];
+        put_i16s(mem, lay.noise, noise);
+        patches.record(lay.noise, 2 * noise.len());
         if cfg.plastic {
             // Last-spike ticks start "half a range ago": far outside any
             // plausible STDP window (so the first delivery to a silent
@@ -425,7 +448,7 @@ impl GuestImage {
     /// scan of the dense matrix otherwise — byte-identical tables either
     /// way. Each core's edge count is known up front (a histogram of the
     /// targets), so one pass over the rows writes every core's row
-    /// pointers and edge words in place.
+    /// pointers and edge words in place, straight into SDRAM.
     fn load_csr_tables(
         &self,
         mem: &mut MainMemory,
@@ -434,7 +457,8 @@ impl GuestImage {
         patches: &mut PatchMap,
     ) {
         let n = self.n;
-        let chunk = cfg.chunk();
+        let chunk = cfg.chunk().max(1);
+        let n_cores = cfg.n_cores as usize;
         let f32_mirror = cfg.variant == Variant::SoftFloat;
         assert!(
             self.csr.is_none() || !f32_mirror,
@@ -449,11 +473,9 @@ impl GuestImage {
                 in_degree[t as usize] += 1;
             }
         });
-        let mut owned = in_degree
-            .chunks(chunk.max(1))
-            .map(|c| c.iter().sum::<u32>());
+        let mut owned = in_degree.chunks(chunk).map(|c| c.iter().sum::<u32>());
         let mut n_edges = 0;
-        let mut cursor: Vec<u32> = (0..cfg.n_cores)
+        let mut cursor: Vec<u32> = (0..n_cores)
             .map(|_| {
                 let first = n_edges;
                 n_edges += owned.next().unwrap_or(0);
@@ -464,31 +486,44 @@ impl GuestImage {
             lay.edges + 4 * n_edges <= lay.edge_cap(cfg.system.sdram_size),
             "sparse edge table overflow ({n_edges} edges) — call EngineConfig::fit_memory"
         );
+        // Each target's owner core, looked up per edge instead of divided.
+        let owner: Vec<u16> = (0..n).map(|t| (t / chunk) as u16).collect();
+        let table_bytes = 4 * n_cores * (n + 1);
+        let edge_bytes = 4 * n_edges as usize;
         let sdram = mem.sdram_bytes_mut();
-        let row_ptrs = |sdram: &mut [u8], pre: usize, cursor: &[u32]| {
-            for (core, &at) in cursor.iter().enumerate() {
-                put_u32(sdram, lay.rowptr + 4 * (core * (n + 1) + pre) as u32, at);
-            }
+        // Row pointers lie below the edges, the f32 mirror above them.
+        let (low, high) = sdram.split_at_mut(lay.edges as usize);
+        let row_ptrs = &mut low[lay.rowptr as usize..][..table_bytes];
+        let (edges, above) = high.split_at_mut(edge_bytes);
+        let mirror = if f32_mirror {
+            &mut above[(lay.edges_f32 - lay.edges) as usize - edge_bytes..][..edge_bytes]
+        } else {
+            &mut []
         };
-        self.for_each_row(|pre, targets, weights| {
-            row_ptrs(sdram, pre, &cursor);
+        let put = |table: &mut [u8], slot: usize, word: u32| {
+            table[4 * slot..4 * slot + 4].copy_from_slice(&word.to_le_bytes());
+        };
+        let mut pass = |pre: usize, targets: &[u32], weights: &[i16]| {
+            for (core, &at) in cursor.iter().enumerate() {
+                put(row_ptrs, core * (n + 1) + pre, at);
+            }
             for (&post, &w) in targets.iter().zip(weights) {
-                let core = post as usize / chunk;
-                let at = cursor[core];
-                put_u32(sdram, lay.edges + 4 * at, ((w as u16 as u32) << 16) | post);
+                let slot = &mut cursor[owner[post as usize] as usize];
+                put(edges, *slot as usize, ((w as u16 as u32) << 16) | post);
                 if f32_mirror {
                     let f = (Q7_8::from_raw(w).to_f64() as f32).to_bits();
-                    put_u32(sdram, lay.edges_f32 + 4 * at, f);
+                    put(mirror, *slot as usize, f);
                 }
-                cursor[core] = at + 1;
+                *slot += 1;
             }
-        });
-        row_ptrs(sdram, n, &cursor);
+        };
+        self.for_each_row(&mut pass);
+        pass(n, &[], &[]);
         // The row-pointer tables are contiguous across cores.
-        patches.record(lay.rowptr, cfg.n_cores as usize * (n + 1) * 4);
-        patches.record(lay.edges, 4 * n_edges as usize);
+        patches.record(lay.rowptr, table_bytes);
+        patches.record(lay.edges, edge_bytes);
         if f32_mirror {
-            patches.record(lay.edges_f32, 4 * n_edges as usize);
+            patches.record(lay.edges_f32, edge_bytes);
         }
     }
 
@@ -569,10 +604,15 @@ impl GuestImage {
     }
 }
 
-/// Store a little-endian word at SDRAM address `addr`.
-fn put_u32(sdram: &mut [u8], addr: u32, word: u32) {
-    let a = addr as usize;
-    sdram[a..a + 4].copy_from_slice(&word.to_le_bytes());
+/// Store `values` little-endian from guest address `addr` on, in one
+/// pass straight into guest memory.
+fn put_i16s(mem: &mut MainMemory, addr: u32, values: &[i16]) {
+    let dst = mem
+        .span_mut(addr, 2 * values.len())
+        .expect("table outside guest memory");
+    for (d, v) in dst.chunks_exact_mut(2).zip(values) {
+        d.copy_from_slice(&v.to_le_bytes());
+    }
 }
 
 /// Initial VU words: every neuron at rest (`v = c`, `u = b·c`).
@@ -587,50 +627,86 @@ fn init_vu(net: &Network) -> Vec<u32> {
         .collect()
 }
 
-/// The fewest noise-table entries (about 3 ms of draws) worth a thread of
-/// their own: smaller tables use fewer threads, down to the calling one.
+/// The fewest noise-table entries (about 3 ms of draws) worth a helper
+/// thread: smaller tables are drawn on the calling thread alone.
 const NOISE_MIN_PER_THREAD: usize = 1 << 16;
 
-/// The premixed thalamic drive `[row][neuron]`, Q7.8: row `t` holds
+/// The fewest entries in one block of a noise table (whole rows, about
+/// 0.3 ms of draws): small enough that the threads filling a table finish
+/// within a block of each other.
+const NOISE_BLOCK: usize = 1 << 13;
+
+/// Run `build` on the calling thread while the `rows`-row premixed
+/// thalamic drive is drawn beside it, and return both.
+///
+/// The drive is a table `[row][neuron]`, Q7.8: row `t` holds
 /// `bias[i] + gain(t) · noise_std[i] · N(0, 1)`, the Gaussians drawn in
 /// row-major order from one xorshift stream seeded with `seed`, and
-/// `gain(t)` cycling through `schedule` (empty = constant 1). The rows
-/// are split over up to [`std::thread::available_parallelism`] threads of
-/// at least [`NOISE_MIN_PER_THREAD`] entries each; the table is the same
-/// at every thread count.
-fn noise_table(
+/// `gain(t)` cycling through `schedule` (empty = constant 1). It depends
+/// on nothing `build` makes, so a builder that draws and quantises its
+/// network inside `build` overlaps that work with the Gaussians.
+/// [`std::thread::available_parallelism`] minus one helper threads draw
+/// the table from its start, and the calling thread joins them once
+/// `build` returns, so no more threads run than there are CPUs (three
+/// threads on two CPUs drew the 80-20 tables slower than two did); a
+/// table too small to be worth a helper is drawn after `build` on the
+/// calling thread. The table is the same at every thread count. It is
+/// allocated on the calling thread, so a loop of builds reuses the
+/// caller's freed memory instead of growing a helper thread's heap (which
+/// raised `relaxed_sweep`'s peak RSS by about 12 MB).
+pub(crate) fn beside_noise<T>(
     bias: &[f64],
     noise_std: &[f64],
     schedule: &[f64],
     rows: usize,
     seed: u32,
-) -> Vec<i16> {
-    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let chunks = threads.min(rows * bias.len() / NOISE_MIN_PER_THREAD).max(1);
-    noise_table_chunked(bias, noise_std, schedule, rows, seed, chunks)
+    build: impl FnOnce() -> T,
+) -> (T, Vec<i16>) {
+    let mut table = vec![0i16; rows * bias.len()];
+    let helpers = if table.len() < NOISE_MIN_PER_THREAD {
+        0
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get()) - 1
+    };
+    let block_rows = NOISE_BLOCK.div_ceil(bias.len().max(1));
+    let built = fill_noise(
+        &mut table, bias, noise_std, schedule, seed, helpers, block_rows, build,
+    );
+    (built, table)
 }
 
-/// [`noise_table`] split into at most `chunks` runs of whole rows, each
-/// filled on its own scoped thread (the last on the calling one). Every
-/// Gaussian consumes exactly two raw draws, so one sequential pass of raw
-/// draws finds the generator state at each run's first row, and each
-/// thread writes its own disjoint slice of the table.
-fn noise_table_chunked(
+/// Fill `table`, whole rows of `bias.len()` entries, with the drive
+/// [`beside_noise`] describes, in blocks of `block_rows` rows: `helpers`
+/// scoped threads take blocks in order from the start, and the calling
+/// thread takes them too once `build` returns. Every Gaussian consumes
+/// exactly two raw draws, so a block starts one [`Jump`] of twice its
+/// length past the previous block's start, and the table is the same
+/// whichever thread fills which block.
+#[allow(clippy::too_many_arguments)]
+fn fill_noise<T>(
+    table: &mut [i16],
     bias: &[f64],
     noise_std: &[f64],
     schedule: &[f64],
-    rows: usize,
     seed: u32,
-    chunks: usize,
-) -> Vec<i16> {
+    helpers: usize,
+    block_rows: usize,
+    build: impl FnOnce() -> T,
+) -> T {
     let n = bias.len();
     assert_eq!(noise_std.len(), n);
-    let mut table = vec![0i16; rows * n];
-    if table.is_empty() {
-        return table;
-    }
-    let run = rows.div_ceil(chunks.max(1)) * n;
-    let fill = move |out: &mut [i16], first_row: usize, mut rng: XorShift32| {
+    let block = (block_rows * n).max(1);
+    let jump = Jump::new(2 * block as u64);
+    let mut next_start = XorShift32::new(seed);
+    let blocks = Mutex::new(table.chunks_mut(block).enumerate().map(|(k, out)| {
+        let start = next_start;
+        next_start.jump(&jump);
+        (k * block_rows, start, out)
+    }));
+    let work = || loop {
+        let Some((first_row, mut rng, out)) = blocks.lock().expect("noise blocks").next() else {
+            return;
+        };
         for (k, row) in out.chunks_mut(n).enumerate() {
             let gain = match schedule.len() {
                 0 => 1.0,
@@ -641,23 +717,14 @@ fn noise_table_chunked(
             }
         }
     };
-    let mut rng = XorShift32::new(seed);
     std::thread::scope(|s| {
-        let mut rest = table.as_mut_slice();
-        let mut first_row = 0;
-        while rest.len() > run {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(run);
-            let start = rng;
-            for _ in 0..2 * head.len() {
-                rng.next_u32();
-            }
-            s.spawn(move || fill(head, first_row, start));
-            rest = tail;
-            first_row += run / n;
+        for _ in 0..helpers {
+            s.spawn(work);
         }
-        fill(rest, first_row, rng);
-    });
-    table
+        let built = build();
+        work();
+        built
+    })
 }
 
 /// Result of running a workload on the simulator.
@@ -1792,7 +1859,7 @@ pub fn run_prepared_system(
             .read_u32(lay.rowptr + 4 * last)
             .expect("rowptr table out of range");
         let bytes = mem
-            .read_bytes(lay.edges, 4 * total as usize)
+            .span(lay.edges, 4 * total as usize)
             .expect("edge table out of range");
         let mut h: u64 = 0;
         for w in bytes.chunks_exact(4) {
@@ -1876,9 +1943,24 @@ mod tests {
                     want.push(Q7_8::from_f64(v).raw());
                 }
             }
-            for chunks in [1, 2, 3, 7] {
-                let got = noise_table_chunked(&bias, &noise_std, sched, rows, 77, chunks);
-                assert_eq!(got, want, "{chunks} chunks, schedule {sched:?}");
+            for helpers in [0, 1, 3] {
+                for block_rows in [1, 2, 5, rows, 2 * rows] {
+                    let mut got = vec![0; rows * n];
+                    fill_noise(
+                        &mut got,
+                        &bias,
+                        &noise_std,
+                        sched,
+                        77,
+                        helpers,
+                        block_rows,
+                        || {},
+                    );
+                    assert_eq!(
+                        got, want,
+                        "{helpers} helpers, blocks of {block_rows} rows, schedule {sched:?}"
+                    );
+                }
             }
         }
     }

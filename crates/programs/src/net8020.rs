@@ -7,7 +7,8 @@ use izhi_snn::gen8020::Net8020;
 use izhi_snn::network::Network;
 use izhi_snn::noise::XorShift32;
 
-use crate::engine::{EngineConfig, GuestImage, Variant};
+use crate::engine::{beside_noise, EngineConfig, GuestImage, Variant};
+use crate::layout;
 
 /// A prepared 80-20 guest workload.
 #[derive(Debug, Clone)]
@@ -42,14 +43,10 @@ impl Net8020Workload {
         seed: u32,
         variant: Variant,
     ) -> Self {
-        Self::build(
-            Net8020::with_size(n_exc, n_inh, seed),
-            ticks,
-            n_cores,
-            seed,
-            variant,
-            false,
-        )
+        let cfg = EngineConfig::new(n_exc + n_inh, ticks, n_cores, variant);
+        Self::build(n_exc, n_inh, cfg, seed, || {
+            Net8020::with_size(n_exc, n_inh, seed)
+        })
     }
 
     /// A *pruned* 80-20 population on the sparse CSR phase-A walk: each
@@ -68,61 +65,61 @@ impl Net8020Workload {
         seed: u32,
         density: f64,
     ) -> Self {
-        let mut net = Net8020::with_size(n_exc, n_inh, seed);
-        let n = net.len();
-        let keep = Net8020::sparse_row_len(n, density);
-        let mut edges = Vec::with_capacity(keep * n);
-        for pre in 0..n {
-            let mut row: Vec<(u32, f64)> = net.network.out_edges(pre).collect();
-            row.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
-            let total: f64 = row.iter().map(|&(_, w)| w).sum();
-            row.truncate(keep);
-            let kept: f64 = row.iter().map(|&(_, w)| w).sum();
-            let boost = if kept.abs() > 1e-12 {
-                total / kept
-            } else {
-                1.0
-            };
-            edges.extend(
-                row.into_iter()
-                    .map(|(post, w)| (pre as u32, post, w * boost)),
-            );
-        }
-        net.network = Network::from_edges(std::mem::take(&mut net.network.params), edges);
-        Self::build(net, ticks, n_cores, seed, Variant::Npu, true)
+        let mut cfg = EngineConfig::new(n_exc + n_inh, ticks, n_cores, Variant::Npu);
+        cfg.sparse = true;
+        Self::build(n_exc, n_inh, cfg, seed, || {
+            let mut net = Net8020::with_size(n_exc, n_inh, seed);
+            let n = net.len();
+            let keep = Net8020::sparse_row_len(n, density);
+            let mut edges = Vec::with_capacity(keep * n);
+            for pre in 0..n {
+                let mut row: Vec<(u32, f64)> = net.network.out_edges(pre).collect();
+                row.sort_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
+                let total: f64 = row.iter().map(|&(_, w)| w).sum();
+                row.truncate(keep);
+                let kept: f64 = row.iter().map(|&(_, w)| w).sum();
+                let boost = if kept.abs() > 1e-12 {
+                    total / kept
+                } else {
+                    1.0
+                };
+                edges.extend(
+                    row.into_iter()
+                        .map(|(post, w)| (pre as u32, post, w * boost)),
+                );
+            }
+            net.network = Network::from_edges(std::mem::take(&mut net.network.params), edges);
+            net
+        })
     }
 
+    /// The dense-image build: `draw` generates the `n_exc + n_inh`
+    /// population, which is charge-normalised and quantised while its
+    /// thalamic noise table is drawn beside it.
     fn build(
-        mut net: Net8020,
-        ticks: u32,
-        n_cores: u32,
+        n_exc: usize,
+        n_inh: usize,
+        cfg: EngineConfig,
         seed: u32,
-        variant: Variant,
-        sparse: bool,
+        draw: impl FnOnce() -> Net8020,
     ) -> Self {
-        // Charge normalisation: Izhikevich's script delivers each weight
-        // for exactly one tick, while the IzhiRISC-V system integrates a
-        // *persistent* current with DCU decay (retention r = 1 - h/τ =
-        // 0.75 at τ = 2). Scaling weights by (1 - r) makes the total
-        // delivered charge per spike match the original network, so the
-        // population dynamics stay in the paper's regime.
-        for w in &mut net.network.weights {
-            *w *= 0.25;
-        }
-        let n = net.len();
-        let bias = vec![0.0; n];
-        let noise_std: Vec<f64> = (0..n)
-            .map(|i| {
-                if net.is_excitatory(i) {
-                    net.exc_noise
-                } else {
-                    net.inh_noise
-                }
-            })
-            .collect();
-        let image = GuestImage::from_network(&net.network, &bias, &noise_std, ticks, seed ^ 0xABCD);
-        let mut cfg = EngineConfig::new(n, ticks, n_cores, variant);
-        cfg.sparse = sparse;
+        let n = cfg.n;
+        let ticks = cfg.ticks;
+        let rows = layout::noise_period(n, ticks) as usize;
+        let ((net, mut image), noise_q) = beside_noise(
+            &vec![0.0; n],
+            &Net8020::noise_std(n_exc, n_inh),
+            &[],
+            rows,
+            seed ^ 0xABCD,
+            || {
+                let mut net = draw();
+                normalise_charge(&mut net);
+                let image = GuestImage::quantised(&net.network, ticks);
+                (net, image)
+            },
+        );
+        image.noise_q = noise_q;
         Net8020Workload {
             net,
             image,
@@ -146,13 +143,8 @@ impl Net8020Workload {
         n_cores: u32,
         seed: u32,
     ) -> Self {
-        Self::build_csr(
-            Net8020::sparse_random(n_exc, n_inh, density, seed),
-            ticks,
-            n_cores,
-            seed,
-            false,
-        )
+        let cfg = EngineConfig::new(n_exc + n_inh, ticks, n_cores, Variant::Npu);
+        Self::build_csr(n_exc, n_inh, density, cfg, seed, true)
     }
 
     /// The plastic (STDP) build: the sharded population with the engine's
@@ -166,13 +158,9 @@ impl Net8020Workload {
         n_cores: u32,
         seed: u32,
     ) -> Self {
-        let mut wl = Self::build_csr(
-            Net8020::sparse_random(n_exc, n_inh, density, seed),
-            ticks,
-            n_cores,
-            seed,
-            true,
-        );
+        let mut cfg = EngineConfig::new(n_exc + n_inh, ticks, n_cores, Variant::Npu);
+        cfg.plastic = true;
+        let mut wl = Self::build_csr(n_exc, n_inh, density, cfg, seed, true);
         wl.initial_weight_hash = Some(wl.image.initial_weight_hash());
         wl
     }
@@ -191,23 +179,11 @@ impl Net8020Workload {
         seed: u32,
         stim_rate: u32,
     ) -> Self {
-        let net = Net8020::sparse_random(n_exc, n_inh, density, seed);
-        let n = net.len();
-        let mut wl = Self::build_csr(net, ticks, n_cores, seed, false);
+        let n = n_exc + n_inh;
+        let mut cfg = EngineConfig::new(n, ticks, n_cores, Variant::Npu);
+        cfg.stim = true;
+        let mut wl = Self::build_csr(n_exc, n_inh, density, cfg, seed, false);
         wl.stream = true;
-        // Silence the thalamic channel: the stimulus is the only input.
-        let bias = vec![0.0; n];
-        let zero_noise = vec![0.0; n];
-        let lay = wl.cfg.layout();
-        wl.image = GuestImage::from_network_csr(
-            &wl.net.network,
-            &bias,
-            &zero_noise,
-            ticks,
-            seed ^ 0xABCD,
-            &lay,
-        );
-        wl.cfg.stim = true;
         let chunk = wl.cfg.chunk() as u32;
         let mut rng = XorShift32::new(seed ^ 0x57D1);
         let mut plan = StimPlan::none();
@@ -221,35 +197,44 @@ impl Net8020Workload {
         wl
     }
 
-    fn build_csr(mut net: Net8020, ticks: u32, n_cores: u32, seed: u32, plastic: bool) -> Self {
-        // Same charge normalisation as the dense build (see `build`).
-        for w in &mut net.network.weights {
-            *w *= 0.25;
-        }
-        let n = net.len();
-        let bias = vec![0.0; n];
-        let noise_std: Vec<f64> = (0..n)
-            .map(|i| {
-                if net.is_excitatory(i) {
-                    net.exc_noise
-                } else {
-                    net.inh_noise
-                }
-            })
-            .collect();
-        let mut cfg = EngineConfig::new(n, ticks, n_cores, Variant::Npu);
+    /// The CSR-native build of a [`Net8020::sparse_random`] population
+    /// under `cfg`: the population is drawn, charge-normalised and
+    /// quantised while its thalamic noise table is drawn beside it. A
+    /// build without the `thalamic` channel gets an all-zero table
+    /// (`0 + 1·0·g` is ±0 for every finite Gaussian `g`), so it draws no
+    /// Gaussians at all.
+    fn build_csr(
+        n_exc: usize,
+        n_inh: usize,
+        density: f64,
+        mut cfg: EngineConfig,
+        seed: u32,
+        thalamic: bool,
+    ) -> Self {
         cfg.sparse = true;
-        cfg.plastic = plastic;
+        let n = cfg.n;
+        let ticks = cfg.ticks;
+        let rows = cfg.layout().noise_rows(n, ticks) as usize;
+        let draw = || {
+            let mut net = Net8020::sparse_random(n_exc, n_inh, density, seed);
+            normalise_charge(&mut net);
+            let image = GuestImage::quantised_csr(&net.network, ticks);
+            (net, image)
+        };
+        let ((net, mut image), noise_q) = if thalamic {
+            beside_noise(
+                &vec![0.0; n],
+                &Net8020::noise_std(n_exc, n_inh),
+                &[],
+                rows,
+                seed ^ 0xABCD,
+                draw,
+            )
+        } else {
+            (draw(), vec![0; rows * n])
+        };
+        image.noise_q = noise_q;
         cfg.fit_memory(net.network.n_synapses());
-        let lay = cfg.layout();
-        let image = GuestImage::from_network_csr(
-            &net.network,
-            &bias,
-            &noise_std,
-            ticks,
-            seed ^ 0xABCD,
-            &lay,
-        );
         Net8020Workload {
             net,
             image,
@@ -262,6 +247,18 @@ impl Net8020Workload {
     // Running lives on the `crate::scenario::Workload` trait impl (the
     // registry's single definition of "run this under the configured
     // scheduling mode"); no inherent duplicate here.
+}
+
+/// Charge normalisation: Izhikevich's script delivers each weight for
+/// exactly one tick, while the IzhiRISC-V system integrates a
+/// *persistent* current with DCU decay (retention r = 1 - h/τ = 0.75 at
+/// τ = 2). Scaling weights by (1 - r) makes the total delivered charge
+/// per spike match the original network, so the population dynamics stay
+/// in the paper's regime.
+fn normalise_charge(net: &mut Net8020) {
+    for w in &mut net.network.weights {
+        *w *= 0.25;
+    }
 }
 
 #[cfg(test)]

@@ -250,26 +250,42 @@ impl MainMemory {
         true
     }
 
+    /// The `len` bytes from `addr` on, when they lie within one region
+    /// (SDRAM or the scratchpad); `None` otherwise. Empty spans are
+    /// always `Some`.
+    pub fn span(&self, addr: u32, len: usize) -> Option<&[u8]> {
+        if len == 0 {
+            return Some(&[]);
+        }
+        let (mem, off) = self.backing(addr)?;
+        mem.get(off..off.checked_add(len)?)
+    }
+
+    /// [`MainMemory::span`], mutable: where bulk table uploads serialise
+    /// straight into guest memory.
+    pub fn span_mut(&mut self, addr: u32, len: usize) -> Option<&mut [u8]> {
+        if len == 0 {
+            return Some(&mut []);
+        }
+        let (mem, off) = self.backing_mut(addr)?;
+        mem.get_mut(off..off.checked_add(len)?)
+    }
+
     /// Copy a byte slice into memory (used by the program loader and bulk
     /// table uploads). One `memcpy` when the span lies within a single
-    /// region; `false` if any byte is unmapped.
+    /// region; `false` otherwise.
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> bool {
-        if bytes.is_empty() {
-            return true;
-        }
-        let Some((mem, off)) = self.backing_mut(addr) else {
-            return false;
-        };
-        let Some(slot) = mem.get_mut(off..off + bytes.len()) else {
+        let Some(slot) = self.span_mut(addr, bytes.len()) else {
             return false;
         };
         slot.copy_from_slice(bytes);
         true
     }
 
-    /// Read `len` bytes starting at `addr` (host-side result readback).
+    /// Read `len` bytes starting at `addr` (host-side result readback);
+    /// `None` unless they lie within one region.
     pub fn read_bytes(&self, addr: u32, len: usize) -> Option<Vec<u8>> {
-        (0..len).map(|i| self.read_u8(addr + i as u32)).collect()
+        self.span(addr, len).map(<[u8]>::to_vec)
     }
 }
 
@@ -348,5 +364,27 @@ mod tests {
         let data: Vec<u8> = (0..=255).collect();
         assert!(m.write_bytes(100, &data));
         assert_eq!(m.read_bytes(100, 256).unwrap(), data);
+        assert!(m.write_bytes(SCRATCH_BASE + 4096 - 256, &data));
+        assert_eq!(m.span(SCRATCH_BASE + 4096 - 256, 256), Some(&data[..]));
+    }
+
+    #[test]
+    fn spans_stay_inside_one_region() {
+        let mut m = MainMemory::new(4096, 4096);
+        assert_eq!(m.span(4096 - 4, 4).map(<[u8]>::len), Some(4));
+        assert_eq!(m.span(4096 - 4, 5), None); // runs off the end of SDRAM
+        assert_eq!(m.span(4096, 1), None);
+        assert_eq!(m.span(SCRATCH_BASE + 4095, 2), None);
+        assert_eq!(m.span(MMIO_BASE, 4), None);
+        assert_eq!(m.span(SCRATCH_BASE + 1, usize::MAX), None);
+        assert_eq!(m.span(0x2000_0000, 0), Some(&[][..]));
+        assert!(m.span_mut(4096 - 2, 4).is_none());
+        assert!(!m.write_bytes(4096 - 2, &[1, 2, 3, 4]));
+        assert_eq!(m.read_bytes(4096 - 2, 4), None);
+        assert_eq!(
+            m.read_u16(4096 - 2),
+            Some(0),
+            "a refused write stores nothing"
+        );
     }
 }

@@ -18,13 +18,28 @@ pub struct Net8020 {
     pub network: Network,
     /// Number of excitatory neurons (first `n_exc` indices).
     pub n_exc: usize,
-    /// Thalamic noise std for excitatory cells (5.0).
+    /// Thalamic noise std for excitatory cells ([`Net8020::EXC_NOISE`]).
     pub exc_noise: f64,
-    /// Thalamic noise std for inhibitory cells (2.0).
+    /// Thalamic noise std for inhibitory cells ([`Net8020::INH_NOISE`]).
     pub inh_noise: f64,
 }
 
 impl Net8020 {
+    /// Thalamic noise std of every generated excitatory cell.
+    pub const EXC_NOISE: f64 = 5.0;
+    /// Thalamic noise std of every generated inhibitory cell.
+    pub const INH_NOISE: f64 = 2.0;
+
+    /// Per-neuron thalamic noise std of an `n_exc + n_inh` population,
+    /// excitatory cells first — what a generated network's
+    /// [`Net8020::exc_noise`]/[`Net8020::inh_noise`] say, known before
+    /// anything is drawn.
+    pub fn noise_std(n_exc: usize, n_inh: usize) -> Vec<f64> {
+        let mut std = vec![Self::EXC_NOISE; n_exc];
+        std.resize(n_exc + n_inh, Self::INH_NOISE);
+        std
+    }
+
     /// Generate the canonical 1000-neuron network.
     pub fn standard(seed: u32) -> Self {
         Self::with_size(800, 200, seed)
@@ -35,31 +50,38 @@ impl Net8020 {
     pub fn with_size(n_exc: usize, n_inh: usize, seed: u32) -> Self {
         let n = n_exc + n_inh;
         let mut rng = XorShift32::new(seed);
-        let mut params = Vec::with_capacity(n);
-        for _ in 0..n_exc {
-            params.push(IzhParams::excitatory_8020(rng.next_f64()));
-        }
-        for _ in 0..n_inh {
-            params.push(IzhParams::inhibitory_8020(rng.next_f64()));
-        }
-        // Dense all-to-all weights, row = presynaptic neuron.
-        let mut w = vec![0.0f64; n * n];
-        for (pre, row) in w.chunks_mut(n).enumerate() {
-            if pre < n_exc {
-                for v in row.iter_mut() {
-                    *v = 0.5 * rng.next_f64();
-                }
-            } else {
-                for v in row.iter_mut() {
-                    *v = -rng.next_f64();
+        let params = draw_params(n_exc, n_inh, &mut rng);
+        // All-to-all weights drawn row by row (row = presynaptic neuron)
+        // straight into CSR form; an exact zero draw is no synapse, as in
+        // `Network::from_dense`.
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(n * n);
+        let mut weights = Vec::with_capacity(n * n);
+        row_ptr.push(0u32);
+        for pre in 0..n {
+            for post in 0..n as u32 {
+                let w = if pre < n_exc {
+                    0.5 * rng.next_f64()
+                } else {
+                    -rng.next_f64()
+                };
+                if w != 0.0 {
+                    targets.push(post);
+                    weights.push(w);
                 }
             }
+            row_ptr.push(targets.len() as u32);
         }
         Net8020 {
-            network: Network::from_dense(params, &w),
+            network: Network {
+                params,
+                row_ptr,
+                targets,
+                weights,
+            },
             n_exc,
-            exc_noise: 5.0,
-            inh_noise: 2.0,
+            exc_noise: Self::EXC_NOISE,
+            inh_noise: Self::INH_NOISE,
         }
     }
 
@@ -80,52 +102,69 @@ impl Net8020 {
     /// canonical network's in-degree ratio `1000/(density·n)` so the
     /// per-neuron recurrent drive stays in the 1000-neuron reference
     /// regime at any size.
+    ///
+    /// Draw order, which fixes the network for a seed: every neuron's
+    /// parameter, then row by row the row's rejection draws followed by
+    /// one weight per target in ascending target order.
     pub fn sparse_random(n_exc: usize, n_inh: usize, density: f64, seed: u32) -> Self {
         let n = n_exc + n_inh;
         let mut rng = XorShift32::new(seed);
-        let mut params = Vec::with_capacity(n);
-        for _ in 0..n_exc {
-            params.push(IzhParams::excitatory_8020(rng.next_f64()));
-        }
-        for _ in 0..n_inh {
-            params.push(IzhParams::inhibitory_8020(rng.next_f64()));
-        }
+        let params = draw_params(n_exc, n_inh, &mut rng);
         let keep = Self::sparse_row_len(n, density);
         let boost = (1000.0 / (density * n as f64)).max(1.0);
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut targets: Vec<u32> = Vec::with_capacity(keep * n);
-        let mut weights = Vec::with_capacity(keep * n);
+        // Two spare slots past the last row: the walk below stores a
+        // word's two lowest targets before it knows how many it holds.
+        let mut targets = vec![0u32; keep * n + 2];
+        let mut weights = vec![0.0; keep * n];
         row_ptr.push(0u32);
-        let mut row = Vec::with_capacity(keep);
-        // Membership of the current row's targets, cleared through the
-        // row's own entries so each row costs O(keep), not O(n).
-        let mut in_row = vec![false; n];
-        for pre in 0..n {
+        // The current row's targets as a bitset. Walking its n/64 words
+        // (no more than `keep` at densities of 1/64 and up) yields them in
+        // ascending order without a sort and leaves it empty for the next
+        // row.
+        let mut in_row = vec![0u64; n.div_ceil(64)];
+        for (pre, row) in (0..n).zip((0..).step_by(keep)) {
             // Rejection-sample `keep` distinct targets; deterministic in
             // the seed, and cheap for the sparse densities this is for.
-            for &t in &row {
-                in_row[t as usize] = false;
-            }
-            row.clear();
-            while row.len() < keep {
+            let mut drawn = 0;
+            while drawn < keep {
                 let t = (rng.next_f64() * n as f64) as u32 % n as u32;
-                if !in_row[t as usize] {
-                    in_row[t as usize] = true;
-                    row.push(t);
+                let (word, bit) = (t as usize / 64, 1u64 << (t % 64));
+                if in_row[word] & bit == 0 {
+                    in_row[word] |= bit;
+                    drawn += 1;
                 }
             }
-            row.sort_unstable();
-            for &t in &row {
+            // Most words hold at most two targets, so each word stores its
+            // two lowest unconditionally (a store past the word's count is
+            // overwritten by the next) and loops only over the rest: one
+            // rarely taken branch per word instead of a loop exit that
+            // mispredicts on about half of them.
+            let mut k = row;
+            for (base, word) in (0u32..).step_by(64).zip(&mut in_row) {
+                let bits = std::mem::take(word);
+                let rest = bits & bits.wrapping_sub(1);
+                targets[k] = base + bits.trailing_zeros();
+                targets[k + 1] = base + rest.trailing_zeros();
+                k += usize::from(bits != 0) + usize::from(rest != 0);
+                let mut more = rest & rest.wrapping_sub(1);
+                while more != 0 {
+                    targets[k] = base + more.trailing_zeros();
+                    k += 1;
+                    more &= more - 1;
+                }
+            }
+            for slot in &mut weights[row..row + keep] {
                 let w = if pre < n_exc {
                     0.5 * rng.next_f64()
                 } else {
                     -rng.next_f64()
                 };
-                targets.push(t);
-                weights.push(w * boost);
+                *slot = w * boost;
             }
-            row_ptr.push(targets.len() as u32);
+            row_ptr.push((row + keep) as u32);
         }
+        targets.truncate(keep * n);
         Net8020 {
             network: Network {
                 params,
@@ -134,8 +173,8 @@ impl Net8020 {
                 weights,
             },
             n_exc,
-            exc_noise: 5.0,
-            inh_noise: 2.0,
+            exc_noise: Self::EXC_NOISE,
+            inh_noise: Self::INH_NOISE,
         }
     }
 
@@ -169,9 +208,121 @@ impl Net8020 {
     }
 }
 
+/// The 2003 parameter recipes, one uniform draw per neuron: `n_exc`
+/// excitatory neurons, then `n_inh` inhibitory ones.
+fn draw_params(n_exc: usize, n_inh: usize, rng: &mut XorShift32) -> Vec<IzhParams> {
+    let mut params = Vec::with_capacity(n_exc + n_inh);
+    for _ in 0..n_exc {
+        params.push(IzhParams::excitatory_8020(rng.next_f64()));
+    }
+    for _ in 0..n_inh {
+        params.push(IzhParams::inhibitory_8020(rng.next_f64()));
+    }
+    params
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The sort-based row sampler [`Net8020::sparse_random`] must match
+    /// draw for draw: collect a row's distinct targets in draw order,
+    /// sort them, then draw one weight per sorted target.
+    fn sorted_rows_reference(n_exc: usize, n_inh: usize, density: f64, seed: u32) -> Network {
+        let n = n_exc + n_inh;
+        let mut rng = XorShift32::new(seed);
+        let params = draw_params(n_exc, n_inh, &mut rng);
+        let keep = Net8020::sparse_row_len(n, density);
+        let boost = (1000.0 / (density * n as f64)).max(1.0);
+        let (mut row_ptr, mut targets, mut weights) = (vec![0u32], Vec::new(), Vec::new());
+        let mut row = Vec::with_capacity(keep);
+        let mut in_row = vec![false; n];
+        for pre in 0..n {
+            for &t in &row {
+                in_row[t as usize] = false;
+            }
+            row.clear();
+            while row.len() < keep {
+                let t = (rng.next_f64() * n as f64) as u32 % n as u32;
+                if !in_row[t as usize] {
+                    in_row[t as usize] = true;
+                    row.push(t);
+                }
+            }
+            row.sort_unstable();
+            for &t in &row {
+                let w = if pre < n_exc {
+                    0.5 * rng.next_f64()
+                } else {
+                    -rng.next_f64()
+                };
+                targets.push(t);
+                weights.push(w * boost);
+            }
+            row_ptr.push(targets.len() as u32);
+        }
+        Network {
+            params,
+            row_ptr,
+            targets,
+            weights,
+        }
+    }
+
+    #[test]
+    fn with_size_matches_the_dense_matrix_reference() {
+        // The dense `n²` draw converted by `Network::from_dense`.
+        for (n_exc, n_inh, seed) in [(8, 2, 3), (1, 0, 5), (0, 3, 6), (80, 20, 1001)] {
+            let n = n_exc + n_inh;
+            let mut rng = XorShift32::new(seed);
+            let params = draw_params(n_exc, n_inh, &mut rng);
+            let mut w = vec![0.0f64; n * n];
+            for (pre, row) in w.chunks_mut(n).enumerate() {
+                for v in row.iter_mut() {
+                    *v = if pre < n_exc {
+                        0.5 * rng.next_f64()
+                    } else {
+                        -rng.next_f64()
+                    };
+                }
+            }
+            let want = Network::from_dense(params, &w);
+            let got = Net8020::with_size(n_exc, n_inh, seed).network;
+            assert_eq!(got.row_ptr, want.row_ptr);
+            assert_eq!(got.targets, want.targets);
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.weights), bits(&want.weights));
+        }
+    }
+
+    #[test]
+    fn sparse_random_matches_the_sorted_reference() {
+        // (n_exc, n_inh, density): one-target rows, full rows (`keep ==
+        // n`), one-neuron populations of either sign, bitset widths just
+        // under, at and over a word, and the sharded default shape.
+        let shapes = [
+            (1, 0, 0.5),
+            (0, 1, 0.02),
+            (50, 13, 0.001),
+            (50, 13, 1.0),
+            (51, 13, 0.3),
+            (52, 13, 0.9),
+            (64, 0, 0.25),
+            (0, 65, 0.25),
+            (8192, 2048, 0.02),
+        ];
+        for (n_exc, n_inh, density) in shapes {
+            for seed in [1, 17, 1001] {
+                let want = sorted_rows_reference(n_exc, n_inh, density, seed);
+                let got = Net8020::sparse_random(n_exc, n_inh, density, seed).network;
+                let shape = format!("({n_exc}, {n_inh}, {density}) seed {seed}");
+                assert_eq!(got.row_ptr, want.row_ptr, "{shape}");
+                assert_eq!(got.targets, want.targets, "{shape}");
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.weights), bits(&want.weights), "{shape}");
+            }
+        }
+    }
 
     #[test]
     fn standard_shape() {

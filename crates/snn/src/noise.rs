@@ -48,6 +48,12 @@ impl XorShift32 {
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
+    /// Advance the generator by a precomputed number of raw draws.
+    #[inline]
+    pub fn jump(&mut self, jump: &Jump) {
+        self.state = jump.apply(self.state);
+    }
+
     /// Sum-of-uniforms approximate gaussian, exactly as the guest assembly
     /// computes it: `(sum of 4 uniform u16 draws - 2*65536) * scale`, which
     /// has mean 0 and variance `4/12 * 65536^2`. Returned normalised to
@@ -65,9 +71,71 @@ impl XorShift32 {
     }
 }
 
+/// A fixed number of raw xorshift32 draws, taken in one step by
+/// [`XorShift32::jump`]. Each draw is a linear map of the 32 state bits
+/// over GF(2), so any number of them is one such map, found by squaring
+/// in O(log draws) and stored as the images of the 32 unit states.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Jump {
+    images: [u32; 32],
+}
+
+impl Jump {
+    /// The jump over `draws` raw draws.
+    pub fn new(mut draws: u64) -> Self {
+        let mut step = Jump {
+            images: std::array::from_fn(|bit| XorShift32 { state: 1 << bit }.next_u32()),
+        };
+        let mut jump = Jump {
+            images: std::array::from_fn(|bit| 1 << bit),
+        };
+        while draws != 0 {
+            if draws & 1 != 0 {
+                jump = jump.then(&step);
+            }
+            step = step.then(&step);
+            draws >>= 1;
+        }
+        jump
+    }
+
+    /// The state `self` maps `state` to.
+    fn apply(&self, state: u32) -> u32 {
+        let mut out = 0;
+        for (bit, image) in self.images.iter().enumerate() {
+            out ^= image & 0u32.wrapping_sub(state >> bit & 1);
+        }
+        out
+    }
+
+    /// `self` followed by `next`.
+    fn then(&self, next: &Jump) -> Jump {
+        Jump {
+            images: self.images.map(|image| next.apply(image)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn jump_matches_stepping() {
+        for seed in [1, 7, 0xDEAD_BEEF] {
+            let mut stepped = XorShift32::new(seed);
+            let mut done = 0;
+            for draws in [0u64, 1, 2, 3, 31, 32, 33, 1000, 65_537] {
+                for _ in done..draws {
+                    stepped.next_u32();
+                }
+                done = draws;
+                let mut jumped = XorShift32::new(seed);
+                jumped.jump(&Jump::new(draws));
+                assert_eq!(jumped, stepped, "seed {seed}, {draws} draws");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {
