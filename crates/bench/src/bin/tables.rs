@@ -4,6 +4,7 @@
 //! tables [--quick] <experiment|all>
 //! experiments: table1 table2 table3 table4 table5 table6 table7
 //!              fig2 fig3 fig4 fig5 ablation_softfloat ablation_csr
+//!              ablation_cache scaling
 //! ```
 //!
 //! Output goes to stdout and to `results/<experiment>.txt`

@@ -46,6 +46,7 @@ use izhi_programs::scenario::{self, ScenarioParams, Workload};
 use izhi_programs::sudoku_prog::SudokuWorkload;
 use izhi_sim::Metrics;
 use izhi_snn::analysis::{band_power, IsiHistogram};
+use izhi_snn::gen8020::Net8020;
 use izhi_snn::simulate::{F64Simulator, FixedSimulator};
 use izhi_snn::sudoku::{hard_puzzle, SudokuGrid};
 
@@ -65,6 +66,9 @@ pub enum Scale {
     /// Small scale for smoke runs.
     Quick,
 }
+
+/// Network and noise seed of every 80-20 experiment.
+const NET8020_SEED: u32 = 5;
 
 impl Scale {
     fn net8020(self) -> (usize, usize, u32) {
@@ -89,7 +93,7 @@ impl Scale {
             .with_n(n_exc + n_inh)
             .with_ticks(ticks)
             .with_cores(n_cores)
-            .with_seed(5)
+            .with_seed(NET8020_SEED)
     }
 }
 
@@ -580,29 +584,19 @@ pub fn fig2(scale: Scale) -> (String, String) {
 
 /// Fig. 3: ISI histograms of the three arithmetic arms.
 pub fn fig3(scale: Scale) -> String {
-    let (_, _, ticks) = scale.net8020();
-    let built = net8020_scenario(scale, 1);
-    let guest = built.run().expect("fig3 guest run failed").raster;
-    // The host reference arms (double / fixed) need the generated network.
-    let wl = built
-        .as_any()
-        .downcast_ref::<Net8020Workload>()
-        .expect("net8020 wraps Net8020Workload");
-
-    let set_noise = |sim_noise: &mut [f64]| {
-        for (i, ns) in sim_noise.iter_mut().enumerate() {
-            *ns = if wl.net.is_excitatory(i) {
-                wl.net.exc_noise
-            } else {
-                wl.net.inh_noise
-            };
-        }
-    };
-    let mut f64_sim = F64Simulator::new(&wl.net.network, 2, 901);
-    set_noise(&mut f64_sim.noise_std);
+    let (n_exc, n_inh, ticks) = scale.net8020();
+    let guest = net8020_scenario(scale, 1)
+        .run()
+        .expect("fig3 guest run failed")
+        .raster;
+    // The host reference arms (double / fixed) simulate the population the
+    // guest image was quantised from.
+    let net = Net8020Workload::population(n_exc, n_inh, NET8020_SEED);
+    let mut f64_sim = F64Simulator::new(&net.network, 2, 901);
+    f64_sim.noise_std = Net8020::noise_std(n_exc, n_inh);
     let double = f64_sim.run(ticks);
-    let mut fx_sim = FixedSimulator::new(&wl.net.network, 2, 902);
-    set_noise(&mut fx_sim.noise_std);
+    let mut fx_sim = FixedSimulator::new(&net.network, 2, 902);
+    fx_sim.noise_std = Net8020::noise_std(n_exc, n_inh);
     let fixed = fx_sim.run(ticks);
 
     let bins = 10;
@@ -947,4 +941,30 @@ pub fn scaling_study() -> String {
          closing remark that a NoC is required for the 192-core system."
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// FNV-1a of `fig3(Scale::Quick)`'s report, recorded before its host
+    /// reference arms were rebuilt from the shared population recipe.
+    const FIG3_QUICK: u64 = 0x01c8_0491_3303_84ba;
+
+    /// The report prints the guest arm beside both host reference arms
+    /// (double and fixed point), so a host arm that simulates another
+    /// network or another thalamic noise than the guest runs moves it.
+    #[test]
+    fn fig3_quick_report_is_pinned() {
+        let report = fig3(Scale::Quick);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in report.as_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        assert_eq!(
+            h, FIG3_QUICK,
+            "computed {h:#018x} for the report:\n{report}"
+        );
+    }
 }

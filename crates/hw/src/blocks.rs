@@ -5,8 +5,9 @@
 //! and were inferred once from the paper's FreePDK45 placement areas
 //! (Table VII) at the calibration density of 1 GE ≈ 1 µm² in that library.
 //! Everything downstream (ASAP7 shrink, per-block fractions, FPGA mapping)
-//! is *predicted* from these numbers and compared against the paper in
-//! EXPERIMENTS.md — the per-block agreement is the validation of the model.
+//! is *predicted* from these numbers and printed beside the paper's by the
+//! `tables` experiments `table7` (per-block areas) and `fig5` (area
+//! fractions) — the per-block agreement is the validation of the model.
 
 /// The blocks the paper's floorplan distinguishes (Fig. 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -5,8 +5,8 @@
 //! per-core vector is derived from the block inventory and the overhead
 //! covers the shared system (bus fabric, SDRAM controller, GHRD shell on
 //! Agilex). The per-core and overhead constants are calibrated against one
-//! row of each published table; the other rows are *predictions* checked
-//! in EXPERIMENTS.md.
+//! row of each published table; the other rows are *predictions*, printed
+//! beside the paper's by the `tables` experiments `table3` and `table4`.
 
 use crate::blocks;
 

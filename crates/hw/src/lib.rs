@@ -11,7 +11,8 @@
 //! figures. The block complexities are calibrated once against the paper's
 //! published totals; everything else (core-count scaling, per-block area
 //! fractions, 45 nm → 7 nm shrink) is then *predicted* by the model and
-//! compared against the paper in EXPERIMENTS.md.
+//! printed beside the paper's figures by the `tables` experiments
+//! `table3`, `table4`, `table7` and `fig5`.
 
 pub mod asic;
 pub mod blocks;

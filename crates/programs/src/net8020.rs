@@ -10,11 +10,11 @@ use izhi_snn::noise::XorShift32;
 use crate::engine::{beside_noise, EngineConfig, GuestImage, Variant};
 use crate::layout;
 
-/// A prepared 80-20 guest workload.
+/// A prepared 80-20 guest workload: what a run and its verification read.
+/// The host network is dropped once its image is quantised;
+/// [`Net8020Workload::population`] rebuilds a dense build's.
 #[derive(Debug, Clone)]
 pub struct Net8020Workload {
-    /// The generated network (host view).
-    pub net: Net8020,
     /// The guest memory image.
     pub image: GuestImage,
     /// Engine configuration.
@@ -45,18 +45,29 @@ impl Net8020Workload {
     ) -> Self {
         let cfg = EngineConfig::new(n_exc + n_inh, ticks, n_cores, variant);
         Self::build(n_exc, n_inh, cfg, seed, || {
-            Net8020::with_size(n_exc, n_inh, seed)
+            Self::population(n_exc, n_inh, seed)
         })
     }
 
-    /// A *pruned* 80-20 population on the sparse CSR phase-A walk: each
-    /// presynaptic row keeps only its `density` fraction of largest-
-    /// magnitude weights, boosted so the row's total delivered charge is
-    /// preserved (the population dynamics stay in the dense network's
-    /// regime). Pruning is what makes populations beyond the dense
-    /// `WEIGHTS` window practical: phase A walks per-core CSR rows, so
-    /// the per-tick scatter cost scales with `density * n` instead of
-    /// `n`.
+    /// The population a dense build quantises: Izhikevich's network
+    /// ([`Net8020::with_size`]) drawn from `seed`, charge-normalised. The
+    /// host reference simulators (Fig. 3, the host-vs-guest test) rebuild
+    /// it here and drive it with [`Net8020::noise_std`]; the sweeps start
+    /// each core's population from it.
+    pub fn population(n_exc: usize, n_inh: usize, seed: u32) -> Net8020 {
+        let mut net = Net8020::with_size(n_exc, n_inh, seed);
+        normalise_charge(&mut net);
+        net
+    }
+
+    /// A *pruned* [`Net8020Workload::population`] on the sparse CSR
+    /// phase-A walk: each presynaptic row keeps only its `density`
+    /// fraction of largest-magnitude weights, boosted so the row's total
+    /// delivered charge is preserved (the population dynamics stay in the
+    /// dense network's regime). Pruning is what makes populations beyond
+    /// the dense `WEIGHTS` window practical: phase A walks per-core CSR
+    /// rows, so the per-tick scatter cost scales with `density * n`
+    /// instead of `n`.
     pub fn sized_sparse(
         n_exc: usize,
         n_inh: usize,
@@ -68,7 +79,7 @@ impl Net8020Workload {
         let mut cfg = EngineConfig::new(n_exc + n_inh, ticks, n_cores, Variant::Npu);
         cfg.sparse = true;
         Self::build(n_exc, n_inh, cfg, seed, || {
-            let mut net = Net8020::with_size(n_exc, n_inh, seed);
+            let mut net = Self::population(n_exc, n_inh, seed);
             let n = net.len();
             let keep = Net8020::sparse_row_len(n, density);
             let mut edges = Vec::with_capacity(keep * n);
@@ -93,9 +104,9 @@ impl Net8020Workload {
         })
     }
 
-    /// The dense-image build: `draw` generates the `n_exc + n_inh`
-    /// population, which is charge-normalised and quantised while its
-    /// thalamic noise table is drawn beside it.
+    /// The dense-image build: `draw` generates the charge-normalised
+    /// `n_exc + n_inh` population, which is quantised while its thalamic
+    /// noise table is drawn beside it, and dropped once quantised.
     fn build(
         n_exc: usize,
         n_inh: usize,
@@ -106,22 +117,16 @@ impl Net8020Workload {
         let n = cfg.n;
         let ticks = cfg.ticks;
         let rows = layout::noise_period(n, ticks) as usize;
-        let ((net, mut image), noise_q) = beside_noise(
+        let (mut image, noise_q) = beside_noise(
             &vec![0.0; n],
             &Net8020::noise_std(n_exc, n_inh),
             &[],
             rows,
             seed ^ 0xABCD,
-            || {
-                let mut net = draw();
-                normalise_charge(&mut net);
-                let image = GuestImage::quantised(&net.network, ticks);
-                (net, image)
-            },
+            || GuestImage::quantised(&draw().network, ticks),
         );
         image.noise_q = noise_q;
         Net8020Workload {
-            net,
             image,
             cfg,
             initial_weight_hash: None,
@@ -199,7 +204,8 @@ impl Net8020Workload {
 
     /// The CSR-native build of a [`Net8020::sparse_random`] population
     /// under `cfg`: the population is drawn, charge-normalised and
-    /// quantised while its thalamic noise table is drawn beside it. A
+    /// quantised while its thalamic noise table is drawn beside it, and
+    /// dropped once its synapses are counted for the memory map. A
     /// build without the `thalamic` channel gets an all-zero table
     /// (`0 + 1·0·g` is ±0 for every finite Gaussian `g`), so it draws no
     /// Gaussians at all.
@@ -219,9 +225,9 @@ impl Net8020Workload {
             let mut net = Net8020::sparse_random(n_exc, n_inh, density, seed);
             normalise_charge(&mut net);
             let image = GuestImage::quantised_csr(&net.network, ticks);
-            (net, image)
+            (image, net.network.n_synapses())
         };
-        let ((net, mut image), noise_q) = if thalamic {
+        let ((mut image, n_synapses), noise_q) = if thalamic {
             beside_noise(
                 &vec![0.0; n],
                 &Net8020::noise_std(n_exc, n_inh),
@@ -234,9 +240,8 @@ impl Net8020Workload {
             (draw(), vec![0; rows * n])
         };
         image.noise_q = noise_q;
-        cfg.fit_memory(net.network.n_synapses());
+        cfg.fit_memory(n_synapses);
         Net8020Workload {
-            net,
             image,
             cfg,
             initial_weight_hash: None,
@@ -287,25 +292,14 @@ mod tests {
         // Same network; independent noise streams -> compare rates & ISIs.
         let wl = Net8020Workload::sized(80, 20, 600, 1, 5, Variant::Npu);
         let res = wl.run().unwrap();
+        let net = Net8020Workload::population(80, 20, 5);
 
-        let mut host = FixedSimulator::new(&wl.net.network, 2, 999);
-        for i in 0..wl.net.len() {
-            host.noise_std[i] = if wl.net.is_excitatory(i) {
-                wl.net.exc_noise
-            } else {
-                wl.net.inh_noise
-            };
-        }
+        let mut host = FixedSimulator::new(&net.network, 2, 999);
+        host.noise_std = Net8020::noise_std(80, 20);
         let host_raster = host.run(600);
 
-        let mut f64_host = F64Simulator::new(&wl.net.network, 2, 777);
-        for i in 0..wl.net.len() {
-            f64_host.noise_std[i] = if wl.net.is_excitatory(i) {
-                wl.net.exc_noise
-            } else {
-                wl.net.inh_noise
-            };
-        }
+        let mut f64_host = F64Simulator::new(&net.network, 2, 777);
+        f64_host.noise_std = Net8020::noise_std(80, 20);
         let f64_raster = f64_host.run(600);
 
         let rg = res.raster.mean_rate_hz();

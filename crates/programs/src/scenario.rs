@@ -89,7 +89,7 @@ pub trait Workload: Send + Sync {
     /// single run.
     fn verify(&self, res: &WorkloadResult) -> Result<(), String>;
     /// Downcast access for consumers that need the concrete workload
-    /// (e.g. the Fig. 3 host-simulator arms need the generated network).
+    /// (e.g. Table VI decodes the Sudoku grid from the raster).
     fn as_any(&self) -> &dyn Any;
 }
 
@@ -1096,7 +1096,7 @@ impl Workload for Net8020SweepWorkload {
     fn verify(&self, res: &WorkloadResult) -> Result<(), String> {
         verify_raster(&self.cfg, res)?;
         // Block-diagonal correctness: every population must be active.
-        for k in 0..self.subnets.len() {
+        for k in 0..self.points.len() {
             if self.population_spikes(res, k).is_empty() {
                 return Err(format!("population {k} produced no spikes"));
             }

@@ -11,13 +11,13 @@ use izhi_snn::sudoku::{SudokuGrid, WtaNetwork, WtaParams};
 
 use crate::engine::{run_workload, EngineConfig, GuestImage, Variant, WorkloadResult};
 
-/// A prepared Sudoku guest workload.
+/// A prepared Sudoku guest workload: what a run, its decoding and its
+/// verification read. The host WTA network is dropped once the image is
+/// built.
 #[derive(Debug, Clone)]
 pub struct SudokuWorkload {
     /// The puzzle being solved.
     pub puzzle: SudokuGrid,
-    /// The WTA network (host view).
-    pub wta: WtaNetwork,
     /// Guest memory image.
     pub image: GuestImage,
     /// Engine configuration.
@@ -70,12 +70,7 @@ impl SudokuWorkload {
         cfg.pin = true; // §V-B: pin voltage improves Sudoku convergence
         cfg.sparse = true; // 29 of 729 targets per neuron: walk CSR rows
         cfg.tau = params.tau; // the WTA search needs the long decay
-        SudokuWorkload {
-            puzzle,
-            wta,
-            image,
-            cfg,
-        }
+        SudokuWorkload { puzzle, image, cfg }
     }
 
     /// Run the guest and decode the raster window by window. (Named

@@ -20,6 +20,7 @@ use izhi_snn::gen8020::Net8020;
 use izhi_snn::network::Network;
 
 use crate::engine::{EngineConfig, GuestImage, Variant, WorkloadResult};
+use crate::net8020::Net8020Workload;
 
 /// One parameter point of a sweep: the population a core simulates.
 ///
@@ -48,12 +49,13 @@ impl SweepPoint {
     }
 }
 
-/// A prepared multi-population sweep workload (one 80-20 net per core).
+/// A prepared multi-population sweep workload (one 80-20 net per core):
+/// what a run and its verification read. The host populations are dropped
+/// once the image is built.
 #[derive(Debug, Clone)]
 pub struct Net8020SweepWorkload {
-    /// The per-core populations (host view), in core order.
-    pub subnets: Vec<Net8020>,
-    /// The parameter point each core simulates, in core order.
+    /// The parameter point each core simulates, one per core, in core
+    /// order.
     pub points: Vec<SweepPoint>,
     /// The combined block-diagonal guest image.
     pub image: GuestImage,
@@ -79,27 +81,16 @@ impl Net8020SweepWorkload {
         let n_cores = points.len() as u32;
         assert!(n_cores >= 1, "a sweep needs at least one point");
         let sub_n = n_exc + n_inh;
-        let mut subnets = Vec::with_capacity(points.len());
         let mut params = Vec::with_capacity(sub_n * points.len());
         let mut edges = Vec::new();
         let mut noise_std = Vec::with_capacity(sub_n * points.len());
         for (k, point) in points.iter().enumerate() {
-            let mut net = Net8020::with_size(n_exc, n_inh, point.seed);
-            // Charge normalisation as in the coupled workload (see
-            // `Net8020Workload::sized`): weights deliver persistent current
-            // with DCU decay, so scale by (1 - r) at τ = 2 — then apply
-            // the point's excitatory gain.
-            for pre in 0..sub_n {
-                let gain = if net.is_excitatory(pre) {
-                    0.25 * point.weight_gain
-                } else {
-                    0.25
-                };
-                let lo = net.network.row_ptr[pre] as usize;
-                let hi = net.network.row_ptr[pre + 1] as usize;
-                for w in &mut net.network.weights[lo..hi] {
-                    *w *= gain;
-                }
+            // The coupled workload's population, then the point's
+            // excitatory gain (excitatory rows come first).
+            let mut net = Net8020Workload::population(n_exc, n_inh, point.seed);
+            let exc_edges = net.network.row_ptr[n_exc] as usize;
+            for w in &mut net.network.weights[..exc_edges] {
+                *w *= point.weight_gain;
             }
             let base = k * sub_n;
             params.extend(net.network.params.iter().copied());
@@ -108,15 +99,11 @@ impl Net8020SweepWorkload {
                     edges.push(((base + pre) as u32, (base + post as usize) as u32, w));
                 }
             }
-            noise_std.extend((0..sub_n).map(|i| {
-                point.noise_gain
-                    * if net.is_excitatory(i) {
-                        net.exc_noise
-                    } else {
-                        net.inh_noise
-                    }
-            }));
-            subnets.push(net);
+            noise_std.extend(
+                Net8020::noise_std(n_exc, n_inh)
+                    .into_iter()
+                    .map(|s| point.noise_gain * s),
+            );
         }
         let network = Network::from_edges(params, edges);
         let n = network.len();
@@ -129,7 +116,6 @@ impl Net8020SweepWorkload {
         // boundaries coincide with the population boundaries.
         assert_eq!(cfg.chunk(), sub_n, "population does not fill its chunk");
         Net8020SweepWorkload {
-            subnets,
             points: points.to_vec(),
             image,
             cfg,

@@ -20,7 +20,7 @@
 
 use izhi_programs::engine::{GuestImage, PatchMap};
 use izhi_programs::scenario::{self, ScenarioParams, Workload};
-use izhi_programs::{SudokuWorkload, Variant};
+use izhi_programs::{Net8020Workload, SudokuWorkload, Variant};
 use izhi_sim::MainMemory;
 use izhi_snn::sudoku::{hard_puzzle, WtaParams};
 
@@ -69,10 +69,8 @@ fn fnv_i16(values: &[i16]) -> u64 {
     h
 }
 
-/// FNV-1a of each table group of a workload's image, and of every span
-/// the image writes when loaded into a fresh guest memory.
-fn table_hashes(wl: &dyn Workload) -> [u64; 5] {
-    let img: &GuestImage = wl.image();
+/// FNV-1a of an image's quantised parameters and initial VU words.
+fn params_hash(img: &GuestImage) -> u64 {
     let mut params = FNV_OFFSET;
     for p in &img.params {
         let (rs1, rs2) = p.pack();
@@ -82,6 +80,13 @@ fn table_hashes(wl: &dyn Workload) -> [u64; 5] {
     for vu in &img.init_vu {
         fnv(&mut params, &vu.to_le_bytes());
     }
+    params
+}
+
+/// FNV-1a of each table group of a workload's image, and of every span
+/// the image writes when loaded into a fresh guest memory.
+fn table_hashes(wl: &dyn Workload) -> [u64; 5] {
+    let img: &GuestImage = wl.image();
     let mut csr = FNV_OFFSET;
     if let Some(c) = &img.csr {
         for w in c.row_ptr.iter().chain(&c.targets) {
@@ -104,12 +109,27 @@ fn table_hashes(wl: &dyn Workload) -> [u64; 5] {
         fnv(&mut loaded, &bytes);
     }
     [
-        params,
+        params_hash(img),
         fnv_i16(&img.weights_q),
         fnv_i16(&img.noise_q),
         csr,
         loaded,
     ]
+}
+
+/// The pinned row of `name` at the given scale and seed: [`GOLDEN`] for
+/// the registry default (`None`), [`GOLDEN_RESEEDED`] for an explicit seed.
+fn pinned(name: &str, quick: bool, seed: Option<u32>) -> Option<[u64; 5]> {
+    match seed {
+        None => GOLDEN
+            .iter()
+            .find(|&&(n, q, _)| n == name && q == quick)
+            .map(|&(_, _, h)| h),
+        Some(s) => GOLDEN_RESEEDED
+            .iter()
+            .find(|&&(n, q, x, _)| n == name && q == quick && x == s)
+            .map(|&(_, _, _, h)| h),
+    }
 }
 
 /// Build every scenario of `names` at the given scale and seed (`None`:
@@ -130,17 +150,7 @@ fn check(names: &[&str], quick: bool, seed: Option<u32>) {
             sc.build(&params)
         };
         let hashes = table_hashes(wl.as_ref());
-        let want = match seed {
-            None => GOLDEN
-                .iter()
-                .find(|&&(n, q, _)| n == name && q == quick)
-                .map(|&(_, _, h)| h),
-            Some(s) => GOLDEN_RESEEDED
-                .iter()
-                .find(|&&(n, q, x, _)| n == name && q == quick && x == s)
-                .map(|&(_, _, _, h)| h),
-        };
-        if want != Some(hashes) {
+        if pinned(name, quick, seed) != Some(hashes) {
             wrong.push(name);
         }
         let seed = seed.map_or(String::new(), |s| format!(" {s},"));
@@ -173,6 +183,45 @@ fn default_scale_images_match_pinned_hashes() {
 #[test]
 fn reseeded_default_scale_images_match_pinned_hashes() {
     check(&["net8020", "net8020_sharded"], false, Some(1001));
+}
+
+/// The host reference arms (Fig. 3, the host-vs-guest test) simulate
+/// [`Net8020Workload::population`] instead of a network the workload
+/// keeps. Quantised, the recipe must reproduce the `net8020` image's
+/// parameter and weight tables, and the hashes pinned for them above, at
+/// the quick shape, the default shape and a re-seed.
+#[test]
+fn population_recipe_quantises_to_the_net8020_tables() {
+    // (quick scale?, seed override, n_exc, n_inh, resolved seed).
+    for (quick, seed, n_exc, n_inh, drawn) in [
+        (true, None, 40, 10, 5),
+        (false, None, 800, 200, 5),
+        (false, Some(1001), 800, 200, 1001),
+    ] {
+        let sc = scenario::find("net8020").expect("registered scenario");
+        let params = ScenarioParams {
+            seed,
+            ..ScenarioParams::default()
+        };
+        let wl = if quick {
+            sc.build_quick(&params)
+        } else {
+            sc.build(&params)
+        };
+        let cfg = wl.cfg();
+        assert_eq!(cfg.n, n_exc + n_inh, "net8020 shape moved");
+        let net = Net8020Workload::population(n_exc, n_inh, drawn).network;
+        let zero = vec![0.0; net.len()];
+        let recipe = GuestImage::from_network(&net, &zero, &zero, cfg.ticks, 0);
+        let img = wl.image();
+        let shape = format!("quick {quick}, seed {drawn}");
+        assert_eq!(recipe.params, img.params, "{shape}: params");
+        assert_eq!(recipe.init_vu, img.init_vu, "{shape}: initial VU");
+        assert_eq!(recipe.weights_q, img.weights_q, "{shape}: weights");
+        let pinned = pinned("net8020", quick, seed).expect("pinned net8020 row");
+        let got = [params_hash(&recipe), fnv_i16(&recipe.weights_q)];
+        assert_eq!(got, [pinned[0], pinned[1]], "{shape}: pinned hashes");
+    }
 }
 
 /// No registry scenario loads soft-float CSR tables (the f32 edge

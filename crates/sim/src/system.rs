@@ -36,8 +36,8 @@ pub enum TimingModel {
     /// mul/div/CSR/NPU classes) with no shared mutable state, so
     /// [`SchedMode::RelaxedParallel`] stays race-free and bit-identical
     /// across host-thread counts. Cycle counts approximate exact-mode
-    /// cycles (the perf baseline reports the per-scenario accuracy ratio
-    /// and CI bounds it).
+    /// cycles (the `scenario_battery` suite bounds the per-scenario
+    /// estimated/exact ratio).
     Estimated,
 }
 

@@ -7,20 +7,11 @@ use izhi_snn::simulate::{F64Simulator, FixedSimulator};
 
 fn main() {
     let net = Net8020::with_size(160, 40, 11);
-    let configure = |noise: &mut [f64]| {
-        for (i, n) in noise.iter_mut().enumerate() {
-            *n = if net.is_excitatory(i) {
-                net.exc_noise
-            } else {
-                net.inh_noise
-            };
-        }
-    };
     let mut f = F64Simulator::new(&net.network, 2, 3);
-    configure(&mut f.noise_std);
+    f.noise_std = Net8020::noise_std(160, 40);
     let rf = f.run(600);
     let mut q = FixedSimulator::new(&net.network, 2, 4);
-    configure(&mut q.noise_std);
+    q.noise_std = Net8020::noise_std(160, 40);
     let rq = q.run(600);
 
     println!(

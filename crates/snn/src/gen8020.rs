@@ -11,17 +11,14 @@ use izhi_core::params::IzhParams;
 use crate::network::Network;
 use crate::noise::XorShift32;
 
-/// The 80-20 network plus its noise magnitudes.
+/// The 80-20 network; its thalamic noise magnitudes are
+/// [`Net8020::EXC_NOISE`] and [`Net8020::INH_NOISE`].
 #[derive(Debug, Clone)]
 pub struct Net8020 {
     /// The connectivity/parameters.
     pub network: Network,
     /// Number of excitatory neurons (first `n_exc` indices).
     pub n_exc: usize,
-    /// Thalamic noise std for excitatory cells ([`Net8020::EXC_NOISE`]).
-    pub exc_noise: f64,
-    /// Thalamic noise std for inhibitory cells ([`Net8020::INH_NOISE`]).
-    pub inh_noise: f64,
 }
 
 impl Net8020 {
@@ -31,9 +28,7 @@ impl Net8020 {
     pub const INH_NOISE: f64 = 2.0;
 
     /// Per-neuron thalamic noise std of an `n_exc + n_inh` population,
-    /// excitatory cells first — what a generated network's
-    /// [`Net8020::exc_noise`]/[`Net8020::inh_noise`] say, known before
-    /// anything is drawn.
+    /// excitatory cells first, known before anything is drawn.
     pub fn noise_std(n_exc: usize, n_inh: usize) -> Vec<f64> {
         let mut std = vec![Self::EXC_NOISE; n_exc];
         std.resize(n_exc + n_inh, Self::INH_NOISE);
@@ -80,8 +75,6 @@ impl Net8020 {
                 weights,
             },
             n_exc,
-            exc_noise: Self::EXC_NOISE,
-            inh_noise: Self::INH_NOISE,
         }
     }
 
@@ -173,8 +166,6 @@ impl Net8020 {
                 weights,
             },
             n_exc,
-            exc_noise: Self::EXC_NOISE,
-            inh_noise: Self::INH_NOISE,
         }
     }
 
@@ -190,15 +181,9 @@ impl Net8020 {
 
     /// Thalamic input vector for one timestep.
     pub fn thalamic(&self, rng: &mut XorShift32) -> Vec<f64> {
-        (0..self.len())
-            .map(|i| {
-                let s = if i < self.n_exc {
-                    self.exc_noise
-                } else {
-                    self.inh_noise
-                };
-                s * rng.next_gaussian()
-            })
+        Self::noise_std(self.n_exc, self.len() - self.n_exc)
+            .into_iter()
+            .map(|s| s * rng.next_gaussian())
             .collect()
     }
 

@@ -362,13 +362,7 @@ mod tests {
     fn small_8020_network_is_active_with_noise() {
         let net8020 = Net8020::with_size(80, 20, 3);
         let mut sim = F64Simulator::new(&net8020.network, DEFAULT_TAU, 1);
-        for i in 0..net8020.len() {
-            sim.noise_std[i] = if net8020.is_excitatory(i) {
-                net8020.exc_noise
-            } else {
-                net8020.inh_noise
-            };
-        }
+        sim.noise_std = Net8020::noise_std(80, 20);
         let raster = sim.run(500);
         // Noisy drive makes a visible fraction of the population fire.
         assert!(

@@ -893,7 +893,7 @@ mod tests {
     #[test]
     fn wta_solves_a_hard_corpus_puzzle() {
         // 24 givens — hardest band; this instance/seed converges quickly
-        // (the full corpus statistics live in EXPERIMENTS.md).
+        // (`tables table6` runs the full-scale corpus).
         let p = hard_corpus(10)[9];
         assert!(p.n_givens() <= 26);
         let r = solve_wta(&p, WtaParams::default(), 16, 12_000, 30);

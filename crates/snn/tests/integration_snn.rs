@@ -38,9 +38,7 @@ fn inhibition_lowers_rate() {
 fn analysis_pipeline_coherent() {
     let net = Net8020::with_size(80, 20, 11);
     let mut sim = FixedSimulator::new(&net.network, 2, 3);
-    for i in 0..net.len() {
-        sim.noise_std[i] = if net.is_excitatory(i) { 5.0 } else { 2.0 };
-    }
+    sim.noise_std = Net8020::noise_std(80, 20);
     let raster = sim.run(800);
     assert!(!raster.spikes.is_empty());
 
@@ -69,9 +67,7 @@ fn ei_balance_controls_activity() {
     let run = |n_exc: usize, n_inh: usize| {
         let net = Net8020::with_size(n_exc, n_inh, 4);
         let mut sim = F64Simulator::new(&net.network, 2, 9);
-        for i in 0..net.len() {
-            sim.noise_std[i] = if net.is_excitatory(i) { 5.0 } else { 2.0 };
-        }
+        sim.noise_std = Net8020::noise_std(n_exc, n_inh);
         sim.run(400).spikes.len() as f64 / net.len() as f64
     };
     let pure_exc = run(100, 0);

@@ -1,6 +1,6 @@
 //! Cross-crate integration tests asserting the paper's headline claims at
-//! reduced scale (full-scale numbers are regenerated by the `tables`
-//! binary and recorded in EXPERIMENTS.md).
+//! reduced scale (the `tables` binary prints the full-scale numbers beside
+//! the paper's: `tables all`).
 
 use izhirisc::hw::asic::{AsicLibrary, AsicReport};
 use izhirisc::hw::blocks;
